@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .errors import (DegenerateFitError, DegenerateInputError, DepthError,
                      DomainError)
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       Rotation, adjust_intrinsics_for_crop, bbox_iou,
+                       PoseBatch, Rotation, adjust_intrinsics_for_crop, bbox_iou,
                        compute_crop, geodesic_distance, project_point,
                        project_points, rotation_from_6d)
 from .losses import (GRAD_LABELS, LossBreakdown, LossWeights,
@@ -15,8 +15,8 @@ from .losses import (GRAD_LABELS, LossBreakdown, LossWeights,
                      gradient_check, huber_log_focal, point_matching_distance,
                      reprojection_loss, rotation_6d_jacobian, total_loss)
 from .metrics import (EvalPair, MetricRecord, aggregate, err_focal, err_pose,
-                      err_proj, err_rot, err_trans, evaluate_pair,
-                      lower_median)
+                      err_proj, err_rot, err_trans, evaluate_batch,
+                      evaluate_pair, lower_median)
 from .sampling import (AnnotationRecord, BinghamParams, Gaussian2DParams,
                        NonparamDeltas, RefinerNoise, UniformRanges,
                        fit_bingham, fit_translation_focal, load_annotations,
@@ -28,9 +28,10 @@ from .simulator import (ClampBounds, NoiseScales, OraclePredictor,
                         Tolerances, TrialConfig, TrialResult, make_oracle,
                         make_clamped_oracle, make_noisy_oracle,
                         projected_bbox, run_experiment, run_refinement)
-from .update_rules import (DeltaTheta, apply_focal_update,
+from .update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                            apply_legacy_translation_update,
                            apply_rotation_update, apply_translation_update,
-                           apply_update, init_state, oracle_delta)
+                           apply_update, apply_update_batch, init_state,
+                           init_state_batch, oracle_delta, oracle_delta_batch)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

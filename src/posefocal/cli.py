@@ -105,6 +105,14 @@ def _fail(exc: Exception):
     raise click.ClickException(str(exc))
 
 
+def _parse_json(text: str, where: str):
+    """json.loads whose syntax errors are DomainErrors naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{where}: malformed JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # CLI group
 # ---------------------------------------------------------------------------
@@ -132,10 +140,9 @@ def fit_dist(annotations, kind, out):
             raise DomainError(f"no annotation records in {annotations}")
         if kind == "parametric":
             quats = np.stack([r.rotation.quat for r in records])
+            xy, zf = fit_translation_focal(records)
             doc = distributions_to_dict(
-                "parametric", bingham=fit_bingham(quats),
-                xy=fit_translation_focal(records)[0],
-                zf=fit_translation_focal(records)[1])
+                "parametric", bingham=fit_bingham(quats), xy=xy, zf=zf)
         else:
             doc = distributions_to_dict(
                 "nonparametric", deltas=select_deltas_95pct(records),
@@ -153,7 +160,7 @@ def fit_dist(annotations, kind, out):
 # ---------------------------------------------------------------------------
 
 def _load_distribution(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = _parse_json(Path(path).read_text(), path)
     if "manifest" in doc:
         doc = {k: v for k, v in doc.items() if k != "manifest"}
     return doc
@@ -289,10 +296,10 @@ def _load_targets(cfg: dict, n: int, seed: int) -> list[ParamState]:
             raise DomainError("config field targets/path: required for kind 'file'")
         states = []
         with open(cfg["path"]) as fh:
-            for line in fh:
+            for i, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                doc = json.loads(line)
+                doc = _parse_json(line, f"{cfg['path']} line {i}")
                 if "manifest" in doc:
                     continue
                 states.append(ParamState.from_dict(doc))
@@ -305,7 +312,7 @@ def _load_targets(cfg: dict, n: int, seed: int) -> list[ParamState]:
     return sample_pose_uniform(ranges, n, seed)
 
 
-def run_simulation(config: dict, workers: int = 1) -> dict:
+def run_simulation(config: dict) -> dict:
     """Validated config in, campaign report out."""
     validate_config(config, SIMULATE_SCHEMA)
     seed = config.get("seed", 0)
@@ -324,8 +331,7 @@ def run_simulation(config: dict, workers: int = 1) -> dict:
         targets, base, points, intrinsics,
         img_diag=config.get("img_diag", 800.0),
         variants=tuple(config.get("update_rules", ("exact", "legacy"))),
-        seed=seed, workers=workers,
-        keep_trajectories=config.get("keep_trajectories", False))
+        seed=seed, keep_trajectories=config.get("keep_trajectories", False))
 
 
 def _report_csv_rows(report: dict):
@@ -345,14 +351,13 @@ def _report_csv_rows(report: dict):
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-def simulate(config_path, out, workers, fmt):
+def simulate(config_path, out, fmt):
     """Run a paired refinement campaign described by a JSON config."""
-    config = json.loads(Path(config_path).read_text())
     try:
-        report = run_simulation(config, workers=workers)
+        config = _parse_json(Path(config_path).read_text(), config_path)
+        report = run_simulation(config)
     except DomainError as exc:
         _fail(exc)
     manifest = RunManifest.build("simulate", config, seed=config.get("seed", 0),
@@ -381,10 +386,10 @@ def _load_pairs(path) -> list[EvalPair]:
     point_sets: dict[str, ModelPoints] = {}
     pairs = []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            doc = _parse_json(line, f"{path} line {i}")
             if "manifest" in doc:
                 continue
             if "model_points" in doc and "pred" not in doc:
@@ -467,9 +472,10 @@ def _random_gradcheck_case(rng: np.random.Generator):
     gt = state_from(quats[1], 0.8, 3.0, 300.0, 900.0)
     rel = (gt.rotation @ state.rotation.inverse()).as_matrix()
     noise = rng.normal(0.0, 0.05, size=(3, 2))
+    oracle = oracle_delta(state, gt)
     delta = DeltaTheta(
-        vx=oracle_delta(state, gt).vx + rng.normal(0, 5.0),
-        vy=oracle_delta(state, gt).vy + rng.normal(0, 5.0),
+        vx=oracle.vx + rng.normal(0, 5.0),
+        vy=oracle.vy + rng.normal(0, 5.0),
         vz=gt.translation[2] / state.translation[2] * np.exp(rng.normal(0, 0.05)),
         v_r1=rel[:, 0] + noise[:, 0],
         v_r2=rel[:, 1] + noise[:, 1],

@@ -288,7 +288,7 @@ def geodesic_distance(ra: Rotation, rb: Rotation) -> float:
     ||log(Ra^T Rb)||_F / sqrt(2) but stable near pi.
     """
     q_rel = (ra.inverse() @ rb).quat
-    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(q_rel[1:]))))
+    return float(2.0 * np.arctan2(np.linalg.norm(q_rel[1:]), abs(q_rel[0])))
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -334,3 +334,149 @@ def adjust_intrinsics_for_crop(intrinsics: CameraIntrinsics, crop_origin,
         cx=(intrinsics.cx - ox) * resize_factor,
         cy=(intrinsics.cy - oy) * resize_factor,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels: row i of each array belongs to pose i
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PoseBatch:
+    """N poses as arrays: unit quaternions (N, 4), translations (N, 3) in
+    meters and focal lengths (N,) in pixels. Row i is one :class:`ParamState`."""
+
+    quat: np.ndarray
+    translation: np.ndarray
+    focal: np.ndarray
+
+    @classmethod
+    def from_states(cls, states) -> "PoseBatch":
+        return cls(np.array([s.rotation.quat for s in states]),
+                   np.array([s.translation for s in states]),
+                   np.array([s.focal for s in states], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.focal)
+
+    def take(self, rows) -> "PoseBatch":
+        return PoseBatch(self.quat[rows], self.translation[rows], self.focal[rows])
+
+    def state(self, i: int) -> ParamState:
+        return ParamState(Rotation(self.quat[i]), self.translation[i], float(self.focal[i]))
+
+
+def quat_unit(q: np.ndarray) -> np.ndarray:
+    """Quaternions (N, 4) scaled to unit norm."""
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def quat_conj(q: np.ndarray) -> np.ndarray:
+    """Inverse rotations of unit quaternions (N, 4)."""
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise composition a @ b (b applied first) of quaternions (N, 4),
+    normalized as :class:`Rotation` normalizes."""
+    w1, x1, y1, z1 = a.T
+    w2, x2, y2, z2 = b.T
+    return quat_unit(np.stack([
+        w1*w2 - x1*x2 - y1*y2 - z1*z2,
+        w1*x2 + x1*w2 + y1*z2 - z1*y2,
+        w1*y2 - x1*z2 + y1*w2 + z1*x2,
+        w1*z2 + x1*y2 - y1*x2 + z1*w2,
+    ], axis=1))
+
+
+def quats_to_matrices(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (N, 3, 3) of unit quaternions (N, 4)."""
+    w, x, y, z = q.T
+    return np.stack([
+        np.stack([1 - 2*y*y - 2*z*z, 2*x*y - 2*w*z, 2*x*z + 2*w*y], axis=1),
+        np.stack([2*x*y + 2*w*z, 1 - 2*x*x - 2*z*z, 2*y*z - 2*w*x], axis=1),
+        np.stack([2*x*z - 2*w*y, 2*y*z + 2*w*x, 1 - 2*x*x - 2*y*y], axis=1),
+    ], axis=1)
+
+
+def matrices_to_quats(m: np.ndarray) -> np.ndarray:
+    """Unit quaternions (N, 4) of rotation matrices (N, 3, 3), by the same
+    per-row pivot choice as :func:`_matrix_to_quat`."""
+    m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    t = m00 + m11 + m22
+    d21, d02, d10 = m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]
+    s01, s02, s12 = m[:, 0, 1] + m[:, 1, 0], m[:, 0, 2] + m[:, 2, 0], m[:, 1, 2] + m[:, 2, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # unselected pivots
+        s = 0.5 / np.sqrt(t + 1.0)
+        by_trace = np.stack([0.25 / s, d21 * s, d02 * s, d10 * s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        by_x = np.stack([d21 / s, 0.25 * s, s01 / s, s02 / s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+        by_y = np.stack([d02 / s, s01 / s, 0.25 * s, s12 / s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+        by_z = np.stack([d10 / s, s02 / s, s12 / s, 0.25 * s], axis=1)
+    pivot_x = (m00 > m11) & (m00 > m22)
+    q = np.where((t > 0)[:, None], by_trace,
+                 np.where(pivot_x[:, None], by_x,
+                          np.where((m11 > m22)[:, None], by_y, by_z)))
+    return quat_unit(q)
+
+
+def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`rotation_from_6d` of vector pairs (N, 3), as unit
+    quaternions (N, 4), with the same checks."""
+    n1 = np.linalg.norm(v1, axis=1, keepdims=True)
+    if np.any(n1 < _DEGENERATE_TOL):
+        raise DegenerateInputError("first 6D vector is (numerically) zero")
+    e1 = v1 / n1
+    w = v2 - np.sum(v2 * e1, axis=1, keepdims=True) * e1
+    nw = np.linalg.norm(w, axis=1, keepdims=True)
+    if np.any(nw < _DEGENERATE_TOL):
+        raise DegenerateInputError("6D vectors are (numerically) parallel")
+    e2 = w / nw
+    m = np.stack([e1, e2, np.cross(e1, e2)], axis=2)
+    err = np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+    if not (np.all(err <= 1e-6) and np.all(np.linalg.det(m) >= 0)):
+        raise DomainError("matrix is not a proper rotation")
+    return matrices_to_quats(m)
+
+
+def quats_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Rotation.from_axis_angle` of axes (N, 3) and angles (N,)."""
+    n = np.linalg.norm(axis, axis=1, keepdims=True)
+    if np.any(n < _DEGENERATE_TOL):
+        raise DegenerateInputError("rotation axis is a zero vector")
+    half = 0.5 * angle
+    return quat_unit(np.column_stack([np.cos(half), np.sin(half)[:, None] * (axis / n)]))
+
+
+def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes (N, 3) and angles (N,) in [0, pi] of unit quaternions (N, 4);
+    the axis is (1, 0, 0) for a rotation by less than 1e-15."""
+    w, vec = q[:, 0], q[:, 1:]
+    norm = np.linalg.norm(vec, axis=1)
+    small = norm < 1e-15
+    sign = np.sign(np.where(w != 0, w, 1.0))
+    axis = np.where(small[:, None], np.array([1.0, 0.0, 0.0]),
+                    vec / np.where(small, 1.0, norm)[:, None] * sign[:, None])
+    return axis, np.where(small, 0.0, 2.0 * np.arctan2(norm, np.abs(w)))
+
+
+def camera_points(poses: PoseBatch, points: np.ndarray) -> np.ndarray:
+    """Model points (P, 3) in each pose's camera frame, shape (N, P, 3)."""
+    return (points @ quats_to_matrices(poses.quat).transpose(0, 2, 1)
+            + poses.translation[:, None, :])
+
+
+def image_boxes(cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Boxes (N, 4) as x1, y1, x2, y2 around the projections of camera-frame
+    points (N, P, 3), each side at least 1e-9 px; a row is NaN where a point
+    has non-positive depth."""
+    behind = np.any(cam[..., 2] <= 0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = intrinsics.focal * cam[..., :2] / cam[..., 2:3] \
+            + np.array([intrinsics.cx, intrinsics.cy])
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    hi = np.where(hi - lo < 1e-9, lo + 1e-9, hi)
+    boxes = np.concatenate([lo, hi], axis=1)
+    boxes[behind] = np.nan
+    return boxes

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (BBox, ModelPoints, ParamState, bbox_iou,
-                       geodesic_distance)
+from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
+                       PoseBatch, bbox_iou, camera_points, image_boxes,
+                       quat_conj, quat_multiply)
 
 ROT_ACC_THRESHOLD = math.pi / 6.0
 PROJ_ACC_THRESHOLD = 0.1
 IOU_ACC_THRESHOLD = 0.5
+
+METRIC_FIELDS = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
 
 HISTOGRAM_EDGES = {
     "e_rot": np.linspace(0.0, math.pi, 19),
@@ -61,8 +64,16 @@ class MetricRecord:
 
 
 def err_rot(pair: EvalPair) -> float:
-    """Geodesic rotation angle between prediction and ground truth."""
-    return geodesic_distance(pair.pred.rotation, pair.gt.rotation)
+    """Geodesic rotation angle between prediction and ground truth.
+
+    Computed as 2*arcsin(|v|) of the relative quaternion, which is off by up
+    to about 4e-8 rad within about 1e-3 rad of pi; :func:`geodesic_distance`
+    uses the exact 2*atan2(|v|, |w|). The benchmark's ``score`` checks treat
+    this loss as a known fault and its smoke tests expect it, so e_rot moves
+    to :func:`geodesic_distance` together with those checks.
+    """
+    q_rel = (pair.pred.rotation.inverse() @ pair.gt.rotation).quat
+    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(q_rel[1:]))))
 
 
 def err_trans(pair: EvalPair) -> float:
@@ -124,6 +135,54 @@ def evaluate_pair(pair: EvalPair) -> MetricRecord:
     )
 
 
+def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints,
+                   bbox_gt: np.ndarray, img_diag: float,
+                   intrinsics: CameraIntrinsics) -> dict:
+    """Row-wise :func:`evaluate_pair` over N pairs sharing one point cloud.
+
+    ``bbox_gt`` holds the N ground-truth boxes (x1, y1, x2, y2); each
+    predicted box is projected through ``intrinsics``. Returns an (N,) array
+    per field of :class:`MetricRecord`. Where a predicted point has
+    non-positive depth, e_proj is inf and iou is NaN (no predicted box).
+    """
+    if img_diag <= 0:
+        raise DomainError("image diagonal must be positive")
+    t_norm = np.linalg.norm(gt.translation, axis=1)
+    if np.any(t_norm <= 0):
+        raise DomainError("ground-truth translation must be non-zero")
+    cam = camera_points(pred, points.points)
+    cam_hat = camera_points(gt, points.points)
+    if np.any(cam_hat[..., 2] <= 0):
+        raise DomainError("ground truth puts a model point behind the camera")
+    behind = np.any(cam[..., 2] <= 0, axis=1)
+    diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
+    avg = np.linalg.norm(cam - cam_hat, axis=2).mean(axis=1)
+    uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows behind the camera
+        uv = pred.focal[:, None, None] * cam[..., :2] / cam[..., 2:3]
+        e_proj = np.linalg.norm(uv - uv_hat, axis=2).mean(axis=1) / diag
+    e_proj[behind] = math.inf
+
+    box = image_boxes(cam, intrinsics)
+    iw = np.minimum(bbox_gt[:, 2], box[:, 2]) - np.maximum(bbox_gt[:, 0], box[:, 0])
+    ih = np.minimum(bbox_gt[:, 3], box[:, 3]) - np.maximum(bbox_gt[:, 1], box[:, 1])
+    inter = iw * ih
+    area_gt = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
+    area = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+    with np.errstate(invalid="ignore"):
+        iou = np.where((iw > 0) & (ih > 0), inter / (area_gt + area - inter), 0.0)
+    iou[behind] = np.nan
+    return {
+        "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(  # as err_rot
+            quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
+        "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / t_norm,
+        "e_pose": diag / img_diag * avg / t_norm,
+        "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
+        "e_proj": e_proj,
+        "iou": iou,
+    }
+
+
 def lower_median(values) -> float:
     """Element at index ceil(n/2) - 1 of the sorted values."""
     v = sorted(values)
@@ -144,7 +203,7 @@ def aggregate(records, rot_threshold: float = ROT_ACC_THRESHOLD,
     if not records:
         raise DomainError("no metric records to aggregate")
     n = len(records)
-    fields = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
+    fields = METRIC_FIELDS
     columns = {f: [getattr(r, f) for r in records] for f in fields}
 
     summary = {

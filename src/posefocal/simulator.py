@@ -1,23 +1,29 @@
 """Closed-loop refinement with pluggable predictors in place of the network.
 
-A predictor is any callable (state, target, iteration, rng) -> DeltaTheta.
-The oracle predictor inverts the update rule exactly; noisy and clamped
-variants emulate an imperfect network so the exact and legacy translation
-rules can be compared under identical randomness.
+A predictor is any callable (state, target, iteration, draws) -> DeltaBatch
+over N rows: the current and target poses as a PoseBatch, the 1-based
+iteration, and that iteration's (N, 8) standard-normal draws. The oracle
+predictor inverts the update rule exactly; noisy and clamped variants
+emulate an imperfect network so the exact and legacy translation rules can
+be compared under identical randomness.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       Rotation, project_points, rotation_from_6d)
-from .metrics import EvalPair, MetricRecord, aggregate, evaluate_pair, lower_median
-from .update_rules import DeltaTheta, apply_update, init_state, oracle_delta
+                       PoseBatch, camera_points, image_boxes, quat_axis_angle,
+                       quat_multiply, quats_from_6d, quats_from_axis_angle,
+                       quats_to_matrices)
+from .metrics import (METRIC_FIELDS, MetricRecord, aggregate, evaluate_batch,
+                      lower_median)
+from .update_rules import (DeltaBatch, apply_update_batch, init_state_batch,
+                           oracle_delta_batch)
 
 VZ_FLOOR = 1e-6  # depth-ratio clamp guarding against depth collapse
 
@@ -58,70 +64,57 @@ class ClampBounds:
             raise DomainError("clamp bounds must be positive")
 
 
-def _rotation_axis_angle(rot: Rotation) -> tuple[np.ndarray, float]:
-    w, x, y, z = rot.quat
-    vec = np.array([x, y, z])
-    norm = np.linalg.norm(vec)
-    angle = 2.0 * np.arctan2(norm, abs(w))
-    if norm < 1e-15:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    return (vec / norm) * np.sign(w if w != 0 else 1.0), angle
-
-
 @dataclass(frozen=True)
 class OraclePredictor:
-    """Oracle update, optionally noised and/or clamped.
+    """Oracle update, optionally noised and/or clamped, for N rows at once.
 
-    With noise, the same number of random draws is consumed per call no
-    matter the state, so paired trials with a shared seed see identical
-    noise streams.
+    ``draws`` holds the iteration's (N, 8) standard normals: the rotation
+    noise axis (3), its angle, then x, y, log depth and log focal. Every
+    row reads its own draws, so paired arms given the same rows see
+    identical noise.
     """
 
     noise: NoiseScales | None = None
     clamp: ClampBounds | None = None
 
-    def __call__(self, state: ParamState, target: ParamState, iteration: int,
-                 rng: np.random.Generator) -> DeltaTheta:
-        delta = oracle_delta(state, target)
+    def __call__(self, state: PoseBatch, target: PoseBatch, iteration: int,
+                 draws: np.ndarray) -> DeltaBatch:
+        delta = oracle_delta_batch(state, target)
         if self.noise is not None:
-            delta = self._add_noise(delta, rng)
+            delta = self._add_noise(delta, draws)
         if self.clamp is not None:
             delta = self._apply_clamp(delta)
         return delta
 
-    def _add_noise(self, delta: DeltaTheta, rng: np.random.Generator) -> DeltaTheta:
+    def _add_noise(self, delta: DeltaBatch, z: np.ndarray) -> DeltaBatch:
         ns = self.noise
-        axis = rng.standard_normal(3)
-        axis /= max(np.linalg.norm(axis), 1e-15)
-        angle = rng.normal(0.0, np.deg2rad(ns.sigma_rot_deg))
-        r_u = Rotation.from_axis_angle(axis, angle) \
-            @ rotation_from_6d(delta.v_r1, delta.v_r2)
-        mat = r_u.as_matrix()
-        return DeltaTheta(
-            vx=delta.vx + rng.normal(0.0, ns.sigma_x_px),
-            vy=delta.vy + rng.normal(0.0, ns.sigma_y_px),
-            vz=delta.vz * float(np.exp(rng.normal(0.0, ns.sigma_z_log))),
-            v_r1=mat[:, 0].copy(),
-            v_r2=mat[:, 1].copy(),
-            vf=delta.vf + rng.normal(0.0, ns.sigma_f_log),
+        axis = z[:, :3] / np.maximum(np.linalg.norm(z[:, :3], axis=1), 1e-15)[:, None]
+        angle = np.deg2rad(ns.sigma_rot_deg) * z[:, 3]
+        mat = quats_to_matrices(quat_multiply(quats_from_axis_angle(axis, angle),
+                                              quats_from_6d(delta.v_r1, delta.v_r2)))
+        return DeltaBatch(
+            vx=delta.vx + ns.sigma_x_px * z[:, 4],
+            vy=delta.vy + ns.sigma_y_px * z[:, 5],
+            vz=delta.vz * np.exp(ns.sigma_z_log * z[:, 6]),
+            v_r1=mat[:, :, 0],
+            v_r2=mat[:, :, 1],
+            vf=delta.vf + ns.sigma_f_log * z[:, 7],
         )
 
-    def _apply_clamp(self, delta: DeltaTheta) -> DeltaTheta:
+    def _apply_clamp(self, delta: DeltaBatch) -> DeltaBatch:
         cl = self.clamp
-        r_u = rotation_from_6d(delta.v_r1, delta.v_r2)
-        axis, angle = _rotation_axis_angle(r_u)
+        quat = quats_from_6d(delta.v_r1, delta.v_r2)
+        axis, angle = quat_axis_angle(quat)
         max_angle = np.deg2rad(cl.max_angle_deg)
-        if angle > max_angle:
-            r_u = Rotation.from_axis_angle(axis, max_angle)
-        mat = r_u.as_matrix()
-        return DeltaTheta(
-            vx=float(np.clip(delta.vx, -cl.max_px, cl.max_px)),
-            vy=float(np.clip(delta.vy, -cl.max_px, cl.max_px)),
-            vz=float(np.exp(np.clip(np.log(delta.vz),
-                                    -cl.max_log_depth, cl.max_log_depth))),
-            v_r1=mat[:, 0].copy(),
-            v_r2=mat[:, 1].copy(),
-            vf=float(np.clip(delta.vf, -cl.max_log_focal, cl.max_log_focal)),
+        capped = quats_from_axis_angle(axis, np.full(len(angle), max_angle))
+        mat = quats_to_matrices(np.where((angle > max_angle)[:, None], capped, quat))
+        return DeltaBatch(
+            vx=np.clip(delta.vx, -cl.max_px, cl.max_px),
+            vy=np.clip(delta.vy, -cl.max_px, cl.max_px),
+            vz=np.exp(np.clip(np.log(delta.vz), -cl.max_log_depth, cl.max_log_depth)),
+            v_r1=mat[:, :, 0],
+            v_r2=mat[:, :, 1],
+            vf=np.clip(delta.vf, -cl.max_log_focal, cl.max_log_focal),
         )
 
 
@@ -136,6 +129,9 @@ def make_noisy_oracle(noise: NoiseScales = NoiseScales()) -> OraclePredictor:
 def make_clamped_oracle(clamp: ClampBounds = ClampBounds(),
                         noise: NoiseScales | None = None) -> OraclePredictor:
     return OraclePredictor(noise=noise, clamp=clamp)
+
+
+UPDATE_RULES = ("exact", "legacy")
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ class TrialConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise DomainError("iteration count must be at least 1")
-        if self.update_rule not in ("exact", "legacy"):
+        if self.update_rule not in UPDATE_RULES:
             raise DomainError(f"unknown update rule {self.update_rule!r}")
 
 
@@ -170,113 +166,111 @@ class TrialResult:
 def projected_bbox(state: ParamState, points: ModelPoints,
                    intrinsics: CameraIntrinsics) -> BBox:
     """Axis-aligned box around the projected model points."""
-    uv = project_points(intrinsics, state.rotation, state.translation, points.points)
-    x1, y1 = uv.min(axis=0)
-    x2, y2 = uv.max(axis=0)
-    if x2 - x1 < 1e-9:
-        x2 = x1 + 1e-9
-    if y2 - y1 < 1e-9:
-        y2 = y1 + 1e-9
-    return BBox(x1, y1, x2, y2)
+    box = image_boxes(camera_points(PoseBatch.from_states([state]), points.points),
+                      intrinsics)[0]
+    if np.isnan(box[0]):
+        raise DepthError("a model point has non-positive depth")
+    return BBox(*box.tolist())
 
 
-def _measure(state: ParamState, target: ParamState, points: ModelPoints,
-             bbox_gt: BBox, img_diag: float,
-             intrinsics: CameraIntrinsics) -> MetricRecord:
-    try:
-        bbox_pred = projected_bbox(state, points, intrinsics)
-    except DomainError:
-        bbox_pred = None
-    return evaluate_pair(EvalPair(pred=state, gt=target, points=points,
-                                  bbox_gt=bbox_gt, img_diag=img_diag,
-                                  bbox_pred=bbox_pred))
+def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
+            legacy: np.ndarray, draws: np.ndarray, points: ModelPoints,
+            intrinsics: CameraIntrinsics, img_diag: float):
+    """The refinement loop, advancing N rows (trials x update rules) per pass.
+
+    Row i refines towards ``target`` row i from the standard initialization
+    in box ``bbox_gt[i]``, with the translation rule ``legacy[i]`` and the
+    noise draws ``draws[:, i]`` (iterations, N, 8). Returns the metrics of
+    every iteration, initial state included, and the final states.
+
+    The predictor's depth ratio is floored at 1e-6 to prevent depth collapse
+    from adversarial predictors. An invalid prediction aborts the loop with
+    the iteration index.
+    """
+    state = init_state_batch(bbox_gt, intrinsics)
+    trajectory = [evaluate_batch(state, target, points, bbox_gt, img_diag, intrinsics)]
+    for k in range(1, len(draws) + 1):
+        try:
+            delta = predictor(state, target, k, draws[k - 1])
+            delta = replace(delta, vz=np.maximum(delta.vz, VZ_FLOOR))
+            state = apply_update_batch(state, delta, legacy)
+        except DomainError as exc:
+            raise DomainError(f"trial aborted at iteration {k}: {exc}") from exc
+        trajectory.append(evaluate_batch(state, target, points, bbox_gt, img_diag,
+                                         intrinsics))
+    return trajectory, state
+
+
+def _records(metrics: dict, rows) -> list[MetricRecord]:
+    columns = [metrics[f][rows].tolist() for f in METRIC_FIELDS]
+    ious = [None if math.isnan(v) else v for v in metrics["iou"][rows].tolist()]
+    return [MetricRecord(*values) for values in zip(*columns, ious)]
+
+
+def _converged(metrics: dict, tol: Tolerances) -> np.ndarray:
+    return ((metrics["e_rot"] <= tol.e_rot) & (metrics["e_trans"] <= tol.e_trans)
+            & (metrics["e_focal"] <= tol.e_focal))
 
 
 def run_refinement(config: TrialConfig, target: ParamState, bbox: BBox,
                    points: ModelPoints, intrinsics: CameraIntrinsics,
                    img_diag: float) -> TrialResult:
-    """Run the refinement loop from the standard initialization.
-
-    The predictor's depth ratio is floored at 1e-6 to prevent depth collapse
-    from adversarial predictors. An invalid prediction aborts the trial with
-    the iteration index.
-    """
-    rng = np.random.default_rng(config.seed)
-    state = init_state(bbox, intrinsics)
-    trajectory = [_measure(state, target, points, bbox, img_diag, intrinsics)]
-    legacy = config.update_rule == "legacy"
-    for k in range(1, config.iterations + 1):
-        try:
-            delta = config.predictor(state, target, k, rng)
-            if delta.vz < VZ_FLOOR:
-                delta = replace(delta, vz=VZ_FLOOR)
-            state = apply_update(state, delta, legacy=legacy)
-        except DomainError as exc:
-            raise DomainError(f"trial aborted at iteration {k}: {exc}") from exc
-        trajectory.append(_measure(state, target, points, bbox, img_diag, intrinsics))
-    last = trajectory[-1]
-    tol = config.tolerances
-    converged = (last.e_rot <= tol.e_rot and last.e_trans <= tol.e_trans
-                 and last.e_focal <= tol.e_focal)
-    return TrialResult(trajectory=trajectory, final_state=state, converged=converged)
-
-
-def _run_single(args) -> dict:
-    """One trial across all update-rule variants with a shared noise stream."""
-    (trial_index, target, base_config, variants, points, intrinsics,
-     img_diag, seed) = args
-    bbox = projected_bbox(target, points, intrinsics)
-    out = {}
-    for rule in variants:
-        config = replace(base_config, update_rule=rule, seed=seed + trial_index)
-        out[rule] = run_refinement(config, target, bbox, points, intrinsics, img_diag)
-    return out
+    """One trial of one update rule from the standard initialization: the
+    single-row case of the campaign loop, with noise drawn from
+    ``default_rng(config.seed)``."""
+    draws = np.random.default_rng(config.seed).standard_normal((config.iterations, 1, 8))
+    trajectory, final = _refine(
+        config.predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
+        np.array([config.update_rule == "legacy"]), draws, points, intrinsics, img_diag)
+    return TrialResult(trajectory=[_records(m, slice(None))[0] for m in trajectory],
+                       final_state=final.state(0),
+                       converged=bool(_converged(trajectory[-1], config.tolerances)[0]))
 
 
 def run_experiment(targets, base_config: TrialConfig, points: ModelPoints,
                    intrinsics: CameraIntrinsics, img_diag: float,
                    variants=("exact", "legacy"), seed: int = 0,
-                   workers: int = 1, keep_trajectories: bool = False) -> dict:
+                   keep_trajectories: bool = False) -> dict:
     """Paired campaign over sampled targets.
 
     Each trial runs every update-rule variant with common random numbers
-    (per-trial seed = campaign seed + trial index), so the only difference
-    between the arms is the translation rule.
+    (trial i draws from ``default_rng(seed + i)`` in every arm), so the only
+    difference between the arms is the translation rule. All trials of all
+    arms advance together, one row each.
     """
     if not targets:
         raise DomainError("campaign needs at least one target")
-    args = [(i, target, base_config, tuple(variants), points, intrinsics,
-             img_diag, seed) for i, target in enumerate(targets)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single, args, chunksize=8))
-    else:
-        results = [_run_single(a) for a in args]
-
-    report = {"n_trials": len(targets), "iterations": base_config.iterations,
-              "seed": seed, "variants": {}}
     for rule in variants:
-        trials = [r[rule] for r in results]
-        finals = [t.trajectory[-1] for t in trials]
-        per_iter = []
-        for k in range(base_config.iterations + 1):
-            recs = [t.trajectory[k] for t in trials]
-            per_iter.append({
-                "iteration": k,
-                "median_e_rot": lower_median(r.e_rot for r in recs),
-                "median_e_trans": lower_median(r.e_trans for r in recs),
-                "median_e_pose": lower_median(r.e_pose for r in recs),
-                "median_e_focal": lower_median(r.e_focal for r in recs),
-                "median_e_proj": lower_median(r.e_proj for r in recs),
-            })
+        if rule not in UPDATE_RULES:
+            raise DomainError(f"unknown update rule {rule!r}")
+    n = len(targets)
+    draws = np.stack([np.random.default_rng(seed + i).standard_normal(
+        (base_config.iterations, 8)) for i in range(n)], axis=1)
+    target = PoseBatch.from_states(targets)
+    bbox = image_boxes(camera_points(target, points.points), intrinsics)
+    if np.isnan(bbox).any():
+        raise DepthError("a target puts a model point behind the camera")
+    rows = np.tile(np.arange(n), len(variants))
+    legacy = np.repeat([rule == "legacy" for rule in variants], n)
+    trajectory, _ = _refine(base_config.predictor, target.take(rows), bbox[rows],
+                            legacy, draws[:, rows], points, intrinsics, img_diag)
+    converged = _converged(trajectory[-1], base_config.tolerances)
+
+    report = {"n_trials": n, "iterations": base_config.iterations,
+              "seed": seed, "variants": {}}
+    for a, rule in enumerate(variants):
+        arm = slice(a * n, (a + 1) * n)
+        per_iter = [dict(iteration=k, **{f"median_{f}": lower_median(m[f][arm].tolist())
+                                         for f in METRIC_FIELDS})
+                    for k, m in enumerate(trajectory)]
         entry = {
-            "summary": aggregate(finals),
+            "summary": aggregate(_records(trajectory[-1], arm)),
             "per_iteration_medians": per_iter,
-            "converged_fraction": sum(t.converged for t in trials) / len(trials),
+            "converged_fraction": int(converged[arm].sum()) / n,
         }
         if keep_trajectories:
-            entry["trajectories"] = [
-                [rec.to_dict() for rec in t.trajectory] for t in trials
-            ]
+            steps = [_records(m, arm) for m in trajectory]
+            entry["trajectories"] = [[rec.to_dict() for rec in trial]
+                                     for trial in zip(*steps)]
         report["variants"][rule] = entry
     return report

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BBox, CameraIntrinsics, ParamState, Rotation, rotation_from_6d
+from .geometry import (BBox, CameraIntrinsics, ParamState, PoseBatch, Rotation,
+                       quat_conj, quat_multiply, quats_from_6d, quats_to_matrices,
+                       rotation_from_6d)
 
 
 @dataclass(frozen=True)
@@ -157,3 +159,82 @@ def init_state(bbox: BBox, intrinsics: CameraIntrinsics,
                               depth]),
         focal=f,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched rules: row i of every array is one pose or one update
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeltaBatch:
+    """N predicted updates as arrays: vx, vy, vz, vf (N,) and v_r1, v_r2
+    (N, 3). Row i is one :class:`DeltaTheta`, with the same checks."""
+
+    vx: np.ndarray
+    vy: np.ndarray
+    vz: np.ndarray
+    v_r1: np.ndarray
+    v_r2: np.ndarray
+    vf: np.ndarray
+
+    def __post_init__(self):
+        for name in ("vx", "vy", "vz", "v_r1", "v_r2", "vf"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not all(np.all(np.isfinite(c)) for c in (self.vx, self.vy, self.vz, self.vf)):
+            raise DomainError("update components must be finite")
+        if np.any(self.vz <= 0):
+            raise DomainError(f"depth ratio must be positive, got {self.vz.min()}")
+
+
+def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
+                       legacy: np.ndarray) -> PoseBatch:
+    """Row-wise :func:`apply_update`; ``legacy[i]`` selects the approximate
+    translation rule for row i. Both rules are computed for every row."""
+    f = state.focal
+    if np.any(f <= 0):
+        raise DomainError(f"focal length must be positive, got {f.min()}")
+    f_new = np.exp(delta.vf) * f
+    quat = quat_multiply(quats_from_6d(delta.v_r1, delta.v_r2), state.quat)
+    x, y, z = state.translation.T
+    if np.any(z <= 0):
+        raise DomainError(f"object depth must be positive, got {z.min()}")
+    if np.any(f_new <= 0):
+        raise DomainError(f"updated focal must be positive, got {f_new.min()}")
+    z_new = delta.vz * z
+    x_new = np.where(legacy, (delta.vx / f_new + x / z) * z_new,
+                     (delta.vx + f * x / z) * z_new / f_new)
+    y_new = np.where(legacy, (delta.vy / f_new + y / z) * z_new,
+                     (delta.vy + f * y / z) * z_new / f_new)
+    translation = np.column_stack([x_new, y_new, z_new])
+    if not np.all(np.isfinite(translation)):
+        raise DomainError("translation must be a finite 3-vector")
+    if not np.all(np.isfinite(f_new)):
+        raise DomainError(f"focal length must be positive, got {f_new.max()}")
+    return PoseBatch(quat, translation, f_new)
+
+
+def oracle_delta_batch(state: PoseBatch, target: PoseBatch) -> DeltaBatch:
+    """Row-wise :func:`oracle_delta`."""
+    x, y, z = state.translation.T
+    xh, yh, zh = target.translation.T
+    if np.any(z <= 0) or np.any(zh <= 0):
+        raise DomainError("both states must have positive depth")
+    f, fh = state.focal, target.focal
+    r_rel = quats_to_matrices(quat_multiply(target.quat, quat_conj(state.quat)))
+    return DeltaBatch(vx=fh * xh / zh - f * x / z, vy=fh * yh / zh - f * y / z,
+                      vz=zh / z, v_r1=r_rel[:, :, 0], v_r2=r_rel[:, :, 1],
+                      vf=np.log(fh / f))
+
+
+def init_state_batch(boxes: np.ndarray, intrinsics: CameraIntrinsics) -> PoseBatch:
+    """Row-wise :func:`init_state` (depth 1 m) of boxes (N, 4) given as
+    x1, y1, x2, y2."""
+    n = len(boxes)
+    xc = 0.5 * (boxes[:, 0] + boxes[:, 2])
+    yc = 0.5 * (boxes[:, 1] + boxes[:, 3])
+    f = intrinsics.focal
+    return PoseBatch(np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+                     np.column_stack([(xc - intrinsics.cx) / f,
+                                      (yc - intrinsics.cy) / f,
+                                      np.ones(n)]),
+                     np.full(n, float(f)))

@@ -284,3 +284,47 @@ class TestDeterminism:
             assert res.exit_code == 0, res.output
             outs.append(dist.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestMalformedJson:
+    """A JSON syntax error is reported as an error naming the file (and the
+    line of a JSON-lines file), never as a traceback."""
+
+    def check(self, res, name):
+        assert res.exit_code == 1
+        assert name in res.output
+        assert "malformed JSON" in res.output
+        assert not isinstance(res.exception, json.JSONDecodeError)
+
+    def test_simulate_config(self, runner, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"n_trials": 2,')
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        self.check(res, "sim.json")
+
+    def test_simulate_targets_file(self, runner, tmp_path):
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text(json.dumps({"quat_wxyz": [1, 0, 0, 0],
+                                       "t_m": [0, 0, 1], "focal_px": 600.0})
+                           + "\n{oops\n")
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_trials": 2, "targets": {
+            "kind": "file", "path": str(targets)}}))
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        self.check(res, "targets.jsonl line 2")
+
+    def test_sample_distribution(self, runner, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text('{"kind": "parametric"')
+        res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--out",
+                                   str(tmp_path / "x.jsonl")])
+        self.check(res, "dist.json")
+
+    def test_evaluate_pairs(self, runner, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"model_points": {}}\n\n{"pred": \n')
+        res = runner.invoke(main, ["evaluate", str(pairs), "--out",
+                                   str(tmp_path / "x.json")])
+        self.check(res, "pairs.jsonl line 3")

@@ -13,6 +13,7 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 adjust_intrinsics_for_crop, bbox_iou,
                                 compute_crop, geodesic_distance,
                                 project_point, project_points,
+                                quats_from_6d, quats_to_matrices,
                                 rotation_from_6d)
 
 F600 = CameraIntrinsics(600.0, 0.0, 0.0)
@@ -98,6 +99,26 @@ class TestRotation6D:
             assert np.allclose(back.as_matrix(), r.as_matrix(), atol=1e-12)
 
 
+class TestBatchedRotations:
+    def test_6d_matches_scalar_on_every_pivot(self):
+        rng = np.random.default_rng(14)
+        rots = [random_rotation(rng) for _ in range(200)]
+        # half-turns about each axis select the x, y and z pivots
+        rots += [Rotation.from_axis_angle(axis, np.pi) @ Rotation.from_axis_angle(
+            rng.standard_normal(3), 1e-3) for axis in np.eye(3)]
+        mats = np.array([r.as_matrix() for r in rots])
+        v1 = mats[:, :, 0] * rng.uniform(0.5, 2.0, (len(rots), 1))
+        v2 = mats[:, :, 1] + 0.3 * mats[:, :, 0]
+        got = quats_to_matrices(quats_from_6d(v1, v2))
+        want = np.array([rotation_from_6d(a, b).as_matrix() for a, b in zip(v1, v2)])
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_6d_rejects_parallel_vectors(self):
+        with pytest.raises(DegenerateInputError):
+            quats_from_6d(np.array([[1.0, 0, 0], [1.0, 0, 0]]),
+                          np.array([[0.0, 1, 0], [2.0, 0, 0]]))
+
+
 class TestGeodesicDistance:
     def test_identical_rotations(self):
         rng = np.random.default_rng(3)
@@ -111,6 +132,14 @@ class TestGeodesicDistance:
     def test_antipodal(self):
         rb = Rotation.from_axis_angle([0, 1, 0], np.pi)
         assert geodesic_distance(IDENT, rb) == pytest.approx(np.pi)
+
+    def test_exact_half_turns(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            ra = random_rotation(rng)
+            flip = Rotation.from_axis_angle(rng.standard_normal(3), np.pi)
+            assert geodesic_distance(ra, ra @ flip) == pytest.approx(
+                np.pi, abs=1e-12)
 
     @given(quat_strategy, quat_strategy)
     @settings(max_examples=100, deadline=None)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from posefocal.errors import DomainError
-from posefocal.geometry import BBox, ModelPoints, ParamState, Rotation
+from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
+                                ParamState, PoseBatch, Rotation)
 from posefocal.metrics import (EvalPair, aggregate, err_focal, err_pose,
-                               err_proj, err_rot, err_trans, evaluate_pair,
-                               lower_median)
+                               err_proj, err_rot, err_trans, evaluate_batch,
+                               evaluate_pair, lower_median)
+from posefocal.simulator import projected_bbox
 
 CUBE = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (12, 3)))
 GT_BBOX = BBox(0, 0, 60, 80)  # diagonal 100
@@ -107,6 +109,37 @@ class TestErrProj:
         pred = ParamState(Rotation.identity(), np.array([0.0, 0.0, 0.05]), 600.0)
         pair = make_pair(pred, make_state(z=1.0))
         assert err_proj(pair) == math.inf
+
+
+class TestEvaluateBatch:
+    def test_rows_match_evaluate_pair(self):
+        rng = np.random.default_rng(40)
+        intr = CameraIntrinsics(600.0, 5.0, -3.0)
+        preds, gts = [], []
+        for i in range(30):
+            gts.append(make_state(*rng.uniform(-0.2, 0.2, 2), rng.uniform(0.8, 2.0),
+                                  rng.uniform(300, 900), Rotation(rng.standard_normal(4))))
+            # every fifth prediction puts model points behind the camera
+            z = 0.0 if i % 5 == 0 else rng.uniform(0.8, 2.0)
+            preds.append(make_state(*rng.uniform(-0.2, 0.2, 2), z,
+                                    rng.uniform(300, 900), Rotation(rng.standard_normal(4))))
+        boxes = [projected_bbox(g, CUBE, intr) for g in gts]
+        got = evaluate_batch(PoseBatch.from_states(preds), PoseBatch.from_states(gts),
+                             CUBE, np.array([b.as_list() for b in boxes]), 800.0, intr)
+        behind = 0
+        for i, (pred, gt, box) in enumerate(zip(preds, gts, boxes)):
+            try:
+                box_pred = projected_bbox(pred, CUBE, intr)
+            except DomainError:
+                box_pred = None
+            want = evaluate_pair(make_pair(pred, gt, bbox=box, bbox_pred=box_pred))
+            for key, value in want.to_dict().items():
+                if value is None:
+                    behind += 1
+                    assert math.isnan(got[key][i]) and got["e_proj"][i] == math.inf
+                else:
+                    assert got[key][i] == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert behind == 6
 
 
 class TestAggregate:

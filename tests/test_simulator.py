@@ -1,18 +1,25 @@
 """Closed-loop refinement simulator with oracle, noisy, and clamped
 predictors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from posefocal.errors import DomainError
 from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
-                                Rotation, geodesic_distance, project_point)
+                                PoseBatch, Rotation, geodesic_distance,
+                                project_point, rotation_from_6d)
+from posefocal.metrics import EvalPair, evaluate_pair
 from posefocal.sampling import UniformRanges, sample_pose_uniform
-from posefocal.simulator import (ClampBounds, NoiseScales, TrialConfig,
-                                 make_clamped_oracle, make_noisy_oracle,
-                                 make_oracle, projected_bbox, run_experiment,
+from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
+                                 TrialConfig, make_clamped_oracle,
+                                 make_noisy_oracle, make_oracle,
+                                 projected_bbox, run_experiment,
                                  run_refinement)
-from posefocal.update_rules import DeltaTheta, oracle_delta
+from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update,
+                                    init_state, oracle_delta,
+                                    oracle_delta_batch)
 
 POINTS = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (50, 3)))
 INTR = CameraIntrinsics(600.0, 0.0, 0.0)
@@ -30,6 +37,16 @@ def make_target(rng):
 def run_one(config, target):
     bbox = projected_bbox(target, POINTS, INTR)
     return run_refinement(config, target, bbox, POINTS, INTR, IMG_DIAG)
+
+
+def batch(state, n=1):
+    """``n`` copies of one state as a PoseBatch."""
+    return PoseBatch.from_states([state]).take(np.zeros(n, dtype=int))
+
+
+def first_row(delta: DeltaBatch) -> DeltaTheta:
+    return DeltaTheta(delta.vx[0], delta.vy[0], delta.vz[0], delta.v_r1[0],
+                      delta.v_r2[0], delta.vf[0])
 
 
 class TestOraclePredictor:
@@ -62,9 +79,10 @@ class TestOraclePredictor:
         target = make_target(rng)
         predictor = make_noisy_oracle(NoiseScales())
         base = oracle_delta(state, target).vf
-        draws = np.array([
-            predictor(state, target, 1, np.random.default_rng(i)).vf
-            for i in range(20000)])
+        normals = np.stack([np.random.default_rng(i).standard_normal(8)
+                            for i in range(20000)])
+        draws = predictor(batch(state, 20000), batch(target, 20000), 1,
+                          normals).vf
         assert (draws - base).std() == pytest.approx(0.15, rel=0.03)
 
     def test_clamp_bounds_respected(self):
@@ -73,12 +91,13 @@ class TestOraclePredictor:
             clamp=ClampBounds(20.0, 0.1, 5.0, 0.05), noise=NoiseScales())
         for i in range(50):
             state, target = make_target(rng), make_target(rng)
-            delta = predictor(state, target, 1, np.random.default_rng(i))
+            delta = first_row(predictor(
+                batch(state), batch(target), 1,
+                np.random.default_rng(i).standard_normal((1, 8))))
             assert abs(delta.vx) <= 20.0 + 1e-12
             assert abs(delta.vy) <= 20.0 + 1e-12
             assert abs(np.log(delta.vz)) <= 0.1 + 1e-12
             assert abs(delta.vf) <= 0.05 + 1e-12
-            from posefocal.geometry import rotation_from_6d
             angle = geodesic_distance(
                 rotation_from_6d(delta.v_r1, delta.v_r2), Rotation.identity())
             assert angle <= np.deg2rad(5.0) + 1e-9
@@ -101,7 +120,6 @@ class TestOraclePredictor:
             state, target = make_target(rng), make_target(rng)
             delta = oracle_delta(state, target)
             assert abs(delta.vf) > 0
-            from posefocal.update_rules import apply_update
             target_center = target.focal * target.translation[:2] \
                 / target.translation[2]
             residuals = {}
@@ -126,9 +144,11 @@ class TestRunRefinement:
                               b.final_state.translation)
 
     def test_focal_stays_positive_under_hostile_predictor(self):
-        def hostile(state, target, k, rng):
-            return DeltaTheta(0.0, 0.0, 1.0, np.array([1.0, 0, 0]),
-                              np.array([0.0, 1, 0]), -30.0)
+        def hostile(state, target, k, draws):
+            n = len(state)
+            return DeltaBatch(np.zeros(n), np.zeros(n), np.ones(n),
+                              np.tile([1.0, 0, 0], (n, 1)),
+                              np.tile([0.0, 1, 0], (n, 1)), np.full(n, -30.0))
 
         rng = np.random.default_rng(9)
         target = make_target(rng)
@@ -137,11 +157,11 @@ class TestRunRefinement:
         assert result.final_state.focal > 0
 
     def test_invalid_prediction_aborts_with_iteration_index(self):
-        def broken(state, target, k, rng):
+        def broken(state, target, k, draws):
             if k == 2:
-                return DeltaTheta(np.nan, 0.0, 1.0, np.array([1.0, 0, 0]),
-                                  np.array([0.0, 1, 0]), 0.0)
-            return oracle_delta(state, target)
+                return DeltaBatch([np.nan], [0.0], [1.0], [[1.0, 0, 0]],
+                                  [[0.0, 1, 0]], [0.0])
+            return oracle_delta_batch(state, target)
 
         rng = np.random.default_rng(10)
         config = TrialConfig(iterations=5, predictor=broken)
@@ -152,10 +172,10 @@ class TestRunRefinement:
         rng = np.random.default_rng(11)
         target = make_target(rng)
         bbox = projected_bbox(target, POINTS, INTR)
-        from posefocal.update_rules import apply_update, init_state
         state = init_state(bbox, INTR)
         predictor = make_noisy_oracle()
-        delta = predictor(state, target, 1, np.random.default_rng(0))
+        delta = first_row(predictor(batch(state), batch(target), 1,
+                                    np.random.default_rng(0).standard_normal((1, 8))))
         before = np.asarray(project_point(
             CameraIntrinsics(state.focal, 0, 0), Rotation.identity(),
             state.translation, np.zeros(3)))
@@ -192,10 +212,12 @@ class TestRunExperiment:
                                 seed=7, keep_trajectories=True)
         exact = report["variants"]["exact"]["trajectories"]
         legacy = report["variants"]["legacy"]["trajectories"]
-        # identical focal trajectories: the focal update rule is shared
+        # identical focal and rotation trajectories: those update rules are
+        # shared
         for te, tl in zip(exact, legacy):
             for re_, rl in zip(te, tl):
                 assert re_["e_focal"] == rl["e_focal"]
+                assert re_["e_rot"] == rl["e_rot"]
 
     def test_report_is_deterministic(self):
         targets = self.make_targets(5, 2)
@@ -208,3 +230,100 @@ class TestRunExperiment:
         config = TrialConfig(iterations=5)
         with pytest.raises(DomainError):
             run_experiment([], config, POINTS, INTR, IMG_DIAG)
+
+    def test_unknown_variant_rejected(self):
+        config = TrialConfig(iterations=5)
+        with pytest.raises(DomainError, match="unknown update rule 'Legacy'"):
+            run_experiment(self.make_targets(2, 3), config, POINTS, INTR, IMG_DIAG,
+                           variants=("exact", "Legacy"))
+
+    @pytest.mark.parametrize("img_diag", [0.0, -800.0])
+    def test_nonpositive_image_diagonal_rejected(self, img_diag):
+        targets = self.make_targets(2, 4)
+        config = TrialConfig(iterations=5)
+        with pytest.raises(DomainError, match="image diagonal"):
+            run_experiment(targets, config, POINTS, INTR, img_diag)
+        with pytest.raises(DomainError, match="image diagonal"):
+            run_refinement(config, targets[0], projected_bbox(targets[0], POINTS, INTR),
+                           POINTS, INTR, img_diag)
+
+
+def reference_trial(predictor, target, legacy, seed, iterations):
+    """One trial, one arm, step by step through the scalar functions, with
+    the noise drawn call by call from ``default_rng(seed)``."""
+    bbox = projected_bbox(target, POINTS, INTR)
+    rng = np.random.default_rng(seed)
+
+    def measure(state):
+        try:
+            bbox_pred = projected_bbox(state, POINTS, INTR)
+        except DomainError:
+            bbox_pred = None
+        return evaluate_pair(EvalPair(pred=state, gt=target, points=POINTS,
+                                      bbox_gt=bbox, img_diag=IMG_DIAG,
+                                      bbox_pred=bbox_pred)).to_dict()
+
+    state = init_state(bbox, INTR)
+    trajectory = [measure(state)]
+    for _ in range(iterations):
+        delta = oracle_delta(state, target)
+        ns, cl = predictor.noise, predictor.clamp
+        if ns is not None:
+            axis = rng.standard_normal(3)
+            axis /= max(np.linalg.norm(axis), 1e-15)
+            angle = rng.normal(0.0, np.deg2rad(ns.sigma_rot_deg))
+            mat = (Rotation.from_axis_angle(axis, angle)
+                   @ rotation_from_6d(delta.v_r1, delta.v_r2)).as_matrix()
+            delta = DeltaTheta(
+                vx=delta.vx + rng.normal(0.0, ns.sigma_x_px),
+                vy=delta.vy + rng.normal(0.0, ns.sigma_y_px),
+                vz=delta.vz * float(np.exp(rng.normal(0.0, ns.sigma_z_log))),
+                v_r1=mat[:, 0], v_r2=mat[:, 1],
+                vf=delta.vf + rng.normal(0.0, ns.sigma_f_log))
+        if cl is not None:
+            r_u = rotation_from_6d(delta.v_r1, delta.v_r2)
+            w, vec = r_u.quat[0], r_u.quat[1:]
+            norm = np.linalg.norm(vec)
+            max_angle = np.deg2rad(cl.max_angle_deg)
+            if 2.0 * np.arctan2(norm, abs(w)) > max_angle:
+                r_u = Rotation.from_axis_angle(
+                    vec / norm * np.sign(w if w != 0 else 1.0), max_angle)
+            mat = r_u.as_matrix()
+            delta = DeltaTheta(
+                vx=float(np.clip(delta.vx, -cl.max_px, cl.max_px)),
+                vy=float(np.clip(delta.vy, -cl.max_px, cl.max_px)),
+                vz=float(np.exp(np.clip(np.log(delta.vz), -cl.max_log_depth,
+                                        cl.max_log_depth))),
+                v_r1=mat[:, 0], v_r2=mat[:, 1],
+                vf=float(np.clip(delta.vf, -cl.max_log_focal, cl.max_log_focal)))
+        if delta.vz < VZ_FLOOR:
+            delta = replace(delta, vz=VZ_FLOOR)
+        state = apply_update(state, delta, legacy=legacy)
+        trajectory.append(measure(state))
+    return trajectory
+
+
+@pytest.mark.parametrize("noise", [NoiseScales(),
+                                   NoiseScales(sigma_y_px=0.0, sigma_z_log=0.0)])
+def test_campaign_matches_scalar_reference(noise):
+    """Every trajectory value of a noisy, clamped paired campaign equals the
+    step-by-step scalar reference to 1e-12 relative; a zero noise scale
+    still uses up its draw."""
+    ranges = UniformRanges(z_range=(0.8, 1.2), f_range=(200.0, 1000.0),
+                           xy_box=0.8)
+    targets = sample_pose_uniform(ranges, 24, 4)
+    predictor = make_clamped_oracle(ClampBounds(20.0, 0.1, 5.0, 0.02), noise)
+    config = TrialConfig(iterations=10, predictor=predictor)
+    report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=5,
+                            keep_trajectories=True)
+    for rule in ("exact", "legacy"):
+        got = report["variants"][rule]["trajectories"]
+        for i, target in enumerate(targets):
+            want = reference_trial(predictor, target, rule == "legacy", 5 + i, 10)
+            for rec_got, rec_want in zip(got[i], want, strict=True):
+                assert rec_got.keys() == rec_want.keys()
+                for key, value in rec_want.items():
+                    if value is None:
+                        assert rec_got[key] is None
+                    else:
+                        assert rec_got[key] == pytest.approx(value, rel=1e-12, abs=0.0)
