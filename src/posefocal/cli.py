@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .geometry import BBox, CameraIntrinsics, ModelPoints, ParamState
+from .geometry import BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch
 from .losses import GRAD_LABELS, LossWeights, gradient_check
 from .metrics import EvalPair, aggregate, evaluate_pair
 from .sampling import (BinghamParams, Gaussian2DParams, NonparamDeltas,
@@ -166,7 +166,7 @@ def _load_distribution(path) -> dict:
     return doc
 
 
-def _draw_poses(doc: dict, n: int, seed: int) -> list[ParamState]:
+def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
     kind = doc.get("kind")
     if kind == "parametric":
         return sample_pose_parametric(
@@ -201,7 +201,7 @@ def sample(distribution, num, seed, out):
         _fail(exc)
     manifest = RunManifest.build("sample", {"n": num}, seed=seed,
                                  input_paths=[distribution])
-    write_jsonl(out, manifest, (p.to_dict() for p in poses))
+    write_jsonl(out, manifest, poses.to_dicts())
     click.echo(f"wrote {num} samples -> {out}")
 
 
@@ -290,7 +290,9 @@ def _load_model_points(cfg: dict) -> ModelPoints:
     return ModelPoints(rng.uniform(-extent / 2.0, extent / 2.0, size=(n, 3)))
 
 
-def _load_targets(cfg: dict, n: int, seed: int) -> list[ParamState]:
+def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
+    """The campaign's n targets. Uniform targets are drawn from a stream
+    spawned from ``seed``, apart from the trials' ``seed + i`` noise streams."""
     if cfg["kind"] == "file":
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")
@@ -305,11 +307,11 @@ def _load_targets(cfg: dict, n: int, seed: int) -> list[ParamState]:
                 states.append(ParamState.from_dict(doc))
         if len(states) < n:
             raise DomainError(f"target file has {len(states)} poses, need {n}")
-        return states[:n]
+        return PoseBatch.from_states(states[:n])
     ranges = UniformRanges(tuple(cfg.get("z_range", (0.8, 3.0))),
                            tuple(cfg.get("f_range", (200.0, 1000.0))),
                            float(cfg.get("xy_box", 0.15)))
-    return sample_pose_uniform(ranges, n, seed)
+    return sample_pose_uniform(ranges, n, np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def run_simulation(config: dict) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DepthError, DomainError
-from .geometry import ModelPoints, ParamState, Rotation
+from .geometry import ModelPoints, ParamState, Rotation, cross3
 from .update_rules import DeltaTheta, apply_update, oracle_delta
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
@@ -96,7 +96,7 @@ def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     de2_dv1 = de2_dw @ dw_dv1
     de2_dv2 = de2_dw @ dw_dv2
 
-    e3 = np.cross(e1, e2)
+    e3 = cross3(e1, e2)
     s1, s2 = _skew(e1), _skew(e2)
     de3_dv1 = -s2 @ de1_dv1 + s1 @ de2_dv1
     de3_dv2 = s1 @ de2_dv2

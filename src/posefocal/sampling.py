@@ -6,21 +6,24 @@ SO(3), a nonparametric perturb-the-dataset sampler, and the refiner
 input-noise model.
 
 All samplers take an integer seed (or a numpy Generator) and are
-deterministic; worker streams are derived as ``seed + worker_index``.
+deterministic; the pose samplers return a :class:`PoseBatch`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq, least_squares
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateFitError, DomainError
-from .geometry import BBox, ModelPoints, ParamState, Rotation, geodesic_distance
+from .geometry import (BBox, ParamState, PoseBatch, Rotation, geodesic_distance,
+                       quat_multiply, quat_unit, quats_from_axis_angle)
 
 Z_CLAMP = -900.0  # concentration floor; keeps the normalization constant finite
 _MAX_RETRIES = 100
@@ -30,11 +33,6 @@ def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(seed: int, worker: int) -> np.random.Generator:
-    """Per-worker stream: documented splitting rule seed + worker index."""
-    return np.random.default_rng(seed + worker)
 
 
 # ---------------------------------------------------------------------------
@@ -77,93 +75,69 @@ class BinghamParams:
         return cls(np.asarray(d["m"], dtype=float), np.asarray(d["z"], dtype=float))
 
 
-def _saddle_point_log_c(z: np.ndarray) -> float:
-    """Saddle-point approximation of the Bingham normalization constant.
-
-    Computes log of the integral of exp(sum z_i u_i^2) over S^3, using the
-    saddle-point density approximation (with second-order correction) of the
-    norm of a scaled Gaussian vector.
-    """
-    a = 1.0 - np.asarray(z, dtype=float)  # all >= 1
-    a_min = a.min()
-
-    def kp(t):
-        return 0.5 * np.sum(1.0 / (a - t)) - 1.0
-
-    hi = a_min - 1e-10
-    lo = a_min - 2.0 * len(a)
-    while kp(lo) > 0:
-        lo = a_min - 2.0 * (a_min - lo)
-    t_hat = brentq(kp, lo, hi, xtol=1e-14)
-
-    k0 = -0.5 * np.sum(np.log1p(-t_hat / a))
-    k2 = 0.5 * np.sum((a - t_hat) ** -2)
-    k3 = np.sum((a - t_hat) ** -3)
-    k4 = 3.0 * np.sum((a - t_hat) ** -4)
-    rho3 = k3 / k2 ** 1.5
-    rho4 = k4 / k2 ** 2
-    correction = 1.0 + rho4 / 8.0 - 5.0 * rho3 ** 2 / 24.0
-    log_f = k0 - t_hat - 0.5 * np.log(2.0 * np.pi * k2) + np.log(correction)
-    return float(1.0 + np.log(2.0) + log_f + 0.5 * np.sum(np.log(np.pi / a)))
+@cache
+def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use: its eigensolver costs ~1 MiB of resident memory,
+    # which commands that never fit a Bingham should not pay.
+    return np.polynomial.legendre.leggauss(24)
 
 
-@lru_cache(maxsize=4)
-def _sphere_grid(nodes: int):
-    """Gauss-Legendre tensor grid on S^3 in angular coordinates."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    th = 0.5 * np.pi * (x + 1.0)
-    wth = 0.5 * np.pi * w
-    ph = np.pi * (x + 1.0)
-    wph = np.pi * w
-    t1, t2, p = np.meshgrid(th, th, ph, indexing="ij")
-    weight = (wth[:, None, None] * wth[None, :, None] * wph[None, None, :]
-              * np.sin(t1) ** 2 * np.sin(t2))
-    u = np.stack([np.cos(t1),
-                  np.sin(t1) * np.cos(t2),
-                  np.sin(t1) * np.sin(t2) * np.cos(p),
-                  np.sin(t1) * np.sin(t2) * np.sin(p)])
-    return u.reshape(4, -1), weight.ravel()
-
-
-def _bingham_moments_spa(z: np.ndarray) -> np.ndarray:
-    """E[u_i^2] as the gradient of the saddle-point log C."""
-    h = 1e-5
-    out = np.empty(4)
-    for i in range(4):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        out[i] = (_saddle_point_log_c(zp) - _saddle_point_log_c(zm)) / (2 * h)
-    return out
+def _hopf_rule(z_min: float):
+    """Nodes c = cos^2 a, t = 1 - c and weights of a 24-node Gauss-Legendre
+    rule on [0, 1] whose panels grow x4 from both ends, the first
+    1 / (4 max(1, -z_min)) wide: a concentrated Bingham's mass lies within a
+    few 1/|z| of an end. t comes from the mirrored node, exact near t = 0."""
+    width, edges = 0.25 / max(1.0, -z_min), [0.0]
+    while edges[-1] + width < 0.5:
+        edges.append(edges[-1] + width)
+        width *= 4.0
+    edges.append(1.0 - edges[-1])
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    gl_x, gl_w = _gauss_legendre_24()
+    half = 0.5 * (b - a)[:, None]
+    nodes = (0.5 * (a + b)[:, None] + half * gl_x).ravel()
+    weights = (half * gl_w).ravel()
+    left = nodes < 0.5
+    h, w = nodes[left], weights[left]
+    return np.concatenate([h, 1.0 - h]), np.concatenate([1.0 - h, h]), np.concatenate([w, w])
 
 
 def _bingham_moments(z: np.ndarray, with_jac: bool = False):
     """E[u_i^2] along the frame axes, and optionally d E[u_i^2] / d z_j.
 
-    Moderate concentrations use exact quadrature; beyond -400 the integrand
-    is too sharp for the fixed grid and the saddle-point gradient is used.
+    Hopf coordinates u = (cos a cos p1, cos a sin p1, sin a cos p2,
+    sin a sin p2) reduce the integrals over S^3 to one over c = cos^2 a:
+    the angle p1 integrates to exponentially scaled Bessel functions of
+    x1 = (z1 - z2) c / 2, and p2 likewise at x2 = (z3 - z4) t / 2. z need
+    not be sorted. The Jacobian is the covariance of the u_i^2.
     """
-    if z.min() < -400.0:
-        moments = _bingham_moments_spa(z)
-        if not with_jac:
-            return moments
-        jac = np.empty((4, 4))
-        h = 1e-4
-        for j in range(4):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            jac[:, j] = (_bingham_moments_spa(zp) - _bingham_moments_spa(zm)) / (2 * h)
-        return moments, jac
-    u, w = _sphere_grid(96 if z.min() < -100.0 else 64)
-    u2 = u * u
-    dens = np.exp(z @ u2) * w
-    c = dens.sum()
-    moments = u2 @ dens / c
+    c, t, w = _hopf_rule(float(z.min()))
+    z1, z2, z3, z4 = z
+    lo, hi = max(z1, z2), max(z3, z4)
+    s = w * np.exp(lo * c + hi * t - max(lo, hi))
+    orders = np.arange(3)[:, None]
+    a0, a1, a2 = special.ive(orders, 0.5 * (z1 - z2) * c)
+    b0, b1, b2 = special.ive(orders, 0.5 * (z3 - z4) * t)
+    # second moments of the two circles: cos^2 p -> (I0 + I1) / 2, sin^2 p -> (I0 - I1) / 2
+    pa = 0.5 * c * np.array([a0 + a1, a0 - a1])
+    pb = 0.5 * t * np.array([b0 + b1, b0 - b1])
+    norm = (a0 * b0) @ s
+    moments = np.concatenate([pa * b0, pb * a0]) @ s / norm
     if not with_jac:
         return moments
-    second = (u2 * dens) @ u2.T / c
-    return moments, second - np.outer(moments, moments)
+
+    def same_circle(i0, i1, i2):
+        """cos^4 p, cos^2 p sin^2 p and sin^4 p integrated against exp(x cos 2p)."""
+        mixed = (i0 - i2) / 8.0
+        return np.array([[(3.0 * i0 + 4.0 * i1 + i2) / 8.0, mixed],
+                         [mixed, (3.0 * i0 - 4.0 * i1 + i2) / 8.0]])
+
+    fourth = np.empty((4, 4, len(s)))
+    fourth[:2, :2] = same_circle(a0, a1, a2) * (c * c * b0)
+    fourth[2:, 2:] = same_circle(b0, b1, b2) * (t * t * a0)
+    fourth[:2, 2:] = pa[:, None] * pb[None, :]
+    fourth[2:, :2] = fourth[:2, 2:].transpose(1, 0, 2)
+    return moments, fourth @ s / norm - np.outer(moments, moments)
 
 
 def fit_bingham(quaternions) -> BinghamParams:
@@ -190,18 +164,20 @@ def fit_bingham(quaternions) -> BinghamParams:
     lam = np.clip(evals, 1e-12, None)
     lam = lam / lam.sum()
 
+    # Relative residuals: near the clamp the eigenvalues are ~1/1800, and
+    # absolute ones meet gtol while the moments still differ by ~1e-7.
     def residual(z3):
         z = np.append(z3, 0.0)
-        return _bingham_moments(z)[:3] - lam[:3]
+        return _bingham_moments(z)[:3] / lam[:3] - 1.0
 
     def jacobian(z3):
         z = np.append(z3, 0.0)
         _, jac = _bingham_moments(z, with_jac=True)
-        return jac[:3, :3]
+        return jac[:3, :3] / lam[:3, None]
 
     x0 = np.clip(0.5 / lam[3] - 0.5 / lam[:3], Z_CLAMP + 1.0, -1e-3)
     sol = least_squares(residual, x0, jac=jacobian, bounds=(Z_CLAMP, 0.0),
-                        xtol=1e-12, ftol=1e-12)
+                        xtol=1e-12, ftol=1e-12, gtol=1e-15)
     z = np.append(np.sort(sol.x), 0.0)
     z = np.minimum(z, 0.0)
     m = evecs.copy()
@@ -345,16 +321,13 @@ def fit_translation_focal(records) -> tuple[Gaussian2DParams, Gaussian2DParams]:
 
 
 def sample_pose_parametric(bingham: BinghamParams, xy: Gaussian2DParams,
-                           zf: Gaussian2DParams, n: int, seed) -> list[ParamState]:
+                           zf: Gaussian2DParams, n: int, seed) -> PoseBatch:
     """Draw (rotation, translation, focal) triples from the fitted distributions."""
     rng = _as_rng(seed)
     quats = sample_bingham(bingham, n, rng)
     xy_s = xy.sample(n, rng)
     zf_s = np.exp(zf.sample(n, rng))
-    return [ParamState(Rotation(quats[i]),
-                       np.array([xy_s[i, 0], xy_s[i, 1], zf_s[i, 0]]),
-                       float(zf_s[i, 1]))
-            for i in range(n)]
+    return PoseBatch(quat_unit(quats), np.column_stack([xy_s, zf_s[:, 0]]), zf_s[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +364,14 @@ def sample_rotation_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def sample_pose_uniform(ranges: UniformRanges, n: int, seed) -> list[ParamState]:
+def sample_pose_uniform(ranges: UniformRanges, n: int, seed) -> PoseBatch:
     rng = _as_rng(seed)
     quats = sample_rotation_uniform(n, rng)
     half = ranges.xy_box / 2.0
     xy = rng.uniform(-half, half, size=(n, 2))
     z = rng.uniform(*ranges.z_range, size=n)
     f = rng.uniform(*ranges.f_range, size=n)
-    return [ParamState(Rotation(quats[i]), np.array([xy[i, 0], xy[i, 1], z[i]]),
-                       float(f[i])) for i in range(n)]
+    return PoseBatch(quat_unit(quats), np.column_stack([xy, z]), f)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +405,9 @@ class NonparamDeltas:
 
 
 def _nn_percentile(points: np.ndarray, pct: float = 95.0) -> float:
-    """Percentile of nearest-neighbor distances, brute force."""
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    return float(np.percentile(dist.min(axis=1), pct))
+    """Percentile of nearest-neighbor distances (a duplicate is at 0)."""
+    dist, _ = cKDTree(points).query(points, k=2)
+    return float(np.percentile(dist[:, 1], pct))
 
 
 def select_deltas_95pct(records) -> NonparamDeltas:
@@ -453,54 +423,69 @@ def select_deltas_95pct(records) -> NonparamDeltas:
     d_xy = _nn_percentile(t[:, :2])
     d_zf = _nn_percentile(np.column_stack([t[:, 2], f]))
 
+    # The chordal distance to the nearer of q' and -q' grows with the geodesic
+    # angle; a duplicate ties with the point itself, so skip i by index.
     n = len(records)
-    ang = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ang[i, j] = ang[j, i] = geodesic_distance(records[i].rotation,
-                                                      records[j].rotation)
-    np.fill_diagonal(ang, np.inf)
-    d_r = float(np.percentile(ang.min(axis=1), 95.0))
+    q = np.stack([r.rotation.quat for r in records])
+    hits = cKDTree(np.concatenate([q, -q])).query(q, k=3)[1] % n
+    nearest = [next(j for j in row if j != i) for i, row in enumerate(hits.tolist())]
+    ang = [geodesic_distance(records[i].rotation, records[j].rotation)
+           for i, j in enumerate(nearest)]
+    d_r = float(np.percentile(ang, 95.0))
     return NonparamDeltas(d_r, d_xy, d_xy, d_zf, d_zf)
 
 
-def _sample_in_ellipse(rng: np.random.Generator, ax: float, ay: float) -> np.ndarray:
-    """Uniform point in an axis-aligned ellipse, by rejection from its box."""
+def _sample_in_ellipse(rng: np.random.Generator, ax: float, ay: float,
+                       n: int) -> np.ndarray:
+    """n uniform points (n, 2) in an axis-aligned ellipse, by rejection from
+    its box; rejected rows are redrawn together."""
+    out = np.zeros((n, 2))
     if ax == 0 and ay == 0:
-        return np.zeros(2)
+        return out
+    pending = np.arange(n)
     for _ in range(_MAX_RETRIES):
-        p = rng.uniform(-1.0, 1.0, size=2)
-        if p @ p <= 1.0:
-            return p * np.array([ax, ay])
+        p = rng.uniform(-1.0, 1.0, size=(len(pending), 2))
+        inside = np.sum(p * p, axis=1) <= 1.0
+        out[pending[inside]] = p[inside] * np.array([ax, ay])
+        pending = pending[~inside]
+        if not len(pending):
+            return out
     raise DomainError("ellipse sampling failed to accept a point")
 
 
 def sample_pose_nonparametric(records, deltas: NonparamDeltas, n: int,
-                              seed) -> list[ParamState]:
-    """Bootstrap a record and perturb rotation, (x, y), and (z, f)."""
+                              seed) -> PoseBatch:
+    """Bootstrap a record and perturb rotation, (x, y), and (z, f).
+
+    Pending rows are drawn in rounds; a row with a non-positive depth or focal,
+    or a (numerically) zero rotation axis, is drawn again in the next round.
+    """
     if not records:
         raise DomainError("no records to sample from")
     rng = _as_rng(seed)
-    out = []
-    for _ in range(n):
-        for _ in range(_MAX_RETRIES):
-            rec = records[rng.integers(len(records))]
-            axis = rng.standard_normal(3)
-            while np.linalg.norm(axis) < 1e-12:
-                axis = rng.standard_normal(3)
-            angle = rng.uniform(0.0, deltas.delta_r)
-            rot = Rotation.from_axis_angle(axis, angle) @ rec.rotation
-            dxy = _sample_in_ellipse(rng, deltas.delta_x, deltas.delta_y)
-            dzf = _sample_in_ellipse(rng, deltas.delta_z, deltas.delta_f)
-            t = np.asarray(rec.translation, dtype=float) + np.array([dxy[0], dxy[1], dzf[0]])
-            f = rec.focal + dzf[1]
-            if t[2] > 0 and f > 0:
-                out.append(ParamState(rot, t, float(f)))
-                break
-        else:
-            raise DomainError("perturbation retries exhausted; deltas too large "
-                              "for the dataset")
-    return out
+    rec_q = np.stack([r.rotation.quat for r in records])
+    rec_t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
+    rec_f = np.array([r.focal for r in records], dtype=float)
+    quat, trans, focal = np.empty((n, 4)), np.empty((n, 3)), np.empty(n)
+    pending = np.arange(n)
+    for _ in range(_MAX_RETRIES):
+        m = len(pending)
+        pick = rng.integers(len(records), size=m)
+        axis = rng.standard_normal((m, 3))
+        angle = rng.uniform(0.0, deltas.delta_r, size=m)
+        dxy = _sample_in_ellipse(rng, deltas.delta_x, deltas.delta_y, m)
+        dzf = _sample_in_ellipse(rng, deltas.delta_z, deltas.delta_f, m)
+        t = rec_t[pick] + np.column_stack([dxy, dzf[:, 0]])
+        f = rec_f[pick] + dzf[:, 1]
+        ok = (t[:, 2] > 0) & (f > 0) & (np.linalg.norm(axis, axis=1) >= 1e-12)
+        rows = pending[ok]
+        quat[rows] = quat_multiply(quats_from_axis_angle(axis[ok], angle[ok]), rec_q[pick[ok]])
+        trans[rows], focal[rows] = t[ok], f[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            return PoseBatch(quat, trans, focal)
+    raise DomainError("perturbation retries exhausted; deltas too large "
+                      "for the dataset")
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,11 @@ def run_refinement(config: TrialConfig, target: ParamState, bbox: BBox,
                        converged=bool(_converged(trajectory[-1], config.tolerances)[0]))
 
 
-def run_experiment(targets, base_config: TrialConfig, points: ModelPoints,
+def run_experiment(targets: PoseBatch, base_config: TrialConfig, points: ModelPoints,
                    intrinsics: CameraIntrinsics, img_diag: float,
                    variants=("exact", "legacy"), seed: int = 0,
                    keep_trajectories: bool = False) -> dict:
-    """Paired campaign over sampled targets.
+    """Paired campaign over the target poses, one trial per row.
 
     Each trial runs every update-rule variant with common random numbers
     (trial i draws from ``default_rng(seed + i)`` in every arm), so the only
@@ -246,13 +246,12 @@ def run_experiment(targets, base_config: TrialConfig, points: ModelPoints,
     n = len(targets)
     draws = np.stack([np.random.default_rng(seed + i).standard_normal(
         (base_config.iterations, 8)) for i in range(n)], axis=1)
-    target = PoseBatch.from_states(targets)
-    bbox = image_boxes(camera_points(target, points.points), intrinsics)
+    bbox = image_boxes(camera_points(targets, points.points), intrinsics)
     if np.isnan(bbox).any():
         raise DepthError("a target puts a model point behind the camera")
     rows = np.tile(np.arange(n), len(variants))
     legacy = np.repeat([rule == "legacy" for rule in variants], n)
-    trajectory, _ = _refine(base_config.predictor, target.take(rows), bbox[rows],
+    trajectory, _ = _refine(base_config.predictor, targets.take(rows), bbox[rows],
                             legacy, draws[:, rows], points, intrinsics, img_diag)
     converged = _converged(trajectory[-1], base_config.tolerances)
 

@@ -205,12 +205,7 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
                      (delta.vx + f * x / z) * z_new / f_new)
     y_new = np.where(legacy, (delta.vy / f_new + y / z) * z_new,
                      (delta.vy + f * y / z) * z_new / f_new)
-    translation = np.column_stack([x_new, y_new, z_new])
-    if not np.all(np.isfinite(translation)):
-        raise DomainError("translation must be a finite 3-vector")
-    if not np.all(np.isfinite(f_new)):
-        raise DomainError(f"focal length must be positive, got {f_new.max()}")
-    return PoseBatch(quat, translation, f_new)
+    return PoseBatch(quat, np.column_stack([x_new, y_new, z_new]), f_new)
 
 
 def oracle_delta_batch(state: PoseBatch, target: PoseBatch) -> DeltaBatch:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from posefocal.cli import main
+from posefocal.cli import _load_targets, main
 from posefocal.geometry import BBox, Rotation
-from posefocal.sampling import AnnotationRecord
+from posefocal.sampling import AnnotationRecord, UniformRanges, sample_pose_uniform
 
 
 @pytest.fixture
@@ -99,13 +99,14 @@ class TestSample:
         assert "manifest" in json.loads(lines[0])
 
     def test_same_seed_is_byte_identical(self, runner, annotations, tmp_path):
-        dist = self.fit(runner, annotations, tmp_path)
-        out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for out in (out1, out2):
-            res = runner.invoke(main, ["sample", str(dist), "-n", "50",
-                                       "--seed", "9", "--out", str(out)])
-            assert res.exit_code == 0, res.output
-        assert out1.read_bytes() == out2.read_bytes()
+        for kind in ("parametric", "nonparametric"):
+            dist = self.fit(runner, annotations, tmp_path, kind=kind)
+            out1, out2 = tmp_path / f"{kind}_a.jsonl", tmp_path / f"{kind}_b.jsonl"
+            for out in (out1, out2):
+                res = runner.invoke(main, ["sample", str(dist), "-n", "50",
+                                           "--seed", "9", "--out", str(out)])
+                assert res.exit_code == 0, res.output
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_parametric_draws_have_positive_depth_and_focal(
             self, runner, annotations, tmp_path):
@@ -185,6 +186,16 @@ class TestSimulate:
                                    str(tmp_path / "x.json")])
         assert res.exit_code != 0
         assert "n_trials" in res.output
+
+    def test_uniform_targets_and_trial_noise_use_separate_streams(self):
+        """Trial i's noise comes from default_rng(seed + i); the uniform
+        targets must not be drawn from any of those streams."""
+        cfg = {"kind": "uniform"}
+        targets = _load_targets(cfg, 6, seed=3)
+        assert np.array_equal(targets.quat, _load_targets(cfg, 6, seed=3).quat)
+        for i in range(6):
+            trial_stream = sample_pose_uniform(UniformRanges(), 6, 3 + i)
+            assert not np.any(targets.quat == trial_stream.quat)
 
     def test_nested_schema_error_path(self, runner, tmp_path):
         cfg = self.write_config(

@@ -3,12 +3,14 @@ refiner noise."""
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from posefocal.errors import DegenerateFitError, DomainError
-from posefocal.geometry import BBox, Rotation
-from posefocal.sampling import (AnnotationRecord, BinghamParams,
+from posefocal.geometry import BBox, Rotation, geodesic_distance
+from posefocal.sampling import (Z_CLAMP, AnnotationRecord, BinghamParams,
                                 Gaussian2DParams, NonparamDeltas,
-                                RefinerNoise, UniformRanges, fit_bingham,
+                                RefinerNoise, UniformRanges, _bingham_moments,
+                                fit_bingham,
                                 fit_translation_focal, load_annotations,
                                 sample_bingham, sample_pose_nonparametric,
                                 sample_pose_parametric, sample_pose_uniform,
@@ -90,11 +92,75 @@ class TestBingham:
         with pytest.raises(DegenerateFitError):
             fit_bingham(quats)
 
+    @pytest.mark.parametrize("z", [
+        (0.0, 0.0, 0.0, 0.0), (-5.0, -3.0, -1.0, 0.0), (-300.0, -200.0, -100.0, 0.0),
+        (-900.0, -900.0, -900.0, 0.0), (-900.0, -400.0, -1.0, 0.0),
+        (-40.0, -700.0, 0.0, -3.0)])
+    def test_moments_match_adaptive_quadrature(self, z):
+        want = hopf_reference(z)
+        got = _bingham_moments(np.array(z))
+        assert np.abs(got - want).max() <= 1e-12 * want.min()
+        if not any(z):
+            assert got == pytest.approx([0.25] * 4, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [(-5.0, -3.0, -1.0, 0.0), (-300.0, -200.0, -100.0, 0.0),
+                                   (-900.0, -400.0, -1.0, 0.0), (-40.0, -700.0, 0.0, -3.0)])
+    def test_moment_jacobian_matches_central_differences(self, z):
+        z = np.array(z)
+        _, jac = _bingham_moments(z, with_jac=True)
+        numeric = np.empty((4, 4))
+        for j in range(4):
+            h = 1e-4 * max(1.0, abs(z[j]))
+            step = np.eye(4)[j] * h
+            numeric[:, j] = (_bingham_moments(z + step) - _bingham_moments(z - step)) / (2 * h)
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(jac).max()
+
+    def test_fit_matches_scatter_eigenvalues(self):
+        """Maximum likelihood: the fitted second moments are the scatter's
+        eigenvalues, on a 150-record fit and near the concentration clamp."""
+        rng = np.random.default_rng(13)
+        mode = np.array([0.9, 0.1, 0.3, 0.2])
+        m, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        near_clamp = BinghamParams(m, np.array([-880.0, -850.0, -820.0, 0.0]))
+        for quats in (mode / np.linalg.norm(mode) + rng.normal(0.0, 0.05, (150, 4)),
+                      sample_bingham(near_clamp, 4000, rng)):
+            fitted = fit_bingham(quats)
+            assert fitted.z[0] > Z_CLAMP
+            q = quats / np.linalg.norm(quats, axis=1, keepdims=True)
+            eigenvalues = np.diag(fitted.m.T @ (q.T @ q / len(q)) @ fitted.m)
+            moments = _bingham_moments(fitted.z)
+            assert np.abs(moments / eigenvalues - 1.0).max() <= 1e-10
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-1.0, -2.0, -3.0, 0.0]))
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-3.0, -2.0, -1.0, 0.5]))
+
+
+def hopf_reference(z):
+    """E[u_i^2] of exp(sum z_i u_i^2) on S^3 by adaptive quadrature over the
+    Hopf angle a, u = (cos a cos p1, cos a sin p1, sin a cos p2, sin a sin p2);
+    the p1 and p2 integrals are Bessel functions, I_k(x) = ive(k, x) e^|x|."""
+    z1, z2, z3, z4 = z
+
+    def integrand(a, i):
+        c, s = np.cos(a) ** 2, np.sin(a) ** 2
+        x1, x2 = 0.5 * (z1 - z2) * c, 0.5 * (z3 - z4) * s
+        scale = np.exp(0.5 * (z1 + z2) * c + abs(x1) + 0.5 * (z3 + z4) * s + abs(x2)
+                       - max(z))
+        a0, a1 = special.ive(0, x1), special.ive(1, x1)
+        b0, b1 = special.ive(0, x2), special.ive(1, x2)
+        parts = (a0 * b0, c * (a0 + a1) / 2 * b0, c * (a0 - a1) / 2 * b0,
+                 s * a0 * (b0 + b1) / 2, s * a0 * (b0 - b1) / 2)
+        return scale * parts[i] * np.cos(a) * np.sin(a)
+
+    width = 1.0 / np.sqrt(max(1.0, -min(z)))
+    breaks = sorted({p for k in (1.0, 5.0) for p in (k * width, np.pi / 2 - k * width)
+                     if 0.0 < p < np.pi / 2})
+    vals = [integrate.quad(integrand, 0.0, np.pi / 2, args=(i,), points=breaks,
+                           limit=400, epsabs=0.0, epsrel=1e-13)[0] for i in range(5)]
+    return np.array(vals[1:]) / vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +204,8 @@ class TestGaussianFits:
         bingham = fit_bingham(quats)
         xy, zf = fit_translation_focal(records)
         poses = sample_pose_parametric(bingham, xy, zf, 500, seed=0)
-        assert all(p.translation[2] > 0 and p.focal > 0 for p in poses)
+        assert len(poses) == 500
+        assert np.all(poses.translation[:, 2] > 0) and np.all(poses.focal > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +217,7 @@ class TestUniformSampler:
         ranges = UniformRanges(z_range=(0.8, 2.4), f_range=(200.0, 1000.0),
                                xy_box=0.15)
         poses = sample_pose_uniform(ranges, 2000, seed=0)
-        z = np.array([p.translation[2] for p in poses])
-        f = np.array([p.focal for p in poses])
-        xy = np.stack([p.translation[:2] for p in poses])
+        z, f, xy = poses.translation[:, 2], poses.focal, poses.translation[:, :2]
         assert z.min() >= 0.8 and z.max() <= 2.4
         assert f.min() >= 200.0 and f.max() <= 1000.0
         assert np.abs(xy).max() <= 0.075
@@ -198,6 +263,36 @@ class TestNonparametric:
         assert deltas.delta_x == pytest.approx(0.0, abs=1e-12)
         assert deltas.delta_f == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_brute_force(self):
+        """60 records: pairs whose rotations differ by a small turn and a
+        sign flip, exact duplicates, and unrelated records."""
+        rng = np.random.default_rng(14)
+        records = random_records(rng, 30)
+        for rec in records[:20]:
+            turn = Rotation.from_axis_angle(rng.standard_normal(3), rng.uniform(0.05, 0.6))
+            flipped = Rotation(-(turn @ rec.rotation).quat)
+            records.append(make_record(flipped, rec.translation + rng.normal(0, 0.05, 3),
+                                       rec.focal + rng.normal(0, 5.0)))
+        records += records[:10]
+        n = len(records)
+        ang = np.full((n, n), np.inf)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    ang[i, j] = geodesic_distance(records[i].rotation, records[j].rotation)
+        t = np.stack([r.translation for r in records])
+        zf = np.column_stack([t[:, 2], [r.focal for r in records]])
+
+        def nn95(points):
+            dist = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+            np.fill_diagonal(dist, np.inf)
+            return np.percentile(dist.min(axis=1), 95.0)
+
+        deltas = select_deltas_95pct(records)
+        assert deltas.delta_r == np.percentile(ang.min(axis=1), 95.0)
+        assert deltas.delta_x == deltas.delta_y == nn95(t[:, :2])
+        assert deltas.delta_z == deltas.delta_f == nn95(zf)
+
     def test_ordering_invariance(self):
         rng = np.random.default_rng(10)
         records = random_records(rng, 50)
@@ -213,20 +308,25 @@ class TestNonparametric:
         deltas = NonparamDeltas(0.0, 0.0, 0.0, 0.0, 0.0)
         poses = sample_pose_nonparametric(records, deltas, 50, seed=0)
         originals = {tuple(np.round(r.translation, 12)) for r in records}
-        for p in poses:
-            assert tuple(np.round(p.translation, 12)) in originals
+        for t in poses.translation:
+            assert tuple(np.round(t, 12)) in originals
 
     def test_perturbations_stay_inside_ellipse(self):
         records = [make_record(Rotation.identity(), [0.0, 0.0, 1.0], 600.0)]
         deltas = NonparamDeltas(0.2, 0.05, 0.1, 0.2, 50.0)
         poses = sample_pose_nonparametric(records, deltas, 2000, seed=1)
-        for p in poses:
-            dx, dy = p.translation[0], p.translation[1]
-            dz, df = p.translation[2] - 1.0, p.focal - 600.0
-            assert (dx / 0.05) ** 2 + (dy / 0.1) ** 2 <= 1.0 + 1e-9
-            assert (dz / 0.2) ** 2 + (df / 50.0) ** 2 <= 1.0 + 1e-9
-            angle = 2 * np.arccos(np.clip(abs(p.rotation.quat[0]), 0, 1))
-            assert angle <= 0.2 + 1e-9
+        dx, dy = poses.translation[:, 0], poses.translation[:, 1]
+        dz, df = poses.translation[:, 2] - 1.0, poses.focal - 600.0
+        assert np.all((dx / 0.05) ** 2 + (dy / 0.1) ** 2 <= 1.0 + 1e-9)
+        assert np.all((dz / 0.2) ** 2 + (df / 50.0) ** 2 <= 1.0 + 1e-9)
+        angle = 2 * np.arccos(np.clip(np.abs(poses.quat[:, 0]), 0, 1))
+        assert np.all(angle <= 0.2 + 1e-9)
+
+    def test_exhausted_retries_raise(self):
+        records = [make_record(Rotation.identity(), [0.0, 0.0, -1.0], 600.0)]
+        deltas = NonparamDeltas(0.1, 0.0, 0.0, 0.5, 0.0)
+        with pytest.raises(DomainError, match="retries exhausted"):
+            sample_pose_nonparametric(records, deltas, 5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,10 @@ class TestRunExperiment:
                              seed=0)
         report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG,
                                 variants=("exact",), seed=3)
-        bbox = projected_bbox(targets[0], POINTS, INTR)
+        bbox = projected_bbox(targets.state(0), POINTS, INTR)
         single = run_refinement(
             TrialConfig(iterations=5, predictor=make_noisy_oracle(), seed=3),
-            targets[0], bbox, POINTS, INTR, IMG_DIAG)
+            targets.state(0), bbox, POINTS, INTR, IMG_DIAG)
         assert report["variants"]["exact"]["summary"]["medians"]["e_trans"] \
             == pytest.approx(single.trajectory[-1].e_trans)
 
@@ -244,7 +244,8 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="image diagonal"):
             run_experiment(targets, config, POINTS, INTR, img_diag)
         with pytest.raises(DomainError, match="image diagonal"):
-            run_refinement(config, targets[0], projected_bbox(targets[0], POINTS, INTR),
+            run_refinement(config, targets.state(0),
+                           projected_bbox(targets.state(0), POINTS, INTR),
                            POINTS, INTR, img_diag)
 
 
@@ -318,8 +319,9 @@ def test_campaign_matches_scalar_reference(noise):
                             keep_trajectories=True)
     for rule in ("exact", "legacy"):
         got = report["variants"][rule]["trajectories"]
-        for i, target in enumerate(targets):
-            want = reference_trial(predictor, target, rule == "legacy", 5 + i, 10)
+        for i in range(len(targets)):
+            want = reference_trial(predictor, targets.state(i), rule == "legacy",
+                                   5 + i, 10)
             for rec_got, rec_want in zip(got[i], want, strict=True):
                 assert rec_got.keys() == rec_want.keys()
                 for key, value in rec_want.items():
