@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .geometry import BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch
+from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
+                       Rotation)
 from .losses import GRAD_LABELS, LossWeights, gradient_check
 from .metrics import EvalPair, aggregate, evaluate_pair
 from .sampling import (BinghamParams, Gaussian2DParams, NonparamDeltas,
@@ -459,7 +460,6 @@ def evaluate(pairs_file, out, fmt):
 # ---------------------------------------------------------------------------
 
 def _random_gradcheck_case(rng: np.random.Generator):
-    from .geometry import Rotation
     pts = ModelPoints(rng.uniform(-0.1, 0.1, size=(20, 3)))
     quats = rng.standard_normal((3, 4))
 
@@ -521,7 +521,14 @@ def run_gradcheck(seed: int, n: int, step: float) -> dict:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gradcheck(seed, num, step, out):
     """Check analytic loss gradients against central finite differences."""
-    report = run_gradcheck(seed, num, step)
+    if num < 1:
+        raise click.BadParameter(f"must be at least 1, got {num}", param_hint="'-n'")
+    try:
+        report = run_gradcheck(seed, num, step)
+    except DomainError as exc:
+        # The random cases lie well inside the loss's domain; what
+        # gradient_check rejects is the step.
+        raise click.BadParameter(str(exc), param_hint="'--step'") from exc
     if out:
         manifest = RunManifest.build("gradcheck", {"n": num, "step": step},
                                      seed=seed)

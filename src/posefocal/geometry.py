@@ -117,10 +117,6 @@ class Rotation:
             w1*z2 + x1*y2 - y1*x2 + z1*w2,
         ]))
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Rotate one point (3,) or a batch (N, 3)."""
-        return np.asarray(points, dtype=float) @ self.as_matrix().T
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DepthError, DomainError
 from .geometry import ModelPoints, ParamState, Rotation, cross3
-from .update_rules import DeltaTheta, apply_update, oracle_delta
+from .update_rules import (DeltaTheta, apply_focal_update, apply_translation_update,
+                           apply_update, oracle_delta)
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
                "v_r1_0", "v_r1_1", "v_r1_2",
@@ -48,18 +49,6 @@ class LossBreakdown:
     grad_pose: np.ndarray
     grad_huber: np.ndarray
     grad_reprojection: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "pose": self.pose,
-            "huber": self.huber,
-            "reprojection": self.reprojection,
-            "grad_total": dict(zip(GRAD_LABELS, self.grad_total.tolist())),
-            "grad_pose": dict(zip(GRAD_LABELS, self.grad_pose.tolist())),
-            "grad_huber": dict(zip(GRAD_LABELS, self.grad_huber.tolist())),
-            "grad_reprojection": dict(zip(GRAD_LABELS, self.grad_reprojection.tolist())),
-        }
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -133,45 +122,28 @@ def _camera_points(rot: Rotation, t: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return cam
 
 
-def _as_pose(obj) -> tuple:
-    """Accepts a ParamState or a (Rotation, translation, focal) triple."""
-    if isinstance(obj, ParamState):
-        return obj.rotation, obj.translation, obj.focal
-    return obj
-
-
-def reprojection_loss(pred, gt, points: ModelPoints) -> float:
-    """Summed L1 pixel distance between projections under two parameter sets.
-
-    ``pred`` and ``gt`` are ParamStates or (Rotation, translation, focal)
-    triples.
-    """
-    rot, t, f = _as_pose(pred)
-    rot_h, t_h, f_h = _as_pose(gt)
-    cam = _camera_points(rot, t, points.points)
-    cam_h = _camera_points(rot_h, t_h, points.points)
-    uv = f * cam[:, :2] / cam[:, 2:3]
-    uv_h = f_h * cam_h[:, :2] / cam_h[:, 2:3]
+def reprojection_loss(pred: ParamState, gt: ParamState, points: ModelPoints) -> float:
+    """Summed L1 pixel distance between projections under two parameter sets."""
+    cam = _camera_points(pred.rotation, pred.translation, points.points)
+    cam_h = _camera_points(gt.rotation, gt.translation, points.points)
+    uv = pred.focal * cam[:, :2] / cam[:, 2:3]
+    uv_h = gt.focal * cam_h[:, :2] / cam_h[:, 2:3]
     return float(np.abs(uv - uv_h).sum())
 
 
-def disentangled_reprojection_loss(pred, gt, points: ModelPoints) -> float:
+def disentangled_reprojection_loss(pred: ParamState, gt: ParamState,
+                                   points: ModelPoints) -> float:
     """Half pose-at-gt-focal plus half focal-at-gt-pose reprojection error."""
-    rot, t, f = _as_pose(pred)
-    rot_h, t_h, f_h = _as_pose(gt)
-    return 0.5 * reprojection_loss((rot, t, f_h), gt, points) \
-        + 0.5 * reprojection_loss((rot_h, t_h, f), gt, points)
+    return 0.5 * reprojection_loss(replace(pred, focal=gt.focal), gt, points) \
+        + 0.5 * reprojection_loss(replace(gt, focal=pred.focal), gt, points)
 
 
-def point_matching_distance(a, b, points: ModelPoints) -> float:
-    """Average L1 distance of model points transformed under two poses.
-
-    ``a`` and ``b`` are ParamStates or (Rotation, translation) pairs; any
-    focal length is ignored.
-    """
-    (r1, t1), (r2, t2) = _as_pose(a)[:2], _as_pose(b)[:2]
+def point_matching_distance(a: ParamState, b: ParamState, points: ModelPoints) -> float:
+    """Average L1 distance of model points transformed under two poses; the
+    focal lengths are ignored."""
     pts = points.points
-    diff = (pts @ r1.as_matrix().T + t1) - (pts @ r2.as_matrix().T + t2)
+    diff = (pts @ a.rotation.as_matrix().T + a.translation) \
+        - (pts @ b.rotation.as_matrix().T + b.translation)
     return float(np.abs(diff).mean(axis=0).sum())
 
 
@@ -225,33 +197,31 @@ def disentangled_pose_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
     return value
 
 
-def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
-               points: ModelPoints, weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Full training loss with per-term analytic gradients.
+def _evaluate(state: ParamState, delta: DeltaTheta, gt: ParamState,
+              points: ModelPoints, weights: LossWeights):
+    """The loss breakdown, and the residuals at whose zeros the loss kinks.
 
-    The reprojection part is disentangled: its pose term is evaluated with
-    the ground-truth focal length fed into the translation update, so it
-    carries no dependence on vf; its focal term uses the ground-truth pose.
+    The residuals are (diff_a, df, pose_diffs, r): the pixel residuals of
+    the reprojection pose half, the updated minus the ground-truth focal
+    (each residual of the focal half is df times a fixed factor), the
+    residuals of the three point-matching terms, and the Huber residual.
     """
     pts = points.points
-    f = state.focal
     f_hat = gt.focal
-    x, y, z = state.translation
 
     rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
 
     # Huber on the log focal length.
-    r = delta.vf + float(np.log(f) - np.log(f_hat))
+    r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
     huber, dh = _huber(r, weights.huber_delta)
     grad_huber = np.zeros(10)
     grad_huber[9] = dh
 
     # Reprojection, pose part: predicted rotation and a translation updated
-    # with the ground-truth focal.
-    z_new = delta.vz * z
-    center_x = delta.vx + f * x / z
-    center_y = delta.vy + f * y / z
-    t_pose = np.array([center_x * z_new / f_hat, center_y * z_new / f_hat, z_new])
+    # with the ground-truth focal. That update is linear in vz, so its
+    # vz-derivative is the update at vz = 1.
+    t_pose = apply_translation_update(state, delta, f_hat)
+    dt_dvz = apply_translation_update(state, replace(delta, vz=1.0), f_hat)
     m = pts @ state.rotation.as_matrix().T
     cam = m @ rot_u.T + t_pose
     if np.any(cam[:, 2] <= 0):
@@ -268,14 +238,14 @@ def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
     gq[:, 2] = -(sgn[:, 0] * uv[:, 0] + sgn[:, 1] * uv[:, 1]) / cam[:, 2]
     grad_a = np.zeros(10)
     gq_sum = gq.sum(axis=0)
-    grad_a[0] = gq_sum[0] * z_new / f_hat
-    grad_a[1] = gq_sum[1] * z_new / f_hat
-    grad_a[2] = gq_sum @ np.array([center_x * z / f_hat, center_y * z / f_hat, z])
+    grad_a[0] = gq_sum[0] * t_pose[2] / f_hat
+    grad_a[1] = gq_sum[1] * t_pose[2] / f_hat
+    grad_a[2] = gq_sum @ dt_dvz
     for j in range(6):
         grad_a[3 + j] = np.einsum("ni,ni->", gq, m @ drot[:, :, j].T)
 
     # Reprojection, focal part: predicted focal at the ground-truth pose.
-    f_new = float(np.exp(delta.vf) * f)
+    f_new = apply_focal_update(state.focal, delta.vf)
     uv_f = f_new * cam_hat[:, :2] / cam_hat[:, 2:3]
     diff_b = uv_f - uv_hat
     term_b = float(np.abs(diff_b).sum())
@@ -286,14 +256,26 @@ def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
     grad_reproj = 0.5 * (grad_a + grad_b)
 
     # Disentangled pose loss.
-    pose, grad_pose, _ = _pose_terms(state, delta, gt, points, drot)
+    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, drot)
 
     a, b = weights.alpha, weights.beta
     total = pose + a * (b * huber + reproj)
     grad_total = grad_pose + a * (b * grad_huber + grad_reproj)
-    return LossBreakdown(total=total, pose=pose, huber=huber, reprojection=reproj,
-                         grad_total=grad_total, grad_pose=grad_pose,
-                         grad_huber=grad_huber, grad_reprojection=grad_reproj)
+    breakdown = LossBreakdown(total=total, pose=pose, huber=huber, reprojection=reproj,
+                              grad_total=grad_total, grad_pose=grad_pose,
+                              grad_huber=grad_huber, grad_reprojection=grad_reproj)
+    return breakdown, (diff_a, f_new - f_hat, pose_diffs, r)
+
+
+def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
+               points: ModelPoints, weights: LossWeights = LossWeights()) -> LossBreakdown:
+    """Full training loss with per-term analytic gradients.
+
+    The reprojection part is disentangled: its pose term is evaluated with
+    the ground-truth focal length fed into the translation update, so it
+    carries no dependence on vf; its focal term uses the ground-truth pose.
+    """
+    return _evaluate(state, delta, gt, points, weights)[0]
 
 
 def _perturbed(delta: DeltaTheta, index: int, h: float) -> DeltaTheta:
@@ -317,30 +299,11 @@ def smoothness_margins(state: ParamState, delta: DeltaTheta, gt: ParamState,
     the updated focal equals the ground truth, so that family contributes
     one margin.
     """
-    pts = points.points
-    _, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
-    _, _, pose_diffs = _pose_terms(state, delta, gt, points, drot)
-    theta = apply_update(state, delta)
-    gt_cam = _camera_points(gt.rotation, gt.translation, pts)
-    uv_hat = gt.focal * gt_cam[:, :2] / gt_cam[:, 2:3]
-
-    t_pose = np.array(
-        [(delta.vx + state.focal * state.translation[0] / state.translation[2])
-         * delta.vz * state.translation[2] / gt.focal,
-         (delta.vy + state.focal * state.translation[1] / state.translation[2])
-         * delta.vz * state.translation[2] / gt.focal,
-         delta.vz * state.translation[2]])
-    cam = _camera_points(theta.rotation, t_pose, pts)
-    uv_a = gt.focal * cam[:, :2] / cam[:, 2:3]
-    pixel_margin = min(np.abs(uv_a - uv_hat).min(),
-                       abs(theta.focal - gt.focal))
-    diff1, diff2, diff3 = pose_diffs
-    metric_margin = min(np.abs(diff1[:, :2]).min(), np.abs(diff2).min(),
-                        np.abs(diff3).min())
-    r = delta.vf + float(np.log(state.focal) - np.log(gt.focal))
-    huber_margin = abs(abs(r) - weights.huber_delta)
-    return {"pixel": float(pixel_margin), "metric": float(metric_margin),
-            "huber": float(huber_margin)}
+    _, (diff_a, df, (diff1, diff2, diff3), r) = _evaluate(state, delta, gt, points, weights)
+    return {"pixel": float(min(np.abs(diff_a).min(), abs(df))),
+            "metric": float(min(np.abs(diff1[:, :2]).min(), np.abs(diff2).min(),
+                                np.abs(diff3).min())),
+            "huber": float(abs(abs(r) - weights.huber_delta))}
 
 
 def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
@@ -351,6 +314,8 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
     A point too close to an L1 or Huber kink is flagged ``smooth: False``
     (diagnostic, not a failure); relative errors are still reported.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"finite-difference step must be finite and positive, got {step}")
     # A kink only invalidates central differences when a residual crosses
     # zero within +-step times its sensitivity; thresholds scale with the
     # step and leave an order of magnitude of safety.

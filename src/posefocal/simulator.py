@@ -118,19 +118,6 @@ class OraclePredictor:
         )
 
 
-def make_oracle() -> OraclePredictor:
-    return OraclePredictor()
-
-
-def make_noisy_oracle(noise: NoiseScales = NoiseScales()) -> OraclePredictor:
-    return OraclePredictor(noise=noise)
-
-
-def make_clamped_oracle(clamp: ClampBounds = ClampBounds(),
-                        noise: NoiseScales | None = None) -> OraclePredictor:
-    return OraclePredictor(noise=noise, clamp=clamp)
-
-
 UPDATE_RULES = ("exact", "legacy")
 
 
@@ -145,7 +132,7 @@ class Tolerances:
 class TrialConfig:
     iterations: int = 15
     update_rule: str = "exact"
-    predictor: OraclePredictor = field(default_factory=make_oracle)
+    predictor: OraclePredictor = field(default_factory=OraclePredictor)
     seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
 

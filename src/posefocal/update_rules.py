@@ -42,22 +42,6 @@ class DeltaTheta:
     def identity(cls) -> "DeltaTheta":
         return cls(0.0, 0.0, 1.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "v_x_px": self.vx,
-            "v_y_px": self.vy,
-            "v_z_ratio": self.vz,
-            "v_r1": self.v_r1.tolist(),
-            "v_r2": self.v_r2.tolist(),
-            "v_f_log": self.vf,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeltaTheta":
-        return cls(float(d["v_x_px"]), float(d["v_y_px"]), float(d["v_z_ratio"]),
-                   np.asarray(d["v_r1"], dtype=float), np.asarray(d["v_r2"], dtype=float),
-                   float(d["v_f_log"]))
-
 
 def apply_focal_update(focal: float, vf: float) -> float:
     """Multiplicative focal update f' = exp(vf) * f."""

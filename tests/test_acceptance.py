@@ -17,7 +17,7 @@ from posefocal.sampling import (BinghamParams, UniformRanges, fit_bingham,
                                 fit_translation_focal, sample_bingham,
                                 sample_pose_uniform, sample_rotation_uniform)
 from posefocal.simulator import (ClampBounds, NoiseScales, TrialConfig,
-                                 make_clamped_oracle, run_experiment)
+                                 OraclePredictor, run_experiment)
 from posefocal.update_rules import (DeltaTheta, apply_update, oracle_delta)
 
 from test_sampling import make_record
@@ -165,8 +165,8 @@ def test_disentanglement():
         br = total_loss(state, delta, gt, pts)
 
         def focal_half(d):
-            pred = (gt.rotation, gt.translation,
-                    float(np.exp(d.vf) * state.focal))
+            pred = ParamState(gt.rotation, gt.translation,
+                              float(np.exp(d.vf) * state.focal))
             return reprojection_loss(pred, gt, pts)
 
         def pose_half(d, breakdown):
@@ -195,7 +195,7 @@ def pose_half_direct(state, delta, gt, pts):
                                         apply_translation_update)
     rot = apply_rotation_update(state.rotation, delta.v_r1, delta.v_r2)
     t = apply_translation_update(state, delta, f_new=gt.focal)
-    return reprojection_loss((rot, t, gt.focal), gt, pts)
+    return reprojection_loss(ParamState(rot, t, gt.focal), gt, pts)
 
 
 def test_distribution_round_trips():
@@ -269,8 +269,8 @@ def test_update_rule_ablation():
                            xy_box=0.8)
     targets = sample_pose_uniform(ranges, 1000, seed=0)
     config = TrialConfig(iterations=15,
-                         predictor=make_clamped_oracle(clamp=clamp,
-                                                       noise=NoiseScales()))
+                         predictor=OraclePredictor(clamp=clamp,
+                                                   noise=NoiseScales()))
     rep = run_experiment(targets, config, points, intrinsics,
                          img_diag=800.0, seed=0)
     med_exact = rep["variants"]["exact"]["summary"]["medians"]

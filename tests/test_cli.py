@@ -283,6 +283,18 @@ class TestGradcheck:
         assert res.exit_code == 0, res.output
         assert "flagged non-smooth" in res.output
 
+    @pytest.mark.parametrize("args, option", [
+        (["-n", "2", "--step", "0"], "--step"),
+        (["-n", "2", "--step=-1e-6"], "--step"),
+        (["-n", "2", "--step", "nan"], "--step"),
+        (["-n", "0"], "-n"),
+    ])
+    def test_rejects_step_and_count_it_cannot_check(self, runner, args, option):
+        res = runner.invoke(main, ["gradcheck", *args])
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert f"'{option}'" in res.output
+
 
 class TestDeterminism:
     def test_rerun_fit_and_sample_byte_identical(self, runner, annotations,

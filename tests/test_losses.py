@@ -10,7 +10,7 @@ from posefocal.losses import (GRAD_LABELS, LossWeights,
                               disentangled_reprojection_loss, gradient_check,
                               huber_log_focal, point_matching_distance,
                               reprojection_loss, rotation_6d_jacobian,
-                              total_loss)
+                              smoothness_margins, total_loss)
 from posefocal.update_rules import DeltaTheta, apply_update, oracle_delta
 
 ORIGIN_POINT = ModelPoints(np.zeros((1, 3)))
@@ -232,6 +232,36 @@ class TestDisentanglement:
             a = total_loss(state, delta, gt, pts)
             b = total_loss(state, self._perturb_rot(delta, 0.1), gt, pts)
             assert abs(a.huber - b.huber) <= 1e-12
+
+
+class TestSmoothnessMargins:
+    @pytest.mark.parametrize("vf", [1.25, 0.75])
+    def test_huber_margin(self, vf):
+        # equal focals make the Huber residual vf itself
+        state = make_state(f=600.0)
+        margins = smoothness_margins(state, make_delta(vf=vf), state, ORIGIN_POINT)
+        assert margins["huber"] == 0.25
+
+    def test_pixel_margin_is_focal_family(self):
+        # the pose half puts the point 65 px from the ground truth in x and
+        # y; the focal half's residuals cross zero where f_new = 650
+        state = make_state(f=600.0)
+        gt = make_state(x=0.1, y=0.1, f=650.0)
+        margins = smoothness_margins(state, make_delta(vf=np.log(1.1)), gt,
+                                     ORIGIN_POINT)
+        assert margins["pixel"] == pytest.approx(660.0 - 650.0, rel=1e-12)
+
+    def test_metric_margin_is_smallest_depth_residual(self):
+        # oracle: vx 60, vy 90, vz 2. The x-y term misses by 0.4 m in x and
+        # y, the cyclic rotation moves the point by (0.3, -0.1, -0.2), and
+        # the 10 % depth error moves it by 0.1 * (0.2, 0.3, 2.0).
+        state = make_state(z=1.0, f=600.0)
+        gt = make_state(x=0.2, y=0.3, z=2.0, f=600.0)
+        delta = make_delta(vx=180.0, vy=210.0, vz=2.2, v_r1=(0, 1, 0),
+                           v_r2=(0, 0, 1))
+        pts = ModelPoints(np.array([[0.1, 0.2, 0.4]]))
+        margins = smoothness_margins(state, delta, gt, pts)
+        assert margins["metric"] == pytest.approx(0.02, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

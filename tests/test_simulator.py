@@ -13,8 +13,7 @@ from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
 from posefocal.metrics import EvalPair, evaluate_pair
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
-                                 TrialConfig, make_clamped_oracle,
-                                 make_noisy_oracle, make_oracle,
+                                 OraclePredictor, TrialConfig,
                                  projected_bbox, run_experiment,
                                  run_refinement)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update,
@@ -69,7 +68,7 @@ class TestOraclePredictor:
     def test_noisy_oracle_with_zero_noise_is_oracle(self):
         rng = np.random.default_rng(3)
         target = make_target(rng)
-        noiseless = make_noisy_oracle(NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0))
+        noiseless = OraclePredictor(noise=NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0))
         result = run_one(TrialConfig(iterations=1, predictor=noiseless), target)
         assert result.trajectory[-1].e_trans <= 1e-9
 
@@ -77,7 +76,7 @@ class TestOraclePredictor:
         rng = np.random.default_rng(4)
         state = make_target(rng)
         target = make_target(rng)
-        predictor = make_noisy_oracle(NoiseScales())
+        predictor = OraclePredictor(noise=NoiseScales())
         base = oracle_delta(state, target).vf
         normals = np.stack([np.random.default_rng(i).standard_normal(8)
                             for i in range(20000)])
@@ -87,7 +86,7 @@ class TestOraclePredictor:
 
     def test_clamp_bounds_respected(self):
         rng = np.random.default_rng(5)
-        predictor = make_clamped_oracle(
+        predictor = OraclePredictor(
             clamp=ClampBounds(20.0, 0.1, 5.0, 0.05), noise=NoiseScales())
         for i in range(50):
             state, target = make_target(rng), make_target(rng)
@@ -105,8 +104,8 @@ class TestOraclePredictor:
     def test_clamped_oracle_long_run_converges_monotonically(self):
         rng = np.random.default_rng(6)
         config = TrialConfig(iterations=55,
-                             predictor=make_clamped_oracle(
-                                 ClampBounds(20.0, 0.1, 5.0, 0.05)))
+                             predictor=OraclePredictor(
+                                 clamp=ClampBounds(20.0, 0.1, 5.0, 0.05)))
         for _ in range(5):
             target = make_target(rng)
             result = run_one(config, target)
@@ -135,7 +134,7 @@ class TestRunRefinement:
         rng = np.random.default_rng(8)
         target = make_target(rng)
         config = TrialConfig(iterations=10, seed=99,
-                             predictor=make_noisy_oracle())
+                             predictor=OraclePredictor(noise=NoiseScales()))
         a = run_one(config, target)
         b = run_one(config, target)
         for ra, rb in zip(a.trajectory, b.trajectory):
@@ -173,7 +172,7 @@ class TestRunRefinement:
         target = make_target(rng)
         bbox = projected_bbox(target, POINTS, INTR)
         state = init_state(bbox, INTR)
-        predictor = make_noisy_oracle()
+        predictor = OraclePredictor(noise=NoiseScales())
         delta = first_row(predictor(batch(state), batch(target), 1,
                                     np.random.default_rng(0).standard_normal((1, 8))))
         before = np.asarray(project_point(
@@ -194,20 +193,20 @@ class TestRunExperiment:
 
     def test_single_trial_reduces_to_run_refinement(self):
         targets = self.make_targets(1, 0)
-        config = TrialConfig(iterations=5, predictor=make_noisy_oracle(),
+        config = TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()),
                              seed=0)
         report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG,
                                 variants=("exact",), seed=3)
         bbox = projected_bbox(targets.state(0), POINTS, INTR)
         single = run_refinement(
-            TrialConfig(iterations=5, predictor=make_noisy_oracle(), seed=3),
+            TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()), seed=3),
             targets.state(0), bbox, POINTS, INTR, IMG_DIAG)
         assert report["variants"]["exact"]["summary"]["medians"]["e_trans"] \
             == pytest.approx(single.trajectory[-1].e_trans)
 
     def test_paired_arms_share_randomness(self):
         targets = self.make_targets(10, 1)
-        config = TrialConfig(iterations=8, predictor=make_noisy_oracle())
+        config = TrialConfig(iterations=8, predictor=OraclePredictor(noise=NoiseScales()))
         report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG,
                                 seed=7, keep_trajectories=True)
         exact = report["variants"]["exact"]["trajectories"]
@@ -221,7 +220,7 @@ class TestRunExperiment:
 
     def test_report_is_deterministic(self):
         targets = self.make_targets(5, 2)
-        config = TrialConfig(iterations=5, predictor=make_noisy_oracle())
+        config = TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()))
         a = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=11)
         b = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=11)
         assert a == b
@@ -313,7 +312,7 @@ def test_campaign_matches_scalar_reference(noise):
     ranges = UniformRanges(z_range=(0.8, 1.2), f_range=(200.0, 1000.0),
                            xy_box=0.8)
     targets = sample_pose_uniform(ranges, 24, 4)
-    predictor = make_clamped_oracle(ClampBounds(20.0, 0.1, 5.0, 0.02), noise)
+    predictor = OraclePredictor(noise=noise, clamp=ClampBounds(20.0, 0.1, 5.0, 0.02))
     config = TrialConfig(iterations=10, predictor=predictor)
     report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=5,
                             keep_trajectories=True)
