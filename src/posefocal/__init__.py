@@ -25,8 +25,8 @@ from .sampling import (AnnotationRecord, BinghamParams, Gaussian2DParams,
                        sample_refiner_noise, sample_rotation_uniform,
                        select_deltas_95pct)
 from .simulator import (ClampBounds, NoiseScales, OraclePredictor,
-                        Tolerances, TrialConfig, TrialResult, projected_bbox,
-                        run_experiment, run_refinement)
+                        TrialResult, projected_bbox, run_experiment,
+                        run_refinement)
 from .update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                            apply_legacy_translation_update,
                            apply_rotation_update, apply_translation_update,

@@ -14,7 +14,8 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,50 +28,34 @@ from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
 from .losses import GRAD_LABELS, LossWeights, gradient_check
-from .metrics import EvalPair, aggregate, evaluate_pair
+from .metrics import METRIC_FIELDS, EvalPair, aggregate, evaluate_pair
 from .sampling import (BinghamParams, Gaussian2DParams, NonparamDeltas,
                        AnnotationRecord, UniformRanges, fit_bingham,
                        fit_translation_focal, load_annotations,
                        sample_pose_nonparametric, sample_pose_parametric,
-                       sample_pose_uniform, select_deltas_95pct,
-                       distributions_to_dict)
-from .simulator import (ClampBounds, NoiseScales, OraclePredictor, TrialConfig,
+                       sample_pose_uniform, select_deltas_95pct)
+from .simulator import (UPDATE_RULES, ClampBounds, NoiseScales, OraclePredictor,
                         run_experiment)
 from .update_rules import DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 
-# Report columns follow the usual results-table order.
-METRIC_ORDER = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
-
 
 # ---------------------------------------------------------------------------
-# Run manifest and output writers
+# Run manifest, output writers and input errors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None
-    version: str = __version__
-    inputs: dict = field(default_factory=dict)
-    timestamp: str | None = None
-
-    @classmethod
-    def build(cls, command: str, config: dict, seed: int | None,
-              input_paths=()) -> "RunManifest":
-        digests = {str(p): _sha256(p) for p in input_paths}
-        epoch = os.environ.get("SOURCE_DATE_EPOCH")
-        stamp = None
-        if epoch is not None:
-            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc) \
-                .isoformat().replace("+00:00", "Z")
-        return cls(command=command, config=config, seed=seed,
-                   inputs=digests, timestamp=stamp)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _manifest(command: str, config: dict, seed: int | None, input_paths=()) -> dict:
+    """The run manifest an output file embeds."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    stamp = None
+    if epoch is not None:
+        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc) \
+            .isoformat().replace("+00:00", "Z")
+    return {"command": command, "config": config, "seed": seed,
+            "version": __version__,
+            "inputs": {str(p): _sha256(p) for p in input_paths},
+            "timestamp": stamp}
 
 
 def _sha256(path) -> str:
@@ -81,21 +66,21 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_json(path, manifest: RunManifest, payload: dict):
-    doc = {"manifest": manifest.to_dict(), **payload}
+def write_json(path, manifest: dict, payload: dict):
+    doc = {"manifest": manifest, **payload}
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8", newline="\n")
 
 
-def write_jsonl(path, manifest: RunManifest, rows):
-    lines = [_dump({"manifest": manifest.to_dict()})]
+def write_jsonl(path, manifest: dict, rows):
+    lines = [_dump({"manifest": manifest})]
     lines.extend(_dump(r) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_csv(path, manifest: RunManifest, header, rows):
+def write_csv(path, manifest: dict, header, rows):
     buf = io.StringIO()
-    buf.write(f"# manifest: {_dump(manifest.to_dict())}\n")
+    buf.write(f"# manifest: {_dump(manifest)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -106,12 +91,21 @@ def _fail(exc: Exception):
     raise click.ClickException(str(exc))
 
 
-def _parse_json(text: str, where: str):
-    """json.loads whose syntax errors are DomainErrors naming ``where``."""
+@contextmanager
+def _reading(where: str):
+    """Turns the errors that reading and building records from a malformed
+    input file raise into DomainErrors naming ``where``: the file, and the
+    line of a JSON-lines file."""
     try:
-        return json.loads(text)
+        yield
+    except DomainError:
+        raise
     except json.JSONDecodeError as exc:
         raise DomainError(f"{where}: malformed JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DomainError(f"{where}: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +134,17 @@ def fit_dist(annotations, kind, out):
         if not records:
             raise DomainError(f"no annotation records in {annotations}")
         if kind == "parametric":
-            quats = np.stack([r.rotation.quat for r in records])
             xy, zf = fit_translation_focal(records)
-            doc = distributions_to_dict(
-                "parametric", bingham=fit_bingham(quats), xy=xy, zf=zf)
+            bingham = fit_bingham(np.stack([r.rotation.quat for r in records]))
+            doc = {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
+                   "zf": zf.to_dict()}
         else:
-            doc = distributions_to_dict(
-                "nonparametric", deltas=select_deltas_95pct(records),
-                records=records)
+            doc = {"kind": kind, "deltas": select_deltas_95pct(records).to_dict(),
+                   "records": [r.to_dict() for r in records]}
     except DomainError as exc:
         _fail(exc)
-    manifest = RunManifest.build("fit-dist", {"kind": kind}, seed=None,
-                                 input_paths=[annotations])
-    write_json(out, manifest, doc)
+    write_json(out, _manifest("fit-dist", {"kind": kind}, seed=None,
+                              input_paths=[annotations]), doc)
     click.echo(f"fitted {kind} distribution from {len(records)} records -> {out}")
 
 
@@ -160,11 +152,10 @@ def fit_dist(annotations, kind, out):
 # sample
 # ---------------------------------------------------------------------------
 
-def _load_distribution(path) -> dict:
-    doc = _parse_json(Path(path).read_text(), path)
-    if "manifest" in doc:
-        doc = {k: v for k, v in doc.items() if k != "manifest"}
-    return doc
+def _uniform_ranges(doc: dict) -> UniformRanges:
+    """The ranges ``doc`` sets, the others at their defaults."""
+    fields = ("z_range", "f_range", "xy_box")
+    return replace(UniformRanges(), **{k: doc[k] for k in fields if k in doc})
 
 
 def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
@@ -179,10 +170,7 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
         return sample_pose_nonparametric(
             records, NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
-        ranges = UniformRanges(tuple(doc.get("z_range", (0.8, 3.0))),
-                               tuple(doc.get("f_range", (200.0, 1000.0))),
-                               float(doc.get("xy_box", 0.15)))
-        return sample_pose_uniform(ranges, n, seed)
+        return sample_pose_uniform(_uniform_ranges(doc), n, seed)
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
@@ -196,13 +184,12 @@ def sample(distribution, num, seed, out):
     if num < 0:
         _fail(DomainError("sample count must be non-negative"))
     try:
-        doc = _load_distribution(distribution)
-        poses = _draw_poses(doc, num, seed)
+        with _reading(distribution):
+            poses = _draw_poses(json.loads(Path(distribution).read_text()), num, seed)
     except DomainError as exc:
         _fail(exc)
-    manifest = RunManifest.build("sample", {"n": num}, seed=seed,
-                                 input_paths=[distribution])
-    write_jsonl(out, manifest, poses.to_dicts())
+    write_jsonl(out, _manifest("sample", {"n": num}, seed=seed,
+                               input_paths=[distribution]), poses.to_dicts())
     click.echo(f"wrote {num} samples -> {out}")
 
 
@@ -227,7 +214,7 @@ SIMULATE_SCHEMA = {
         "seed": {"type": "integer"},
         "update_rules": {
             "type": "array", "minItems": 1,
-            "items": {"enum": ["exact", "legacy"]},
+            "items": {"enum": list(UPDATE_RULES)},
         },
         "predictor": {
             "type": "object",
@@ -284,7 +271,8 @@ def validate_config(config: dict, schema: dict):
 
 def _load_model_points(cfg: dict) -> ModelPoints:
     if "path" in cfg:
-        return ModelPoints.from_json(cfg["path"])
+        with _reading(cfg["path"]):
+            return ModelPoints.from_json(cfg["path"])
     rng = np.random.default_rng(cfg.get("seed", 0))
     extent = cfg.get("extent", 0.2)
     n = cfg.get("count", 100)
@@ -297,22 +285,19 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
     if cfg["kind"] == "file":
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")
-        states = []
-        with open(cfg["path"]) as fh:
+        path, states = cfg["path"], []
+        with _reading(path), open(path) as fh:
             for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                doc = _parse_json(line, f"{cfg['path']} line {i}")
-                if "manifest" in doc:
-                    continue
-                states.append(ParamState.from_dict(doc))
+                if line.strip():
+                    with _reading(f"{path} line {i}"):
+                        doc = json.loads(line)
+                        if "manifest" not in doc:
+                            states.append(ParamState.from_dict(doc))
         if len(states) < n:
             raise DomainError(f"target file has {len(states)} poses, need {n}")
         return PoseBatch.from_states(states[:n])
-    ranges = UniformRanges(tuple(cfg.get("z_range", (0.8, 3.0))),
-                           tuple(cfg.get("f_range", (200.0, 1000.0))),
-                           float(cfg.get("xy_box", 0.15)))
-    return sample_pose_uniform(ranges, n, np.random.SeedSequence(seed).spawn(1)[0])
+    return sample_pose_uniform(_uniform_ranges(cfg), n,
+                               np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def run_simulation(config: dict) -> dict:
@@ -325,29 +310,22 @@ def run_simulation(config: dict) -> dict:
     predictor = OraclePredictor(
         noise=NoiseScales(**noise) if noise is not None else None,
         clamp=ClampBounds(**clamp) if clamp is not None else None)
-    base = TrialConfig(iterations=config.get("iterations", 15),
-                       predictor=predictor)
     points = _load_model_points(config.get("model_points", {}))
     targets = _load_targets(config["targets"], config["n_trials"], seed)
     intrinsics = CameraIntrinsics(config.get("focal_init", 600.0), 0.0, 0.0)
     return run_experiment(
-        targets, base, points, intrinsics,
-        img_diag=config.get("img_diag", 800.0),
-        variants=tuple(config.get("update_rules", ("exact", "legacy"))),
+        targets, points, intrinsics, img_diag=config.get("img_diag", 800.0),
+        predictor=predictor, iterations=config.get("iterations", 15),
+        variants=tuple(config.get("update_rules", UPDATE_RULES)),
         seed=seed, keep_trajectories=config.get("keep_trajectories", False))
 
 
 def _report_csv_rows(report: dict):
-    header = ["update_rule", "iteration", "median_e_rot", "median_e_trans",
-              "median_e_pose", "median_e_focal", "median_e_proj"]
-    rows = []
-    for rule, entry in report["variants"].items():
-        for rec in entry["per_iteration_medians"]:
-            rows.append([rule, rec["iteration"],
-                         repr(rec["median_e_rot"]), repr(rec["median_e_trans"]),
-                         repr(rec["median_e_pose"]), repr(rec["median_e_focal"]),
-                         repr(rec["median_e_proj"])])
-    return header, rows
+    columns = [f"median_{f}" for f in METRIC_FIELDS]
+    rows = [[rule, rec["iteration"], *(repr(rec[c]) for c in columns)]
+            for rule, entry in report["variants"].items()
+            for rec in entry["per_iteration_medians"]]
+    return ["update_rule", "iteration", *columns], rows
 
 
 @main.command("simulate")
@@ -359,12 +337,13 @@ def _report_csv_rows(report: dict):
 def simulate(config_path, out, fmt):
     """Run a paired refinement campaign described by a JSON config."""
     try:
-        config = _parse_json(Path(config_path).read_text(), config_path)
+        with _reading(config_path):
+            config = json.loads(Path(config_path).read_text())
         report = run_simulation(config)
     except DomainError as exc:
         _fail(exc)
-    manifest = RunManifest.build("simulate", config, seed=config.get("seed", 0),
-                                 input_paths=[config_path])
+    manifest = _manifest("simulate", config, seed=config.get("seed", 0),
+                         input_paths=[config_path])
     if fmt == "json":
         write_json(out, manifest, {"report": report})
     else:
@@ -392,20 +371,19 @@ def _load_pairs(path) -> list[EvalPair]:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = _parse_json(line, f"{path} line {i}")
-            if "manifest" in doc:
-                continue
-            if "model_points" in doc and "pred" not in doc:
-                for name, pts in doc["model_points"].items():
-                    point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
-                continue
-            index = len(pairs)
-            try:
+            with _reading(f"{path} line {i}"):
+                doc = json.loads(line)
+                if "manifest" in doc:
+                    continue
+                if "model_points" in doc and "pred" not in doc:
+                    for name, pts in doc["model_points"].items():
+                        point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
+                    continue
                 pts_field = doc["points"]
                 if isinstance(pts_field, str):
                     if pts_field not in point_sets:
                         raise DomainError(
-                            f"pair {index}: unknown model-points reference "
+                            f"pair {len(pairs)}: unknown model-points reference "
                             f"{pts_field!r}")
                     points = point_sets[pts_field]
                 else:
@@ -419,10 +397,6 @@ def _load_pairs(path) -> list[EvalPair]:
                     bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
                                if doc.get("bbox_pred") else None),
                 ))
-            except DomainError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"pair {index}: {exc}") from exc
     if not pairs:
         raise DomainError(f"no evaluation pairs in {path}")
     return pairs
@@ -441,18 +415,16 @@ def evaluate(pairs_file, out, fmt):
     except DomainError as exc:
         _fail(exc)
     summary = aggregate(records)
-    manifest = RunManifest.build("evaluate", {}, seed=None,
-                                 input_paths=[pairs_file])
+    manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":
         write_json(out, manifest, {"summary": summary,
                                    "records": [r.to_dict() for r in records]})
     else:
-        header = list(METRIC_ORDER) + ["iou"]
-        rows = [[repr(getattr(r, f)) for f in METRIC_ORDER]
+        rows = [[repr(getattr(r, f)) for f in METRIC_FIELDS]
                 + ["" if r.iou is None else repr(r.iou)] for r in records]
-        write_csv(out, manifest, header, rows)
+        write_csv(out, manifest, [*METRIC_FIELDS, "iou"], rows)
     med = summary["medians"]
-    click.echo("medians: " + " ".join(f"{f}={med[f]:.6g}" for f in METRIC_ORDER))
+    click.echo("medians: " + " ".join(f"{f}={med[f]:.6g}" for f in METRIC_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +444,15 @@ def _random_gradcheck_case(rng: np.random.Generator):
 
     state = state_from(quats[0], 0.8, 3.0, 300.0, 900.0)
     gt = state_from(quats[1], 0.8, 3.0, 300.0, 900.0)
-    rel = (gt.rotation @ state.rotation.inverse()).as_matrix()
     noise = rng.normal(0.0, 0.05, size=(3, 2))
     oracle = oracle_delta(state, gt)
     delta = DeltaTheta(
         vx=oracle.vx + rng.normal(0, 5.0),
         vy=oracle.vy + rng.normal(0, 5.0),
-        vz=gt.translation[2] / state.translation[2] * np.exp(rng.normal(0, 0.05)),
-        v_r1=rel[:, 0] + noise[:, 0],
-        v_r2=rel[:, 1] + noise[:, 1],
-        vf=np.log(gt.focal / state.focal) + rng.normal(0, 0.05),
+        vz=oracle.vz * np.exp(rng.normal(0, 0.05)),
+        v_r1=oracle.v_r1 + noise[:, 0],
+        v_r2=oracle.v_r2 + noise[:, 1],
+        vf=oracle.vf + rng.normal(0, 0.05),
     )
     return state, delta, gt, pts
 
@@ -530,8 +501,7 @@ def gradcheck(seed, num, step, out):
         # gradient_check rejects is the step.
         raise click.BadParameter(str(exc), param_hint="'--step'") from exc
     if out:
-        manifest = RunManifest.build("gradcheck", {"n": num, "step": step},
-                                     seed=seed)
+        manifest = _manifest("gradcheck", {"n": num, "step": step}, seed=seed)
         write_json(out, manifest, {"report": {k: v for k, v in report.items()
                                               if k != "points"},
                                    "points": report["points"]})

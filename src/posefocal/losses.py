@@ -299,7 +299,11 @@ def smoothness_margins(state: ParamState, delta: DeltaTheta, gt: ParamState,
     the updated focal equals the ground truth, so that family contributes
     one margin.
     """
-    _, (diff_a, df, (diff1, diff2, diff3), r) = _evaluate(state, delta, gt, points, weights)
+    return _margins(_evaluate(state, delta, gt, points, weights)[1], weights)
+
+
+def _margins(residuals, weights: LossWeights) -> dict:
+    diff_a, df, (diff1, diff2, diff3), r = residuals
     return {"pixel": float(min(np.abs(diff_a).min(), abs(df))),
             "metric": float(min(np.abs(diff1[:, :2]).min(), np.abs(diff2).min(),
                                 np.abs(diff3).min())),
@@ -319,11 +323,12 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
     # A kink only invalidates central differences when a residual crosses
     # zero within +-step times its sensitivity; thresholds scale with the
     # step and leave an order of magnitude of safety.
-    margins = smoothness_margins(state, delta, gt, points, weights)
+    breakdown, residuals = _evaluate(state, delta, gt, points, weights)
+    margins = _margins(residuals, weights)
     smooth = bool(margins["pixel"] > 1e3 * step and margins["metric"] > 20 * step
                   and margins["huber"] > 1e3 * step and delta.vz > 2 * step)
 
-    analytic = total_loss(state, delta, gt, points, weights).grad_total
+    analytic = breakdown.grad_total
     numeric = np.zeros(10)
     for i in range(10):
         lp = total_loss(state, _perturbed(delta, i, step), gt, points, weights).total

@@ -59,8 +59,7 @@ class MetricRecord:
     iou: float | None = None
 
     def to_dict(self) -> dict:
-        return {"e_rot": self.e_rot, "e_trans": self.e_trans, "e_pose": self.e_pose,
-                "e_focal": self.e_focal, "e_proj": self.e_proj, "iou": self.iou}
+        return {f: getattr(self, f) for f in (*METRIC_FIELDS, "iou")}
 
 
 def err_rot(pair: EvalPair) -> float:
@@ -107,15 +106,16 @@ def err_proj(pair: EvalPair) -> float:
     """Average reprojection distance over the bbox diagonal.
 
     A prediction that puts any model point behind the camera is maximally
-    penalized with +inf rather than dropped.
+    penalized with +inf rather than dropped; a ground truth that does is
+    rejected.
     """
     pts = pair.points.points
-    cam = pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation
-    if np.any(cam[:, 2] <= 0):
-        return math.inf
     cam_hat = pts @ pair.gt.rotation.as_matrix().T + pair.gt.translation
     if np.any(cam_hat[:, 2] <= 0):
         raise DomainError("ground truth puts a model point behind the camera")
+    cam = pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation
+    if np.any(cam[:, 2] <= 0):
+        return math.inf
     uv = pair.pred.focal * cam[:, :2] / cam[:, 2:3]
     uv_hat = pair.gt.focal * cam_hat[:, :2] / cam_hat[:, 2:3]
     avg = np.linalg.norm(uv - uv_hat, axis=1).mean()
@@ -191,9 +191,7 @@ def lower_median(values) -> float:
     return float(v[(len(v) + 1) // 2 - 1])
 
 
-def aggregate(records, rot_threshold: float = ROT_ACC_THRESHOLD,
-              proj_threshold: float = PROJ_ACC_THRESHOLD,
-              iou_threshold: float = IOU_ACC_THRESHOLD) -> dict:
+def aggregate(records) -> dict:
     """Medians, accuracies, and fixed-bin histograms over metric records.
 
     The detection accuracy uses strict inequality (IoU larger than the
@@ -210,14 +208,14 @@ def aggregate(records, rot_threshold: float = ROT_ACC_THRESHOLD,
         "count": n,
         "medians": {f: lower_median(columns[f]) for f in fields},
         "accuracies": {
-            "acc_rot_pi6": sum(v <= rot_threshold for v in columns["e_rot"]) / n,
-            "acc_proj_0.1": sum(v <= proj_threshold for v in columns["e_proj"]) / n,
+            "acc_rot_pi6": sum(v <= ROT_ACC_THRESHOLD for v in columns["e_rot"]) / n,
+            "acc_proj_0.1": sum(v <= PROJ_ACC_THRESHOLD for v in columns["e_proj"]) / n,
         },
     }
     ious = [r.iou for r in records if r.iou is not None]
     if ious:
         summary["accuracies"]["acc_det_0.5"] = \
-            sum(v > iou_threshold for v in ious) / len(ious)
+            sum(v > IOU_ACC_THRESHOLD for v in ious) / len(ious)
 
     histograms = {}
     for f in fields:

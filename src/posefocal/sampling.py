@@ -143,15 +143,11 @@ def _bingham_moments(z: np.ndarray, with_jac: bool = False):
 def fit_bingham(quaternions) -> BinghamParams:
     """Maximum-likelihood Bingham fit to unit quaternions.
 
-    ``quaternions`` is an (N, 4) array or a list of :class:`Rotation`. The
-    frame is the eigenbasis of the antipodally symmetric scatter matrix; the
-    concentrations are solved by matching the scatter eigenvalues, clamped
-    to [-900, 0].
+    ``quaternions`` is an (N, 4) array. The frame is the eigenbasis of the
+    antipodally symmetric scatter matrix; the concentrations are solved by
+    matching the scatter eigenvalues, clamped to [-900, 0].
     """
-    if len(quaternions) and isinstance(quaternions[0], Rotation):
-        q = np.stack([r.quat for r in quaternions])
-    else:
-        q = np.asarray(quaternions, dtype=float)
+    q = np.asarray(quaternions, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4 or q.shape[0] < 5:
         raise DegenerateFitError("need at least 5 quaternions of shape (N, 4)")
     q = q / np.linalg.norm(q, axis=1, keepdims=True)
@@ -264,6 +260,10 @@ class AnnotationRecord:
     img_wh: tuple[float, float]
     bbox: BBox
 
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.translation)) and np.isfinite(self.focal)):
+            raise DomainError("translation and focal length must be finite")
+
     def to_dict(self) -> dict:
         return {
             "quat_wxyz": self.rotation.quat.tolist(),
@@ -293,8 +293,9 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
                 continue
             try:
                 records.append(AnnotationRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, DomainError) as exc:
-                raise DomainError(f"malformed annotation at line {i}: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"malformed annotation at {path} line {i}: {exc}") \
+                    from exc
     return records
 
 
@@ -539,21 +540,3 @@ def sample_refiner_noise(gt: ParamState, seed,
             return ParamState(rot, t, float(f))
     raise DomainError("refiner-noise resampling retries exhausted")
 
-
-# ---------------------------------------------------------------------------
-# Fitted-distribution serialization
-# ---------------------------------------------------------------------------
-
-def distributions_to_dict(kind: str, *, bingham: BinghamParams | None = None,
-                          xy: Gaussian2DParams | None = None,
-                          zf: Gaussian2DParams | None = None,
-                          deltas: NonparamDeltas | None = None,
-                          records=None) -> dict:
-    """Single JSON document holding a fitted distribution set."""
-    if kind == "parametric":
-        return {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
-                "zf": zf.to_dict()}
-    if kind == "nonparametric":
-        return {"kind": kind, "deltas": deltas.to_dict(),
-                "records": [r.to_dict() for r in records]}
-    raise DomainError(f"unknown distribution kind {kind!r}")

@@ -11,7 +11,7 @@ be compared under identical randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,28 +119,15 @@ class OraclePredictor:
 
 
 UPDATE_RULES = ("exact", "legacy")
+CONVERGED_TOL = 1e-6  # bound on e_rot, e_trans and e_focal of a converged trial
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    e_rot: float = 1e-6
-    e_trans: float = 1e-6
-    e_focal: float = 1e-6
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    iterations: int = 15
-    update_rule: str = "exact"
-    predictor: OraclePredictor = field(default_factory=OraclePredictor)
-    seed: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise DomainError("iteration count must be at least 1")
-        if self.update_rule not in UPDATE_RULES:
-            raise DomainError(f"unknown update rule {self.update_rule!r}")
+def _check_settings(rules, iterations: int):
+    for rule in rules:
+        if rule not in UPDATE_RULES:
+            raise DomainError(f"unknown update rule {rule!r}")
+    if iterations < 1:
+        raise DomainError("iteration count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -194,29 +181,32 @@ def _records(metrics: dict, rows) -> list[MetricRecord]:
     return [MetricRecord(*values) for values in zip(*columns, ious)]
 
 
-def _converged(metrics: dict, tol: Tolerances) -> np.ndarray:
-    return ((metrics["e_rot"] <= tol.e_rot) & (metrics["e_trans"] <= tol.e_trans)
-            & (metrics["e_focal"] <= tol.e_focal))
+def _converged(metrics: dict) -> np.ndarray:
+    return ((metrics["e_rot"] <= CONVERGED_TOL) & (metrics["e_trans"] <= CONVERGED_TOL)
+            & (metrics["e_focal"] <= CONVERGED_TOL))
 
 
-def run_refinement(config: TrialConfig, target: ParamState, bbox: BBox,
-                   points: ModelPoints, intrinsics: CameraIntrinsics,
-                   img_diag: float) -> TrialResult:
+def run_refinement(target: ParamState, bbox: BBox, points: ModelPoints,
+                   intrinsics: CameraIntrinsics, img_diag: float, *,
+                   predictor=OraclePredictor(), iterations: int = 15,
+                   update_rule: str = "exact", seed: int = 0) -> TrialResult:
     """One trial of one update rule from the standard initialization: the
     single-row case of the campaign loop, with noise drawn from
-    ``default_rng(config.seed)``."""
-    draws = np.random.default_rng(config.seed).standard_normal((config.iterations, 1, 8))
+    ``default_rng(seed)``."""
+    _check_settings((update_rule,), iterations)
+    draws = np.random.default_rng(seed).standard_normal((iterations, 1, 8))
     trajectory, final = _refine(
-        config.predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
-        np.array([config.update_rule == "legacy"]), draws, points, intrinsics, img_diag)
+        predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
+        np.array([update_rule == "legacy"]), draws, points, intrinsics, img_diag)
     return TrialResult(trajectory=[_records(m, slice(None))[0] for m in trajectory],
                        final_state=final.state(0),
-                       converged=bool(_converged(trajectory[-1], config.tolerances)[0]))
+                       converged=bool(_converged(trajectory[-1])[0]))
 
 
-def run_experiment(targets: PoseBatch, base_config: TrialConfig, points: ModelPoints,
-                   intrinsics: CameraIntrinsics, img_diag: float,
-                   variants=("exact", "legacy"), seed: int = 0,
+def run_experiment(targets: PoseBatch, points: ModelPoints,
+                   intrinsics: CameraIntrinsics, img_diag: float, *,
+                   predictor=OraclePredictor(), iterations: int = 15,
+                   variants=UPDATE_RULES, seed: int = 0,
                    keep_trajectories: bool = False) -> dict:
     """Paired campaign over the target poses, one trial per row.
 
@@ -227,22 +217,20 @@ def run_experiment(targets: PoseBatch, base_config: TrialConfig, points: ModelPo
     """
     if not targets:
         raise DomainError("campaign needs at least one target")
-    for rule in variants:
-        if rule not in UPDATE_RULES:
-            raise DomainError(f"unknown update rule {rule!r}")
+    _check_settings(variants, iterations)
     n = len(targets)
     draws = np.stack([np.random.default_rng(seed + i).standard_normal(
-        (base_config.iterations, 8)) for i in range(n)], axis=1)
+        (iterations, 8)) for i in range(n)], axis=1)
     bbox = image_boxes(camera_points(targets, points.points), intrinsics)
     if np.isnan(bbox).any():
         raise DepthError("a target puts a model point behind the camera")
     rows = np.tile(np.arange(n), len(variants))
     legacy = np.repeat([rule == "legacy" for rule in variants], n)
-    trajectory, _ = _refine(base_config.predictor, targets.take(rows), bbox[rows],
+    trajectory, _ = _refine(predictor, targets.take(rows), bbox[rows],
                             legacy, draws[:, rows], points, intrinsics, img_diag)
-    converged = _converged(trajectory[-1], base_config.tolerances)
+    converged = _converged(trajectory[-1])
 
-    report = {"n_trials": n, "iterations": base_config.iterations,
+    report = {"n_trials": n, "iterations": iterations,
               "seed": seed, "variants": {}}
     for a, rule in enumerate(variants):
         arm = slice(a * n, (a + 1) * n)

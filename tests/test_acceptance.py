@@ -16,8 +16,8 @@ from posefocal.metrics import EvalPair, err_pose, err_rot, err_trans
 from posefocal.sampling import (BinghamParams, UniformRanges, fit_bingham,
                                 fit_translation_focal, sample_bingham,
                                 sample_pose_uniform, sample_rotation_uniform)
-from posefocal.simulator import (ClampBounds, NoiseScales, TrialConfig,
-                                 OraclePredictor, run_experiment)
+from posefocal.simulator import (ClampBounds, NoiseScales, OraclePredictor,
+                                 run_experiment)
 from posefocal.update_rules import (DeltaTheta, apply_update, oracle_delta)
 
 from test_sampling import make_record
@@ -268,11 +268,9 @@ def test_update_rule_ablation():
     ranges = UniformRanges(z_range=(0.8, 1.2), f_range=(200.0, 1000.0),
                            xy_box=0.8)
     targets = sample_pose_uniform(ranges, 1000, seed=0)
-    config = TrialConfig(iterations=15,
-                         predictor=OraclePredictor(clamp=clamp,
-                                                   noise=NoiseScales()))
-    rep = run_experiment(targets, config, points, intrinsics,
-                         img_diag=800.0, seed=0)
+    rep = run_experiment(targets, points, intrinsics, img_diag=800.0,
+                         predictor=OraclePredictor(clamp=clamp, noise=NoiseScales()),
+                         iterations=15, seed=0)
     med_exact = rep["variants"]["exact"]["summary"]["medians"]
     med_legacy = rep["variants"]["legacy"]["summary"]["medians"]
     elapsed = time.perf_counter() - start

@@ -351,3 +351,72 @@ class TestMalformedJson:
         res = runner.invoke(main, ["evaluate", str(pairs), "--out",
                                    str(tmp_path / "x.json")])
         self.check(res, "pairs.jsonl line 3")
+
+    def check_clean(self, res, name):
+        assert res.exit_code == 1
+        assert name in res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+
+    TARGETS_FILE = {"kind": "file", "path": "targets.jsonl"}
+    POINTS_FILE = {"path": "points.json"}
+
+    @pytest.mark.parametrize("files, config, name", [
+        ({"targets.jsonl": '{"quat_wxyz": [1, 0, 0, 0], "focal_px": 600.0}\n'},
+         {"targets": TARGETS_FILE}, "targets.jsonl line 1"),
+        ({"targets.jsonl": "[1, 0, 0, 0]\n"}, {"targets": TARGETS_FILE},
+         "targets.jsonl line 1"),
+        ({}, {"targets": TARGETS_FILE}, "targets.jsonl"),
+        ({}, {"targets": {"kind": "uniform"}, "model_points": POINTS_FILE},
+         "points.json"),
+        ({"points.json": "[[0, 0, 0],"},
+         {"targets": {"kind": "uniform"}, "model_points": POINTS_FILE}, "points.json"),
+    ], ids=["target-missing-field", "target-not-object", "targets-missing",
+            "points-missing", "points-malformed"])
+    def test_simulate_input_fault(self, runner, tmp_path, monkeypatch, files,
+                                  config, name):
+        monkeypatch.chdir(tmp_path)
+        for fname, text in files.items():
+            (tmp_path / fname).write_text(text)
+        (tmp_path / "sim.json").write_text(json.dumps({"n_trials": 1, **config}))
+        res = runner.invoke(main, ["simulate", "--config", "sim.json", "--out",
+                                   "x.json"])
+        self.check_clean(res, name)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "parametric"},
+        {"kind": "nonparametric", "records": []},
+        [{"kind": "uniform"}],
+        {"kind": "uniform", "z_range": "ab"},
+    ], ids=["bingham-missing", "deltas-missing", "top-level-array", "z-range-string"])
+    def test_sample_input_fault(self, runner, tmp_path, doc):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--out",
+                                   str(tmp_path / "x.jsonl")])
+        self.check_clean(res, "dist.json")
+
+    @pytest.mark.parametrize("lines", [
+        ["5"],
+        ['{"model_points": [[0, 0, 0]]}'],
+    ], ids=["line-not-object", "points-header-not-object"])
+    def test_evaluate_input_fault(self, runner, tmp_path, lines):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["evaluate", str(pairs), "--out",
+                                   str(tmp_path / "x.json")])
+        self.check_clean(res, "pairs.jsonl line 1")
+
+    @pytest.mark.parametrize("field, kind", [
+        ({"quat_wxyz": ["a", 0, 0, 0]}, "parametric"),
+        ({"t_m": [float("nan"), 0, 1]}, "parametric"),
+        ({"t_m": [float("nan"), 0, 1]}, "nonparametric"),
+    ], ids=["quat-not-number", "nan-translation-parametric",
+            "nan-translation-nonparametric"])
+    def test_fit_dist_annotation_fault(self, runner, annotations, tmp_path, field,
+                                       kind):
+        lines = annotations.read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), **field})
+        annotations.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["fit-dist", str(annotations), "--kind", kind,
+                                   "--out", str(tmp_path / "x.json")])
+        self.check_clean(res, "ann.jsonl line 5")

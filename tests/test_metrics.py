@@ -110,6 +110,14 @@ class TestErrProj:
         pair = make_pair(pred, make_state(z=1.0))
         assert err_proj(pair) == math.inf
 
+    @pytest.mark.parametrize("pred_z", [1.0, 0.05])
+    def test_ground_truth_behind_camera_rejected(self, pred_z):
+        """Checked before the prediction: a prediction behind the camera too
+        must not turn the pair into a silent inf."""
+        pair = make_pair(make_state(z=pred_z), make_state(z=0.05))
+        with pytest.raises(DomainError, match="ground truth puts a model point"):
+            err_proj(pair)
+
 
 class TestEvaluateBatch:
     def test_rows_match_evaluate_pair(self):
@@ -140,6 +148,16 @@ class TestEvaluateBatch:
                 else:
                     assert got[key][i] == pytest.approx(value, rel=1e-12, abs=0.0)
         assert behind == 6
+
+    @pytest.mark.parametrize("pred_z", [1.0, 0.05])
+    def test_ground_truth_behind_camera_rejected_like_evaluate_pair(self, pred_z):
+        pred, gt = make_state(z=pred_z), make_state(z=0.05)
+        with pytest.raises(DomainError, match="ground truth puts a model point"):
+            evaluate_pair(make_pair(pred, gt))
+        with pytest.raises(DomainError, match="ground truth puts a model point"):
+            evaluate_batch(PoseBatch.from_states([pred]), PoseBatch.from_states([gt]),
+                           CUBE, np.array([GT_BBOX.as_list()]), 800.0,
+                           CameraIntrinsics(600.0, 0.0, 0.0))
 
 
 class TestAggregate:

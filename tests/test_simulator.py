@@ -13,9 +13,8 @@ from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
 from posefocal.metrics import EvalPair, evaluate_pair
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
-                                 OraclePredictor, TrialConfig,
-                                 projected_bbox, run_experiment,
-                                 run_refinement)
+                                 OraclePredictor, projected_bbox,
+                                 run_experiment, run_refinement)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update,
                                     init_state, oracle_delta,
                                     oracle_delta_batch)
@@ -33,9 +32,9 @@ def make_target(rng):
                       rng.uniform(450.0, 800.0))
 
 
-def run_one(config, target):
+def run_one(target, **settings):
     bbox = projected_bbox(target, POINTS, INTR)
-    return run_refinement(config, target, bbox, POINTS, INTR, IMG_DIAG)
+    return run_refinement(target, bbox, POINTS, INTR, IMG_DIAG, **settings)
 
 
 def batch(state, n=1):
@@ -53,7 +52,7 @@ class TestOraclePredictor:
         rng = np.random.default_rng(1)
         for _ in range(10):
             target = make_target(rng)
-            result = run_one(TrialConfig(iterations=1), target)
+            result = run_one(target, iterations=1)
             final = result.trajectory[-1]
             assert final.e_rot <= 1e-9
             assert final.e_trans <= 1e-9
@@ -62,14 +61,14 @@ class TestOraclePredictor:
 
     def test_trajectory_length_is_iterations_plus_one(self):
         rng = np.random.default_rng(2)
-        result = run_one(TrialConfig(iterations=7), make_target(rng))
+        result = run_one(make_target(rng), iterations=7)
         assert len(result.trajectory) == 8
 
     def test_noisy_oracle_with_zero_noise_is_oracle(self):
         rng = np.random.default_rng(3)
         target = make_target(rng)
         noiseless = OraclePredictor(noise=NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0))
-        result = run_one(TrialConfig(iterations=1, predictor=noiseless), target)
+        result = run_one(target, iterations=1, predictor=noiseless)
         assert result.trajectory[-1].e_trans <= 1e-9
 
     def test_noisy_focal_component_std(self):
@@ -103,12 +102,11 @@ class TestOraclePredictor:
 
     def test_clamped_oracle_long_run_converges_monotonically(self):
         rng = np.random.default_rng(6)
-        config = TrialConfig(iterations=55,
-                             predictor=OraclePredictor(
-                                 clamp=ClampBounds(20.0, 0.1, 5.0, 0.05)))
+        settings = dict(iterations=55, predictor=OraclePredictor(
+            clamp=ClampBounds(20.0, 0.1, 5.0, 0.05)))
         for _ in range(5):
             target = make_target(rng)
-            result = run_one(config, target)
+            result = run_one(target, **settings)
             e_pose = [rec.e_pose for rec in result.trajectory]
             assert all(b <= a + 1e-12 for a, b in zip(e_pose, e_pose[1:]))
             assert e_pose[-1] <= 1e-6
@@ -133,10 +131,10 @@ class TestRunRefinement:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
         target = make_target(rng)
-        config = TrialConfig(iterations=10, seed=99,
-                             predictor=OraclePredictor(noise=NoiseScales()))
-        a = run_one(config, target)
-        b = run_one(config, target)
+        settings = dict(iterations=10, seed=99,
+                        predictor=OraclePredictor(noise=NoiseScales()))
+        a = run_one(target, **settings)
+        b = run_one(target, **settings)
         for ra, rb in zip(a.trajectory, b.trajectory):
             assert ra == rb
         assert np.array_equal(a.final_state.translation,
@@ -151,8 +149,7 @@ class TestRunRefinement:
 
         rng = np.random.default_rng(9)
         target = make_target(rng)
-        config = TrialConfig(iterations=3, predictor=hostile)
-        result = run_one(config, target)
+        result = run_one(target, iterations=3, predictor=hostile)
         assert result.final_state.focal > 0
 
     def test_invalid_prediction_aborts_with_iteration_index(self):
@@ -163,9 +160,8 @@ class TestRunRefinement:
             return oracle_delta_batch(state, target)
 
         rng = np.random.default_rng(10)
-        config = TrialConfig(iterations=5, predictor=broken)
         with pytest.raises(DomainError, match="iteration 2"):
-            run_one(config, make_target(rng))
+            run_one(make_target(rng), iterations=5, predictor=broken)
 
     def test_projected_center_moves_by_prediction(self):
         rng = np.random.default_rng(11)
@@ -193,22 +189,20 @@ class TestRunExperiment:
 
     def test_single_trial_reduces_to_run_refinement(self):
         targets = self.make_targets(1, 0)
-        config = TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()),
-                             seed=0)
-        report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG,
-                                variants=("exact",), seed=3)
+        predictor = OraclePredictor(noise=NoiseScales())
+        report = run_experiment(targets, POINTS, INTR, IMG_DIAG, predictor=predictor,
+                                iterations=5, variants=("exact",), seed=3)
         bbox = projected_bbox(targets.state(0), POINTS, INTR)
-        single = run_refinement(
-            TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()), seed=3),
-            targets.state(0), bbox, POINTS, INTR, IMG_DIAG)
+        single = run_refinement(targets.state(0), bbox, POINTS, INTR, IMG_DIAG,
+                                predictor=predictor, iterations=5, seed=3)
         assert report["variants"]["exact"]["summary"]["medians"]["e_trans"] \
             == pytest.approx(single.trajectory[-1].e_trans)
 
     def test_paired_arms_share_randomness(self):
         targets = self.make_targets(10, 1)
-        config = TrialConfig(iterations=8, predictor=OraclePredictor(noise=NoiseScales()))
-        report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG,
-                                seed=7, keep_trajectories=True)
+        report = run_experiment(targets, POINTS, INTR, IMG_DIAG,
+                                predictor=OraclePredictor(noise=NoiseScales()),
+                                iterations=8, seed=7, keep_trajectories=True)
         exact = report["variants"]["exact"]["trajectories"]
         legacy = report["variants"]["legacy"]["trajectories"]
         # identical focal and rotation trajectories: those update rules are
@@ -220,32 +214,45 @@ class TestRunExperiment:
 
     def test_report_is_deterministic(self):
         targets = self.make_targets(5, 2)
-        config = TrialConfig(iterations=5, predictor=OraclePredictor(noise=NoiseScales()))
-        a = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=11)
-        b = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=11)
+        settings = dict(predictor=OraclePredictor(noise=NoiseScales()), iterations=5,
+                        seed=11)
+        a = run_experiment(targets, POINTS, INTR, IMG_DIAG, **settings)
+        b = run_experiment(targets, POINTS, INTR, IMG_DIAG, **settings)
         assert a == b
 
     def test_empty_targets_rejected(self):
-        config = TrialConfig(iterations=5)
         with pytest.raises(DomainError):
-            run_experiment([], config, POINTS, INTR, IMG_DIAG)
+            run_experiment([], POINTS, INTR, IMG_DIAG, iterations=5)
 
     def test_unknown_variant_rejected(self):
-        config = TrialConfig(iterations=5)
+        targets = self.make_targets(2, 3)
         with pytest.raises(DomainError, match="unknown update rule 'Legacy'"):
-            run_experiment(self.make_targets(2, 3), config, POINTS, INTR, IMG_DIAG,
-                           variants=("exact", "Legacy"))
+            run_experiment(targets, POINTS, INTR, IMG_DIAG,
+                           iterations=5, variants=("exact", "Legacy"))
+        with pytest.raises(DomainError, match="unknown update rule 'Legacy'"):
+            run_refinement(targets.state(0),
+                           projected_bbox(targets.state(0), POINTS, INTR),
+                           POINTS, INTR, IMG_DIAG, update_rule="Legacy")
 
     @pytest.mark.parametrize("img_diag", [0.0, -800.0])
     def test_nonpositive_image_diagonal_rejected(self, img_diag):
         targets = self.make_targets(2, 4)
-        config = TrialConfig(iterations=5)
         with pytest.raises(DomainError, match="image diagonal"):
-            run_experiment(targets, config, POINTS, INTR, img_diag)
+            run_experiment(targets, POINTS, INTR, img_diag, iterations=5)
         with pytest.raises(DomainError, match="image diagonal"):
-            run_refinement(config, targets.state(0),
+            run_refinement(targets.state(0),
                            projected_bbox(targets.state(0), POINTS, INTR),
-                           POINTS, INTR, img_diag)
+                           POINTS, INTR, img_diag, iterations=5)
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iteration_count_below_one_rejected(self, iterations):
+        targets = self.make_targets(2, 5)
+        with pytest.raises(DomainError, match="iteration count must be at least 1"):
+            run_experiment(targets, POINTS, INTR, IMG_DIAG, iterations=iterations)
+        with pytest.raises(DomainError, match="iteration count must be at least 1"):
+            run_refinement(targets.state(0),
+                           projected_bbox(targets.state(0), POINTS, INTR),
+                           POINTS, INTR, IMG_DIAG, iterations=iterations)
 
 
 def reference_trial(predictor, target, legacy, seed, iterations):
@@ -313,9 +320,8 @@ def test_campaign_matches_scalar_reference(noise):
                            xy_box=0.8)
     targets = sample_pose_uniform(ranges, 24, 4)
     predictor = OraclePredictor(noise=noise, clamp=ClampBounds(20.0, 0.1, 5.0, 0.02))
-    config = TrialConfig(iterations=10, predictor=predictor)
-    report = run_experiment(targets, config, POINTS, INTR, IMG_DIAG, seed=5,
-                            keep_trajectories=True)
+    report = run_experiment(targets, POINTS, INTR, IMG_DIAG, predictor=predictor,
+                            iterations=10, seed=5, keep_trajectories=True)
     for rule in ("exact", "legacy"):
         got = report["variants"][rule]["trajectories"]
         for i in range(len(targets)):
