@@ -27,7 +27,7 @@ from . import __version__
 from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
-from .losses import GRAD_LABELS, LossWeights, gradient_check
+from .losses import GRAD_LABELS, gradient_check
 from .metrics import METRIC_FIELDS, EvalPair, aggregate, evaluate_pair
 from .sampling import (BinghamParams, Gaussian2DParams, NonparamDeltas,
                        AnnotationRecord, UniformRanges, fit_bingham,
@@ -395,7 +395,7 @@ def _load_pairs(path) -> list[EvalPair]:
                     bbox_gt=BBox(*[float(v) for v in doc["bbox_gt"]]),
                     img_diag=float(doc["img_diag"]),
                     bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
-                               if doc.get("bbox_pred") else None),
+                               if doc.get("bbox_pred") is not None else None),
                 ))
     if not pairs:
         raise DomainError(f"no evaluation pairs in {path}")
@@ -435,15 +435,11 @@ def _random_gradcheck_case(rng: np.random.Generator):
     pts = ModelPoints(rng.uniform(-0.1, 0.1, size=(20, 3)))
     quats = rng.standard_normal((3, 4))
 
-    def state_from(q, z_lo, z_hi, f_lo, f_hi):
-        return ParamState(Rotation(q),
-                          np.array([rng.uniform(-0.3, 0.3),
-                                    rng.uniform(-0.3, 0.3),
-                                    rng.uniform(z_lo, z_hi)]),
-                          rng.uniform(f_lo, f_hi))
+    def state_from(q):
+        t = [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.8, 3.0)]
+        return ParamState(Rotation(q), np.array(t), rng.uniform(300.0, 900.0))
 
-    state = state_from(quats[0], 0.8, 3.0, 300.0, 900.0)
-    gt = state_from(quats[1], 0.8, 3.0, 300.0, 900.0)
+    state, gt = state_from(quats[0]), state_from(quats[1])
     noise = rng.normal(0.0, 0.05, size=(3, 2))
     oracle = oracle_delta(state, gt)
     delta = DeltaTheta(
@@ -461,19 +457,13 @@ def run_gradcheck(seed: int, n: int, step: float) -> dict:
     """Gradient check on random configurations; non-smooth points are flagged
     and excluded from the pass/fail decision."""
     rng = np.random.default_rng(seed)
-    weights = LossWeights()
     results = []
-    worst = 0.0
-    while len(results) < n:
-        state, delta, gt, pts = _random_gradcheck_case(rng)
-        rep = gradient_check(state, delta, gt, pts, weights, step=step)
-        entry = {"index": len(results), "smooth": rep["smooth"],
-                 "max_rel_err": rep["max_rel_err"],
-                 "per_component": dict(zip(GRAD_LABELS, rep["per_component"]))}
-        results.append(entry)
-        if rep["smooth"]:
-            worst = max(worst, rep["max_rel_err"])
+    for i in range(n):
+        rep = gradient_check(*_random_gradcheck_case(rng), step=step)
+        results.append({"index": i, "smooth": rep["smooth"], "max_rel_err": rep["max_rel_err"],
+                        "per_component": dict(zip(GRAD_LABELS, rep["per_component"]))})
     smooth = [r for r in results if r["smooth"]]
+    worst = max((r["max_rel_err"] for r in smooth), default=0.0)
     return {
         "n_points": n,
         "n_smooth": len(smooth),
@@ -511,7 +501,8 @@ def gradcheck(seed, num, step, out):
     if not report["passed"]:
         raise click.ClickException(
             f"gradient mismatch: max rel err {report['max_rel_err_smooth']:.3e} "
-            f"> {GRADCHECK_FAIL_THRESHOLD}")
+            f"> {GRADCHECK_FAIL_THRESHOLD}" if report["n_smooth"] else
+            f"no point was smooth enough to check at step {step}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ penalty on the log focal length, and a disentangled reprojection loss.
 Gradients are taken with respect to the ten scalar update components
 (vx, vy, vz, v_r1, v_r2, vf); the L1 subgradient at 0 is defined as 0.
 
+Evaluation is row-wise: one pass scores the K rows of a ``DeltaBatch``;
+``total_loss``, ``smoothness_margins`` and ``disentangled_pose_loss`` are
+one-row views, and ``gradient_check`` is one 21-row pass.
+
 Projections here use the simplified camera with the principal point at the
 origin, matching the frame the update rule is derived in.
 """
@@ -16,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DepthError, DomainError
-from .geometry import ModelPoints, ParamState, Rotation, cross3
-from .update_rules import (DeltaTheta, apply_focal_update, apply_translation_update,
-                           apply_update, oracle_delta)
+from .geometry import ModelPoints, ParamState, PoseBatch, Rotation, camera_points
+from .update_rules import (DeltaBatch, DeltaTheta, apply_update_batch, oracle_delta_batch,
+                           translation_update_batch)
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
                "v_r1_0", "v_r1_1", "v_r1_2",
@@ -41,6 +45,9 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """Loss terms and their (10,) gradients; for K rows, every field has a
+    leading axis of K."""
+
     total: float
     pose: float
     huber: float
@@ -50,68 +57,82 @@ class LossBreakdown:
     grad_huber: np.ndarray
     grad_reprojection: np.ndarray
 
+    def row(self, i: int) -> "LossBreakdown":
+        return LossBreakdown(**{k: v[i] if v.ndim == 2 else float(v[i])
+                                for k, v in vars(self).items()})
+
+
+def _rows(delta: DeltaTheta, steps: np.ndarray = np.zeros((1, 10))) -> DeltaBatch:
+    """``delta`` moved by each row of steps (K, 10), in GRAD_LABELS order."""
+    c = np.concatenate([[delta.vx, delta.vy, delta.vz], delta.v_r1, delta.v_r2,
+                        [delta.vf]]) + steps
+    return DeltaBatch(c[:, 0], c[:, 1], c[:, 2], c[:, 3:6], c[:, 6:9], c[:, 9])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise; matmul rounds as the one-row ``a @ b`` does.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0.0]])
+    x, y, z = v.T
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=1).reshape(-1, 3, 3)
 
 
 def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt rotation and its Jacobian.
+    """Row-wise Gram-Schmidt rotations and their Jacobians.
 
-    Returns (R, dR) with R (3, 3) and dR (3, 3, 6), where dR[:, :, j] is the
-    derivative of R with respect to the j-th input scalar (v1 then v2).
+    Takes vector pairs v1, v2 (K, 3) and returns (R, dR) with R (K, 3, 3) and
+    dR (K, 3, 3, 6), where dR[k, :, :, j] is the derivative of R[k] with
+    respect to the j-th input scalar of row k (v1 then v2).
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    eye = np.eye(3)
+    v1, v2, eye = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float), np.eye(3)
 
-    n1 = np.linalg.norm(v1)
-    if n1 < 1e-12:
+    n1 = np.sqrt(_dot(v1, v1))[:, None]
+    if np.any(n1 < 1e-12):
         raise DomainError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
-    de1_dv1 = (eye - np.outer(e1, e1)) / n1
+    p1 = eye - e1[:, :, None] * e1[:, None, :]
+    de1_dv1 = p1 / n1[:, :, None]
 
-    c = e1 @ v2
+    c = _dot(e1, v2)[:, None]
     w = v2 - c * e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-12:
+    nw = np.sqrt(_dot(w, w))[:, None]
+    if np.any(nw < 1e-12):
         raise DomainError("6D vectors are (numerically) parallel")
-    dw_de1 = -(np.outer(e1, v2) + c * eye)
+    dw_de1 = -(e1[:, :, None] * v2[:, None, :] + c[:, :, None] * eye)
     dw_dv1 = dw_de1 @ de1_dv1
-    dw_dv2 = eye - np.outer(e1, e1)
 
     e2 = w / nw
-    de2_dw = (eye - np.outer(e2, e2)) / nw
+    de2_dw = (eye - e2[:, :, None] * e2[:, None, :]) / nw[:, :, None]
     de2_dv1 = de2_dw @ dw_dv1
-    de2_dv2 = de2_dw @ dw_dv2
+    de2_dv2 = de2_dw @ p1
 
-    e3 = cross3(e1, e2)
+    e3 = np.cross(e1, e2)
     s1, s2 = _skew(e1), _skew(e2)
     de3_dv1 = -s2 @ de1_dv1 + s1 @ de2_dv1
     de3_dv2 = s1 @ de2_dv2
 
-    rot = np.column_stack([e1, e2, e3])
-    drot = np.zeros((3, 3, 6))
-    drot[:, 0, :3] = de1_dv1
-    drot[:, 1, :3] = de2_dv1
-    drot[:, 1, 3:] = de2_dv2
-    drot[:, 2, :3] = de3_dv1
-    drot[:, 2, 3:] = de3_dv2
+    rot = np.stack([e1, e2, e3], axis=2)
+    drot = np.stack([np.concatenate([de1_dv1, np.zeros_like(de1_dv1)], axis=2),
+                     np.concatenate([de2_dv1, de2_dv2], axis=2),
+                     np.concatenate([de3_dv1, de3_dv2], axis=2)], axis=2)
     return rot, drot
 
 
-def _huber(r: float, delta: float) -> tuple[float, float]:
-    """Huber value and derivative at residual r."""
-    if abs(r) <= delta:
-        return 0.5 * r * r, r
-    return delta * (abs(r) - 0.5 * delta), delta * np.sign(r)
+def _huber(r, delta: float):
+    """Huber values and derivatives at residuals r."""
+    quadratic = np.abs(r) <= delta
+    return (np.where(quadratic, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta)),
+            np.where(quadratic, r, delta * np.sign(r)))
 
 
 def huber_log_focal(f: float, f_hat: float, huber_delta: float = 1.0) -> float:
     """Huber penalty of log(f) - log(f_hat)."""
     if f <= 0 or f_hat <= 0:
         raise DomainError("focal lengths must be positive")
-    return _huber(float(np.log(f) - np.log(f_hat)), huber_delta)[0]
+    return float(_huber(float(np.log(f) - np.log(f_hat)), huber_delta)[0])
 
 
 def _camera_points(rot: Rotation, t: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -147,113 +168,101 @@ def point_matching_distance(a: ParamState, b: ParamState, points: ModelPoints) -
     return float(np.abs(diff).mean(axis=0).sum())
 
 
-def _pose_terms(state: ParamState, delta: DeltaTheta, gt: ParamState,
+def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
                 points: ModelPoints, drot: np.ndarray):
-    """The three disentangled point-matching terms and their gradients.
-
-    Each term applies the update with one predicted component and the
-    oracle values for all others, then measures the point-matching distance
-    to the ground-truth pose.
-    """
-    hat = oracle_delta(state, gt)
+    """Per row, the three disentangled point-matching terms and their
+    gradients. Each term applies the update with one predicted component and
+    the oracle values for all others, then measures the point-matching
+    distance to the ground-truth pose."""
+    k = len(delta.vx)
+    states = PoseBatch.from_states([state] * k)
+    hat = oracle_delta_batch(states, PoseBatch.from_states([gt] * k))
     pts = points.points
-    n = len(points)
     gt_pts = pts @ gt.rotation.as_matrix().T + gt.translation
-    m = pts @ state.rotation.as_matrix().T
+    grad = np.zeros((k, 10))
 
-    value = 0.0
-    grad = np.zeros(10)
+    def term(**predicted):
+        s = apply_update_batch(states, replace(hat, **predicted), False)
+        diff = camera_points(s, pts) - gt_pts
+        return s, diff, np.sign(diff)
 
     # x-y term: only (vx, vy) predicted.
-    s1 = apply_update(state, replace(hat, vx=delta.vx, vy=delta.vy))
-    diff1 = (pts @ s1.rotation.as_matrix().T + s1.translation) - gt_pts
-    value += float(np.abs(diff1).mean(axis=0).sum())
-    sg1 = np.sign(diff1)
-    grad[0] = sg1[:, 0].mean() * s1.translation[2] / s1.focal
-    grad[1] = sg1[:, 1].mean() * s1.translation[2] / s1.focal
+    s1, diff1, sg1 = term(vx=delta.vx, vy=delta.vy)
+    grad[:, :2] = sg1[:, :, :2].mean(axis=1) * s1.translation[:, 2:] / s1.focal[:, None]
 
     # depth term: only vz predicted.
-    s2 = apply_update(state, replace(hat, vz=delta.vz))
-    diff2 = (pts @ s2.rotation.as_matrix().T + s2.translation) - gt_pts
-    value += float(np.abs(diff2).mean(axis=0).sum())
-    grad[2] = np.sign(diff2).mean(axis=0) @ (s2.translation / delta.vz)
+    s2, diff2, sg2 = term(vz=delta.vz)
+    grad[:, 2] = _dot(sg2.mean(axis=1), s2.translation / delta.vz[:, None])
 
     # rotation term: only the 6D rotation predicted.
-    s3 = apply_update(state, replace(hat, v_r1=delta.v_r1, v_r2=delta.v_r2))
-    diff3 = (pts @ s3.rotation.as_matrix().T + s3.translation) - gt_pts
-    value += float(np.abs(diff3).mean(axis=0).sum())
-    sg3 = np.sign(diff3)
-    for j in range(6):
-        grad[3 + j] = np.einsum("ni,ni->", sg3, m @ drot[:, :, j].T) / n
+    _, diff3, sg3 = term(v_r1=delta.v_r1, v_r2=delta.v_r2)
+    m = pts @ state.rotation.as_matrix().T
+    grad[:, 3:9] = np.einsum("kni,kjni->kj", sg3, m @ drot.transpose(0, 3, 2, 1)) / len(pts)
 
-    return value, grad, (diff1, diff2, diff3)
+    diffs = (diff1, diff2, diff3)
+    return sum(np.abs(d).mean(axis=1).sum(axis=1) for d in diffs), grad, diffs
 
 
 def disentangled_pose_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
                            points: ModelPoints) -> float:
     """Sum of the three disentangled point-matching terms."""
-    _, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
-    value, _, _ = _pose_terms(state, delta, gt, points, drot)
-    return value
+    rows = _rows(delta)
+    drot = rotation_6d_jacobian(rows.v_r1, rows.v_r2)[1]
+    return float(_pose_terms(state, rows, gt, points, drot)[0][0])
 
 
-def _evaluate(state: ParamState, delta: DeltaTheta, gt: ParamState,
+def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
               points: ModelPoints, weights: LossWeights):
-    """The loss breakdown, and the residuals at whose zeros the loss kinks.
-
-    The residuals are (diff_a, df, pose_diffs, r): the pixel residuals of
-    the reprojection pose half, the updated minus the ground-truth focal
-    (each residual of the focal half is df times a fixed factor), the
-    residuals of the three point-matching terms, and the Huber residual.
-    """
+    """The loss breakdown of each of the K rows of ``delta``, and the
+    residuals at whose zeros the loss kinks, (diff_a, df, pose_diffs, r),
+    each with a leading axis of K: the pixel residuals of the reprojection
+    pose half, the updated minus the ground-truth focal (each residual of the
+    focal half is df times a fixed factor), the residuals of the three
+    point-matching terms, and the Huber residual."""
     pts = points.points
     f_hat = gt.focal
+    k = len(delta.vx)
 
     rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
 
     # Huber on the log focal length.
     r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
     huber, dh = _huber(r, weights.huber_delta)
-    grad_huber = np.zeros(10)
-    grad_huber[9] = dh
+    grad_huber = np.zeros((k, 10))
+    grad_huber[:, 9] = dh
 
     # Reprojection, pose part: predicted rotation and a translation updated
     # with the ground-truth focal. That update is linear in vz, so its
     # vz-derivative is the update at vz = 1.
-    t_pose = apply_translation_update(state, delta, f_hat)
-    dt_dvz = apply_translation_update(state, replace(delta, vz=1.0), f_hat)
+    t = state.translation[None]
+    t_pose = translation_update_batch(t, state.focal, delta, f_hat)
+    dt_dvz = translation_update_batch(t, state.focal, replace(delta, vz=np.ones(k)), f_hat)
     m = pts @ state.rotation.as_matrix().T
-    cam = m @ rot_u.T + t_pose
-    if np.any(cam[:, 2] <= 0):
+    cam = m @ rot_u.transpose(0, 2, 1) + t_pose[:, None, :]
+    if np.any(cam[..., 2] <= 0):
         raise DepthError("updated pose puts a model point behind the camera")
     cam_hat = _camera_points(gt.rotation, gt.translation, pts)
-    uv = f_hat * cam[:, :2] / cam[:, 2:3]
+    depth = cam[..., 2:]
+    uv = f_hat * cam[..., :2] / depth
     uv_hat = f_hat * cam_hat[:, :2] / cam_hat[:, 2:3]
     diff_a = uv - uv_hat
-    term_a = float(np.abs(diff_a).sum())
     sgn = np.sign(diff_a)
-    gq = np.empty_like(cam)
-    gq[:, 0] = sgn[:, 0] * f_hat / cam[:, 2]
-    gq[:, 1] = sgn[:, 1] * f_hat / cam[:, 2]
-    gq[:, 2] = -(sgn[:, 0] * uv[:, 0] + sgn[:, 1] * uv[:, 1]) / cam[:, 2]
-    grad_a = np.zeros(10)
-    gq_sum = gq.sum(axis=0)
-    grad_a[0] = gq_sum[0] * t_pose[2] / f_hat
-    grad_a[1] = gq_sum[1] * t_pose[2] / f_hat
-    grad_a[2] = gq_sum @ dt_dvz
-    for j in range(6):
-        grad_a[3 + j] = np.einsum("ni,ni->", gq, m @ drot[:, :, j].T)
+    gq = np.concatenate([sgn * f_hat / depth, -(sgn * uv).sum(axis=2, keepdims=True) / depth],
+                        axis=2)
+    grad_reproj = np.zeros((k, 10))  # halved below, with the focal part's
+    gq_sum = gq.sum(axis=1)
+    grad_reproj[:, :2] = gq_sum[:, :2] * t_pose[:, 2:] / f_hat
+    grad_reproj[:, 2] = _dot(gq_sum, dt_dvz)
+    grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, m @ drot.transpose(0, 3, 2, 1))
 
-    # Reprojection, focal part: predicted focal at the ground-truth pose.
-    f_new = apply_focal_update(state.focal, delta.vf)
-    uv_f = f_new * cam_hat[:, :2] / cam_hat[:, 2:3]
+    # Reprojection, focal part: predicted focal (the multiplicative update)
+    # at the ground-truth pose.
+    f_new = np.exp(delta.vf) * state.focal
+    uv_f = f_new[:, None, None] * cam_hat[:, :2] / cam_hat[:, 2:3]
     diff_b = uv_f - uv_hat
-    term_b = float(np.abs(diff_b).sum())
-    grad_b = np.zeros(10)
-    grad_b[9] = float((np.sign(diff_b) * uv_f).sum())
-
-    reproj = 0.5 * (term_a + term_b)
-    grad_reproj = 0.5 * (grad_a + grad_b)
+    grad_reproj[:, 9] = (np.sign(diff_b) * uv_f).sum(axis=(1, 2))
+    reproj = 0.5 * (np.abs(diff_a).sum(axis=(1, 2)) + np.abs(diff_b).sum(axis=(1, 2)))
+    grad_reproj *= 0.5
 
     # Disentangled pose loss.
     pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, drot)
@@ -261,10 +270,8 @@ def _evaluate(state: ParamState, delta: DeltaTheta, gt: ParamState,
     a, b = weights.alpha, weights.beta
     total = pose + a * (b * huber + reproj)
     grad_total = grad_pose + a * (b * grad_huber + grad_reproj)
-    breakdown = LossBreakdown(total=total, pose=pose, huber=huber, reprojection=reproj,
-                              grad_total=grad_total, grad_pose=grad_pose,
-                              grad_huber=grad_huber, grad_reprojection=grad_reproj)
-    return breakdown, (diff_a, f_new - f_hat, pose_diffs, r)
+    return (LossBreakdown(total, pose, huber, reproj, grad_total, grad_pose, grad_huber,
+                          grad_reproj), (diff_a, f_new - f_hat, pose_diffs, r))
 
 
 def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
@@ -275,15 +282,7 @@ def total_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
     the ground-truth focal length fed into the translation update, so it
     carries no dependence on vf; its focal term uses the ground-truth pose.
     """
-    return _evaluate(state, delta, gt, points, weights)[0]
-
-
-def _perturbed(delta: DeltaTheta, index: int, h: float) -> DeltaTheta:
-    vals = [delta.vx, delta.vy, delta.vz,
-            *delta.v_r1.tolist(), *delta.v_r2.tolist(), delta.vf]
-    vals[index] += h
-    return DeltaTheta(vals[0], vals[1], vals[2],
-                      np.array(vals[3:6]), np.array(vals[6:9]), vals[9])
+    return _evaluate(state, _rows(delta), gt, points, weights)[0].row(0)
 
 
 def smoothness_margins(state: ParamState, delta: DeltaTheta, gt: ParamState,
@@ -299,15 +298,16 @@ def smoothness_margins(state: ParamState, delta: DeltaTheta, gt: ParamState,
     the updated focal equals the ground truth, so that family contributes
     one margin.
     """
-    return _margins(_evaluate(state, delta, gt, points, weights)[1], weights)
+    return _margins(_evaluate(state, _rows(delta), gt, points, weights)[1], weights)
 
 
 def _margins(residuals, weights: LossWeights) -> dict:
+    """The margins of row 0."""
     diff_a, df, (diff1, diff2, diff3), r = residuals
-    return {"pixel": float(min(np.abs(diff_a).min(), abs(df))),
-            "metric": float(min(np.abs(diff1[:, :2]).min(), np.abs(diff2).min(),
-                                np.abs(diff3).min())),
-            "huber": float(abs(abs(r) - weights.huber_delta))}
+    return {"pixel": float(min(np.abs(diff_a[0]).min(), abs(df[0]))),
+            "metric": float(min(np.abs(diff1[0, :, :2]).min(), np.abs(diff2[0]).min(),
+                                np.abs(diff3[0]).min())),
+            "huber": float(abs(abs(r[0]) - weights.huber_delta))}
 
 
 def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
@@ -315,25 +315,25 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
                    step: float = 1e-6) -> dict:
     """Central-difference check of the analytic total-loss gradient.
 
-    A point too close to an L1 or Huber kink is flagged ``smooth: False``
-    (diagnostic, not a failure); relative errors are still reported.
+    One 21-row evaluation: row 0 is ``delta``, rows 2i+1 and 2i+2 move its
+    component i by +step and -step. A point too close to an L1 or Huber kink
+    is flagged ``smooth: False`` (diagnostic, not a failure); relative
+    errors are still reported.
     """
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step}")
+    steps = np.zeros((21, 10))
+    steps[1::2], steps[2::2] = step * np.eye(10), -step * np.eye(10)
+    breakdown, residuals = _evaluate(state, _rows(delta, steps), gt, points, weights)
     # A kink only invalidates central differences when a residual crosses
     # zero within +-step times its sensitivity; thresholds scale with the
     # step and leave an order of magnitude of safety.
-    breakdown, residuals = _evaluate(state, delta, gt, points, weights)
     margins = _margins(residuals, weights)
     smooth = bool(margins["pixel"] > 1e3 * step and margins["metric"] > 20 * step
                   and margins["huber"] > 1e3 * step and delta.vz > 2 * step)
 
-    analytic = breakdown.grad_total
-    numeric = np.zeros(10)
-    for i in range(10):
-        lp = total_loss(state, _perturbed(delta, i, step), gt, points, weights).total
-        lm = total_loss(state, _perturbed(delta, i, -step), gt, points, weights).total
-        numeric[i] = (lp - lm) / (2 * step)
+    analytic = breakdown.grad_total[0]
+    numeric = (breakdown.total[1::2] - breakdown.total[2::2]) / (2 * step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     return {

@@ -179,17 +179,25 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
         raise DomainError(f"focal length must be positive, got {f.min()}")
     f_new = np.exp(delta.vf) * f
     quat = quat_multiply(quats_from_6d(delta.v_r1, delta.v_r2), state.quat)
-    x, y, z = state.translation.T
+    return PoseBatch(quat, translation_update_batch(state.translation, f, delta, f_new,
+                                                    legacy), f_new)
+
+
+def translation_update_batch(translation: np.ndarray, f, delta: DeltaBatch, f_new,
+                             legacy=False) -> np.ndarray:
+    """Row-wise :func:`apply_translation_update` (the legacy rule where ``legacy``)
+    of translations (N, 3) at focals f; one translation row fits N updates."""
+    x, y, z = translation.T
     if np.any(z <= 0):
         raise DomainError(f"object depth must be positive, got {z.min()}")
     if np.any(f_new <= 0):
-        raise DomainError(f"updated focal must be positive, got {f_new.min()}")
+        raise DomainError(f"updated focal must be positive, got {np.min(f_new)}")
     z_new = delta.vz * z
     x_new = np.where(legacy, (delta.vx / f_new + x / z) * z_new,
                      (delta.vx + f * x / z) * z_new / f_new)
     y_new = np.where(legacy, (delta.vy / f_new + y / z) * z_new,
                      (delta.vy + f * y / z) * z_new / f_new)
-    return PoseBatch(quat, np.column_stack([x_new, y_new, z_new]), f_new)
+    return np.column_stack([x_new, y_new, z_new])
 
 
 def oracle_delta_batch(state: PoseBatch, target: PoseBatch) -> DeltaBatch:

@@ -257,6 +257,14 @@ class TestEvaluate:
         assert "pair 1" in res.output
         assert "missing" in res.output
 
+    def test_null_predicted_box_means_no_box(self, runner, tmp_path):
+        path = self.write_pairs(tmp_path, [self.header(),
+                                           dict(self.pair(), bbox_pred=None)])
+        out = tmp_path / "eval.json"
+        res = runner.invoke(main, ["evaluate", str(path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert load_output(out)["records"][0]["iou"] is None
+
     def test_csv_output(self, runner, tmp_path):
         path = self.write_pairs(tmp_path, [self.header(), self.pair()])
         out = tmp_path / "eval.csv"
@@ -288,12 +296,24 @@ class TestGradcheck:
         (["-n", "2", "--step=-1e-6"], "--step"),
         (["-n", "2", "--step", "nan"], "--step"),
         (["-n", "0"], "-n"),
+        (["-n", "2", "--step", "10"], "--step"),
     ])
     def test_rejects_step_and_count_it_cannot_check(self, runner, args, option):
         res = runner.invoke(main, ["gradcheck", *args])
         assert res.exit_code != 0
         assert isinstance(res.exception, SystemExit), res.exception
         assert f"'{option}'" in res.output
+
+    def test_no_smooth_point_is_not_reported_as_a_mismatch(self, runner, tmp_path):
+        out = tmp_path / "grad.json"
+        res = runner.invoke(main, ["gradcheck", "-n", "2", "--step", "0.3",
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "no point was smooth enough to check" in res.output
+        assert "gradient mismatch" not in res.output
+        report = load_output(out)["report"]
+        assert report["n_smooth"] == 0 and report["passed"] is False
 
 
 class TestDeterminism:
@@ -395,10 +415,16 @@ class TestMalformedJson:
                                    str(tmp_path / "x.jsonl")])
         self.check_clean(res, "dist.json")
 
+    PAIR = {"pred": TestEvaluate.GT, "gt": TestEvaluate.GT, "points": [[0, 0, 0]],
+            "bbox_gt": [0, 0, 60, 80], "img_diag": 800.0}
+
     @pytest.mark.parametrize("lines", [
         ["5"],
         ['{"model_points": [[0, 0, 0]]}'],
-    ], ids=["line-not-object", "points-header-not-object"])
+        [json.dumps({**PAIR, "bbox_pred": []})],
+        [json.dumps({**PAIR, "bbox_pred": 0})],
+    ], ids=["line-not-object", "points-header-not-object", "bbox-pred-empty",
+            "bbox-pred-zero"])
     def test_evaluate_input_fault(self, runner, tmp_path, lines):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("\n".join(lines) + "\n")

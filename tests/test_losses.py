@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from posefocal.geometry import ModelPoints, ParamState, Rotation
-from posefocal.losses import (GRAD_LABELS, LossWeights,
+from posefocal.losses import (GRAD_LABELS, LossWeights, _evaluate,
                               disentangled_pose_loss,
                               disentangled_reprojection_loss, gradient_check,
                               huber_log_focal, point_matching_distance,
                               reprojection_loss, rotation_6d_jacobian,
                               smoothness_margins, total_loss)
-from posefocal.update_rules import DeltaTheta, apply_update, oracle_delta
+from posefocal.update_rules import DeltaBatch, DeltaTheta, apply_update, oracle_delta
 
 ORIGIN_POINT = ModelPoints(np.zeros((1, 3)))
 
@@ -274,15 +274,15 @@ class TestGradients:
         h = 1e-7
         for _ in range(20):
             v1, v2 = rng.standard_normal((2, 3))
-            r, dr = rotation_6d_jacobian(v1, v2)
+            (r,), (dr,) = rotation_6d_jacobian(v1[None], v2[None])
             flat = np.concatenate([v1, v2])
             for j in range(6):
                 dp = flat.copy()
                 dm = flat.copy()
                 dp[j] += h
                 dm[j] -= h
-                rp, _ = rotation_6d_jacobian(dp[:3], dp[3:])
-                rm, _ = rotation_6d_jacobian(dm[:3], dm[3:])
+                (rp,), _ = rotation_6d_jacobian(dp[None, :3], dp[None, 3:])
+                (rm,), _ = rotation_6d_jacobian(dm[None, :3], dm[None, 3:])
                 num = (rp - rm) / (2 * h)
                 assert np.allclose(dr[:, :, j], num, atol=1e-5)
 
@@ -315,3 +315,46 @@ class TestGradients:
 
     def test_grad_labels_cover_ten_components(self):
         assert len(GRAD_LABELS) == 10
+
+
+class TestRowWiseEvaluation:
+    """Row k of a K-row evaluation is the one-row loss of row k's update."""
+
+    FIELDS = ("total", "pose", "huber", "reprojection",
+              "grad_total", "grad_pose", "grad_huber", "grad_reprojection")
+
+    def test_rows_match_one_row_total_loss(self):
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            state, _, gt, pts = random_case(rng)
+            deltas = [random_case(rng)[1] for _ in range(21)]
+            batch = DeltaBatch([d.vx for d in deltas], [d.vy for d in deltas],
+                               [d.vz for d in deltas], [d.v_r1 for d in deltas],
+                               [d.v_r2 for d in deltas], [d.vf for d in deltas])
+            rows, _ = _evaluate(state, batch, gt, pts, LossWeights())
+            for k, delta in enumerate(deltas):
+                one = total_loss(state, delta, gt, pts)
+                for field in self.FIELDS:
+                    np.testing.assert_allclose(getattr(rows, field)[k],
+                                               getattr(one, field),
+                                               rtol=1e-12, atol=0, err_msg=field)
+
+    def test_numeric_gradient_is_central_differences_of_total_loss(self):
+        rng = np.random.default_rng(16)
+        h = 1e-6
+        for _ in range(5):
+            state, delta, gt, pts = random_case(rng)
+            flat = np.concatenate([[delta.vx, delta.vy, delta.vz], delta.v_r1,
+                                   delta.v_r2, [delta.vf]])
+            expected = []
+            for i in range(10):
+                moved = []
+                for sign in (1, -1):
+                    c = flat.copy()
+                    c[i] += sign * h
+                    moved.append(total_loss(state, DeltaTheta(
+                        c[0], c[1], c[2], c[3:6], c[6:9], c[9]), gt, pts).total)
+                expected.append((moved[0] - moved[1]) / (2 * h))
+            numeric = gradient_check(state, delta, gt, pts, step=h)["numeric"]
+            np.testing.assert_allclose([numeric[k] for k in GRAD_LABELS], expected,
+                                       rtol=0, atol=1e-8)
