@@ -98,8 +98,10 @@ def _reading(where: str):
     line of a JSON-lines file."""
     try:
         yield
-    except DomainError:
-        raise
+    except DomainError as exc:
+        if str(exc).startswith(where):  # named by a nested _reading
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{where}: malformed JSON: {exc}") from exc
     except KeyError as exc:
@@ -367,7 +369,7 @@ def _load_pairs(path) -> list[EvalPair]:
     """
     point_sets: dict[str, ModelPoints] = {}
     pairs = []
-    with open(path) as fh:
+    with open(path) as fh, np.errstate(over="ignore"):  # Rotation rejects the overflow
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

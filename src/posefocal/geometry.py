@@ -8,6 +8,7 @@ meters. Angles are radians unless a name carries a ``_deg`` suffix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,47 +16,30 @@ import numpy as np
 
 from .errors import DegenerateInputError, DepthError, DomainError
 
-_UNIT_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
 
 
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2*y*y - 2*z*z, 2*x*y - 2*w*z, 2*x*z + 2*w*y],
-        [2*x*y + 2*w*z, 1 - 2*x*x - 2*z*z, 2*y*z - 2*w*x],
-        [2*x*z - 2*w*y, 2*y*z + 2*w*x, 1 - 2*x*x - 2*y*y],
-    ])
+# The one-pose path computes on Python floats, which round as NumPy scalars do. Dot products
+# stay NumPy ``dot`` (BLAS's summation order); exp, log, arcsin and hypot stay NumPy calls.
 
-
-def _matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    # Shepperd's method: pick the numerically largest pivot.
-    t = np.trace(m)
+def _matrix_to_quat(m) -> np.ndarray:
+    # Shepperd's method on the rows of m: pick the numerically largest pivot.
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    t = m00 + m11 + m22
     if t > 0:
-        s = 0.5 / np.sqrt(t + 1.0)
-        q = np.array([0.25 / s,
-                      (m[2, 1] - m[1, 2]) * s,
-                      (m[0, 2] - m[2, 0]) * s,
-                      (m[1, 0] - m[0, 1]) * s])
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = np.array([(m[2, 1] - m[1, 2]) / s,
-                      0.25 * s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      (m[0, 2] + m[2, 0]) / s])
-    elif m[1, 1] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        q = np.array([(m[0, 2] - m[2, 0]) / s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      0.25 * s,
-                      (m[1, 2] + m[2, 1]) / s])
+        s = 0.5 / math.sqrt(t + 1.0)
+        q = [0.25 / s, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s]
+    elif m00 > m11 and m00 > m22:
+        s = 2.0 * math.sqrt(1.0 + m00 - m11 - m22)
+        q = [(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s]
+    elif m11 > m22:
+        s = 2.0 * math.sqrt(1.0 + m11 - m00 - m22)
+        q = [(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s]
     else:
-        s = 2.0 * np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        q = np.array([(m[1, 0] - m[0, 1]) / s,
-                      (m[0, 2] + m[2, 0]) / s,
-                      (m[1, 2] + m[2, 1]) / s,
-                      0.25 * s])
-    return q / np.linalg.norm(q)
+        s = 2.0 * math.sqrt(1.0 + m22 - m00 - m11)
+        q = [(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s]
+    q = np.array(q)
+    return q / math.sqrt(q.dot(q))
 
 
 @dataclass(frozen=True)
@@ -71,8 +55,8 @@ class Rotation:
         q = np.asarray(self.quat, dtype=float)
         if q.shape != (4,):
             raise DomainError(f"quaternion must have 4 components, got shape {q.shape}")
-        n = np.linalg.norm(q)
-        if not np.isfinite(n) or n < _DEGENERATE_TOL:
+        n = math.sqrt(q.dot(q))
+        if not _DEGENERATE_TOL <= n < math.inf:
             raise DegenerateInputError("quaternion norm is zero or non-finite")
         object.__setattr__(self, "quat", q / n)
 
@@ -87,7 +71,7 @@ class Rotation:
             raise DomainError("rotation matrix must be 3x3")
         if np.abs(m @ m.T - np.eye(3)).max() > 1e-6 or np.linalg.det(m) < 0:
             raise DomainError("matrix is not a proper rotation")
-        return cls(_matrix_to_quat(m))
+        return cls(_matrix_to_quat(m.tolist()))
 
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
@@ -95,27 +79,31 @@ class Rotation:
         n = np.linalg.norm(axis)
         if n < _DEGENERATE_TOL:
             raise DegenerateInputError("rotation axis is a zero vector")
-        axis = axis / n
         half = 0.5 * angle
-        return cls(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
+        return cls(np.concatenate([[np.cos(half)], np.sin(half) * (axis / n)]))
 
     def as_matrix(self) -> np.ndarray:
-        return _quat_to_matrix(self.quat)
+        w, x, y, z = self.quat.tolist()
+        return np.array((
+            (1 - 2*y*y - 2*z*z, 2*x*y - 2*w*z, 2*x*z + 2*w*y),
+            (2*x*y + 2*w*z, 1 - 2*x*x - 2*z*z, 2*y*z - 2*w*x),
+            (2*x*z - 2*w*y, 2*y*z + 2*w*x, 1 - 2*x*x - 2*y*y),
+        ))
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self.quat
-        return Rotation(np.array([w, -x, -y, -z]))
+        w, x, y, z = self.quat.tolist()
+        return Rotation([w, -x, -y, -z])
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         """Composition: (self @ other) applies ``other`` first."""
-        w1, x1, y1, z1 = self.quat
-        w2, x2, y2, z2 = other.quat
-        return Rotation(np.array([
+        w1, x1, y1, z1 = self.quat.tolist()
+        w2, x2, y2, z2 = other.quat.tolist()
+        return Rotation([
             w1*w2 - x1*x2 - y1*y2 - z1*z2,
             w1*x2 + x1*w2 + y1*z2 - z1*y2,
             w1*y2 - x1*z2 + y1*w2 + z1*x2,
             w1*z2 + x1*y2 - y1*x2 + z1*w2,
-        ]))
+        ])
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,7 @@ class CameraIntrinsics:
     cy: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.focal) and self.focal > 0):
+        if not (math.isfinite(self.focal) and self.focal > 0):
             raise DomainError(f"focal length must be positive, got {self.focal}")
 
 
@@ -170,10 +158,10 @@ class ParamState:
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
+        if t.shape != (3,) or not all(map(math.isfinite, t.tolist())):
             raise DomainError("translation must be a finite 3-vector")
         object.__setattr__(self, "translation", t)
-        if not (np.isfinite(self.focal) and self.focal > 0):
+        if not (math.isfinite(self.focal) and self.focal > 0):
             raise DomainError(f"focal length must be positive, got {self.focal}")
 
     def to_dict(self) -> dict:
@@ -185,9 +173,7 @@ class ParamState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamState":
-        return cls(Rotation(np.asarray(d["quat_wxyz"], dtype=float)),
-                   np.asarray(d["t_m"], dtype=float),
-                   float(d["focal_px"]))
+        return cls(Rotation(d["quat_wxyz"]), d["t_m"], float(d["focal_px"]))
 
 
 class ModelPoints:
@@ -240,48 +226,47 @@ def project_points(intrinsics: CameraIntrinsics, rotation: Rotation,
     :class:`DepthError` naming the first point with non-positive depth.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    if pts.ndim == 1:
+        return project_point(intrinsics, rotation, translation, pts)
     cam = pts @ rotation.as_matrix().T + np.asarray(translation, dtype=float)
     bad = np.nonzero(cam[:, 2] <= 0)[0]
     if bad.size:
         raise DepthError(f"point {bad[0]} has non-positive depth {cam[bad[0], 2]:.6g}")
-    uv = intrinsics.focal * cam[:, :2] / cam[:, 2:3] + np.array([intrinsics.cx, intrinsics.cy])
-    return uv[0] if single else uv
+    return intrinsics.focal * cam[:, :2] / cam[:, 2:3] + np.array([intrinsics.cx, intrinsics.cy])
 
 
 def project_point(intrinsics: CameraIntrinsics, rotation: Rotation,
                   translation: np.ndarray, point) -> np.ndarray:
     """Project a single 3D point; see :func:`project_points`."""
-    return project_points(intrinsics, rotation, translation, np.asarray(point, dtype=float))
+    x, y, z = (rotation.as_matrix().dot(np.asarray(point, dtype=float)) + translation).tolist()
+    if z <= 0:
+        raise DepthError(f"point 0 has non-positive depth {z:.6g}")
+    f = intrinsics.focal
+    return np.array([f * x / z + intrinsics.cx, f * y / z + intrinsics.cy])
 
 
 def rotation_from_6d(v1, v2) -> Rotation:
     """Build a rotation from two 3-vectors by Gram-Schmidt orthogonalization.
 
     Column 1 is normalize(v1), column 2 the orthogonalized v2, column 3 their
-    cross product.
+    cross product: orthonormal by construction, so no orthogonality check runs.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    n1 = np.linalg.norm(v1)
+    n1 = math.sqrt(v1.dot(v1))
     if n1 < _DEGENERATE_TOL:
         raise DegenerateInputError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
-    w = v2 - (v2 @ e1) * e1
-    nw = np.linalg.norm(w)
+    w = v2 - v2.dot(e1) * e1
+    nw = math.sqrt(w.dot(w))
     if nw < _DEGENERATE_TOL:
         raise DegenerateInputError("6D vectors are (numerically) parallel")
-    e2 = w / nw
-    e3 = cross3(e1, e2)
-    return Rotation.from_matrix(np.column_stack([e1, e2, e3]))
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors, written out (np.cross is ~15x slower here)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    if n1 == math.inf or nw == math.inf:  # overflow: a column is zero
+        raise DomainError("matrix is not a proper rotation")
+    (a0, a1, a2), (b0, b1, b2) = e1.tolist(), (w / nw).tolist()
+    return Rotation(_matrix_to_quat(((a0, b0, a1 * b2 - a2 * b1),
+                                     (a1, b1, a2 * b0 - a0 * b2),
+                                     (a2, b2, a0 * b1 - a1 * b0))))
 
 
 def geodesic_distance(ra: Rotation, rb: Rotation) -> float:

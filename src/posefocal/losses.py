@@ -174,28 +174,34 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     gradients. Each term applies the update with one predicted component and
     the oracle values for all others, then measures the point-matching
     distance to the ground-truth pose."""
-    k = len(delta.vx)
-    states = PoseBatch.from_states([state] * k)
-    hat = oracle_delta_batch(states, PoseBatch.from_states([gt] * k))
+    # One row each for the state, the oracle update and the oracle pose,
+    # broadcast against the K rows; the x-y and depth terms share its rotation.
+    one = PoseBatch.from_states([state])
+    hat = oracle_delta_batch(one, PoseBatch.from_states([gt]))
+    oracle = apply_update_batch(one, hat, False)
     pts = points.points
     gt_pts = pts @ gt.rotation.as_matrix().T + gt.translation
-    grad = np.zeros((k, 10))
+    grad = np.zeros((len(delta.vx), 10))
 
-    def term(**predicted):
-        s = apply_update_batch(states, replace(hat, **predicted), False)
+    def term(s: PoseBatch):
         diff = camera_points(s, pts) - gt_pts
         return s, diff, np.sign(diff)
 
+    def translation_only(**predicted) -> PoseBatch:
+        return replace(oracle, translation=translation_update_batch(
+            one.translation, one.focal, replace(hat, **predicted), oracle.focal))
+
     # x-y term: only (vx, vy) predicted.
-    s1, diff1, sg1 = term(vx=delta.vx, vy=delta.vy)
+    s1, diff1, sg1 = term(translation_only(vx=delta.vx, vy=delta.vy))
     grad[:, :2] = sg1[:, :, :2].mean(axis=1) * s1.translation[:, 2:] / s1.focal[:, None]
 
     # depth term: only vz predicted.
-    s2, diff2, sg2 = term(vz=delta.vz)
+    s2, diff2, sg2 = term(translation_only(vz=delta.vz))
     grad[:, 2] = _dot(sg2.mean(axis=1), s2.translation / delta.vz[:, None])
 
     # rotation term: only the 6D rotation predicted.
-    _, diff3, sg3 = term(v_r1=delta.v_r1, v_r2=delta.v_r2)
+    _, diff3, sg3 = term(apply_update_batch(one, replace(hat, v_r1=delta.v_r1,
+                                                         v_r2=delta.v_r2), False))
     m = pts @ state.rotation.as_matrix().T
     grad[:, 3:9] = np.einsum("kni,kjni->kj", sg3, m @ drot.transpose(0, 3, 2, 1)) / len(pts)
 

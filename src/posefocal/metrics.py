@@ -2,9 +2,9 @@
 
 Six per-image errors: rotation geodesic angle, normalized translation,
 normalized point-matching, relative focal length, bbox-normalized
-reprojection, and detection IoU. Medians use the lower-median convention
-for even counts.
-"""
+reprojection, and detection IoU; ``evaluate_pair`` scores one pair, forming
+its two camera-frame clouds once, and ``evaluate_batch`` scores N rows.
+Medians use the lower-median convention for even counts."""
 
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ class EvalPair:
     bbox_pred: BBox | None = None
 
     def __post_init__(self):
-        if self.img_diag <= 0:
-            raise DomainError("image diagonal must be positive")
+        if not (math.isfinite(self.img_diag) and self.img_diag > 0):
+            raise DomainError(f"image diagonal must be finite and positive, got {self.img_diag}")
 
 
 @dataclass(frozen=True)
@@ -65,36 +65,49 @@ class MetricRecord:
 def err_rot(pair: EvalPair) -> float:
     """Geodesic rotation angle between prediction and ground truth.
 
-    Computed as 2*arcsin(|v|) of the relative quaternion, which is off by up
-    to about 4e-8 rad within about 1e-3 rad of pi; :func:`geodesic_distance`
-    uses the exact 2*atan2(|v|, |w|). The benchmark's ``score`` checks treat
-    this loss as a known fault and its smoke tests expect it, so e_rot moves
-    to :func:`geodesic_distance` together with those checks.
+    Computed as 2*arcsin(|v|) of the relative quaternion, off by up to about
+    4e-8 rad within about 1e-3 rad of pi, where :func:`geodesic_distance`'s
+    2*atan2(|v|, |w|) is exact. The benchmark's ``score`` checks expect this
+    known fault, so e_rot moves to :func:`geodesic_distance` with them.
     """
-    q_rel = (pair.pred.rotation.inverse() @ pair.gt.rotation).quat
-    return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(q_rel[1:]))))
+    v = (pair.pred.rotation.inverse() @ pair.gt.rotation).quat[1:]
+    return float(2.0 * np.arcsin(min(1.0, math.sqrt(v.dot(v)))))
+
+
+def _gt_distance(pair: EvalPair) -> float:
+    t_hat = pair.gt.translation
+    norm = math.sqrt(t_hat.dot(t_hat))
+    if norm <= 0:
+        raise DomainError("ground-truth translation must be non-zero")
+    return norm
+
+
+def _clouds(pair: EvalPair) -> tuple[np.ndarray, np.ndarray]:
+    """The model points in the predicted and in the ground-truth camera frame."""
+    pts = pair.points.points
+    return (pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation,
+            pts @ pair.gt.rotation.as_matrix().T + pair.gt.translation)
+
+
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean Euclidean distance between the rows of a and b, rounded as
+    ``np.linalg.norm(a - b, axis=1).mean()`` rounds it."""
+    d = a - b
+    return float(np.sqrt((d * d).sum(axis=1)).sum()) / len(d)
 
 
 def err_trans(pair: EvalPair) -> float:
     """Translation error normalized by the ground-truth distance."""
-    t_hat = pair.gt.translation
-    norm = np.linalg.norm(t_hat)
-    if norm <= 0:
-        raise DomainError("ground-truth translation must be non-zero")
-    return float(np.linalg.norm(pair.pred.translation - t_hat) / norm)
+    d = pair.pred.translation - pair.gt.translation
+    return math.sqrt(d.dot(d)) / _gt_distance(pair)
 
 
-def err_pose(pair: EvalPair) -> float:
-    """Point-matching error, normalized and scaled by the relative object size."""
-    t_hat = pair.gt.translation
-    norm = np.linalg.norm(t_hat)
-    if norm <= 0:
-        raise DomainError("ground-truth translation must be non-zero")
-    pts = pair.points.points
-    diff = (pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation) \
-        - (pts @ pair.gt.rotation.as_matrix().T + t_hat)
-    avg = np.linalg.norm(diff, axis=1).mean()
-    return float(pair.bbox_gt.diagonal / pair.img_diag * avg / norm)
+def err_pose(pair: EvalPair, clouds=None) -> float:
+    """Point-matching error, normalized and scaled by the relative object size;
+    ``clouds`` are the pair's two camera-frame clouds, if already formed."""
+    norm = _gt_distance(pair)
+    cam, cam_hat = clouds or _clouds(pair)
+    return pair.bbox_gt.diagonal / pair.img_diag * _mean_distance(cam, cam_hat) / norm
 
 
 def err_focal(pair: EvalPair) -> float:
@@ -102,37 +115,30 @@ def err_focal(pair: EvalPair) -> float:
     return abs(pair.gt.focal - pair.pred.focal) / pair.gt.focal
 
 
-def err_proj(pair: EvalPair) -> float:
+def err_proj(pair: EvalPair, clouds=None) -> float:
     """Average reprojection distance over the bbox diagonal.
 
     A prediction that puts any model point behind the camera is maximally
     penalized with +inf rather than dropped; a ground truth that does is
-    rejected.
+    rejected. ``clouds`` as in :func:`err_pose`.
     """
-    pts = pair.points.points
-    cam_hat = pts @ pair.gt.rotation.as_matrix().T + pair.gt.translation
-    if np.any(cam_hat[:, 2] <= 0):
+    cam, cam_hat = clouds or _clouds(pair)
+    if (cam_hat[:, 2] <= 0).any():
         raise DomainError("ground truth puts a model point behind the camera")
-    cam = pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation
-    if np.any(cam[:, 2] <= 0):
+    if (cam[:, 2] <= 0).any():
         return math.inf
     uv = pair.pred.focal * cam[:, :2] / cam[:, 2:3]
     uv_hat = pair.gt.focal * cam_hat[:, :2] / cam_hat[:, 2:3]
-    avg = np.linalg.norm(uv - uv_hat, axis=1).mean()
-    return float(avg / pair.bbox_gt.diagonal)
+    return _mean_distance(uv, uv_hat) / pair.bbox_gt.diagonal
 
 
 def evaluate_pair(pair: EvalPair) -> MetricRecord:
-    """All six errors for one pair; IoU is None without a predicted bbox."""
-    iou = bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred is not None else None
-    return MetricRecord(
-        e_rot=err_rot(pair),
-        e_trans=err_trans(pair),
-        e_pose=err_pose(pair),
-        e_focal=err_focal(pair),
-        e_proj=err_proj(pair),
-        iou=iou,
-    )
+    """All six errors for one pair; IoU is None without a predicted bbox.
+    Both camera-frame clouds are formed once and shared."""
+    clouds = _clouds(pair)
+    return MetricRecord(err_rot(pair), err_trans(pair), err_pose(pair, clouds),
+                        err_focal(pair), err_proj(pair, clouds),
+                        bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)
 
 
 def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints,
@@ -145,8 +151,8 @@ def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints,
     per field of :class:`MetricRecord`. Where a predicted point has
     non-positive depth, e_proj is inf and iou is NaN (no predicted box).
     """
-    if img_diag <= 0:
-        raise DomainError("image diagonal must be positive")
+    if not (math.isfinite(img_diag) and img_diag > 0):
+        raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
     t_norm = np.linalg.norm(gt.translation, axis=1)
     if np.any(t_norm <= 0):
         raise DomainError("ground-truth translation must be non-zero")

@@ -9,6 +9,7 @@ as constant within a step, is kept for comparison experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class DeltaTheta:
     def __post_init__(self):
         object.__setattr__(self, "v_r1", np.asarray(self.v_r1, dtype=float))
         object.__setattr__(self, "v_r2", np.asarray(self.v_r2, dtype=float))
-        if not all(np.isfinite([self.vx, self.vy, self.vz, self.vf])):
+        if not all(map(math.isfinite, (self.vx, self.vy, self.vz, self.vf))):
             raise DomainError("update components must be finite")
         if self.vz <= 0:
             raise DomainError(f"depth ratio must be positive, got {self.vz}")
@@ -45,16 +46,16 @@ class DeltaTheta:
 
 def apply_focal_update(focal: float, vf: float) -> float:
     """Multiplicative focal update f' = exp(vf) * f."""
-    if not np.isfinite(vf):
+    if not math.isfinite(vf):
         raise DomainError(f"focal update must be finite, got {vf}")
     if focal <= 0:
         raise DomainError(f"focal length must be positive, got {focal}")
     return float(np.exp(vf) * focal)
 
 
-def _check_translation_inputs(translation: np.ndarray, vz: float, f_new: float):
-    if translation[2] <= 0:
-        raise DomainError(f"object depth must be positive, got {translation[2]}")
+def _check_translation_inputs(z: float, vz: float, f_new: float):
+    if z <= 0:
+        raise DomainError(f"object depth must be positive, got {z}")
     if vz <= 0:
         raise DomainError(f"depth ratio must be positive, got {vz}")
     if f_new <= 0:
@@ -67,8 +68,8 @@ def apply_translation_update(state: ParamState, delta: DeltaTheta,
 
     The projected object center moves by exactly (vx, vy) pixels.
     """
-    x, y, z = state.translation
-    _check_translation_inputs(state.translation, delta.vz, f_new)
+    x, y, z = state.translation.tolist()
+    _check_translation_inputs(z, delta.vz, f_new)
     f = state.focal
     z_new = delta.vz * z
     x_new = (delta.vx + f * x / z) * z_new / f_new
@@ -83,8 +84,8 @@ def apply_legacy_translation_update(state: ParamState, delta: DeltaTheta,
     Coincides with :func:`apply_translation_update` when f_new equals the
     current focal; otherwise the carried center term is off by f / f_new.
     """
-    x, y, z = state.translation
-    _check_translation_inputs(state.translation, delta.vz, f_new)
+    x, y, z = state.translation.tolist()
+    _check_translation_inputs(z, delta.vz, f_new)
     z_new = delta.vz * z
     x_new = (delta.vx / f_new + x / z) * z_new
     y_new = (delta.vy / f_new + y / z) * z_new
@@ -114,8 +115,8 @@ def oracle_delta(state: ParamState, target: ParamState) -> DeltaTheta:
     The rotation factor is encoded by the first two columns of
     R_target @ R_state^T, which Gram-Schmidt maps back onto itself.
     """
-    x, y, z = state.translation
-    xh, yh, zh = target.translation
+    x, y, z = state.translation.tolist()
+    xh, yh, zh = target.translation.tolist()
     if z <= 0 or zh <= 0:
         raise DomainError("both states must have positive depth")
     f, fh = state.focal, target.focal
@@ -186,7 +187,7 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
 def translation_update_batch(translation: np.ndarray, f, delta: DeltaBatch, f_new,
                              legacy=False) -> np.ndarray:
     """Row-wise :func:`apply_translation_update` (the legacy rule where ``legacy``)
-    of translations (N, 3) at focals f; one translation row fits N updates."""
+    of translations (N, 3) at focals f; one row of any input fits N rows."""
     x, y, z = translation.T
     if np.any(z <= 0):
         raise DomainError(f"object depth must be positive, got {z.min()}")
@@ -197,7 +198,7 @@ def translation_update_batch(translation: np.ndarray, f, delta: DeltaBatch, f_ne
                      (delta.vx + f * x / z) * z_new / f_new)
     y_new = np.where(legacy, (delta.vy / f_new + y / z) * z_new,
                      (delta.vy + f * y / z) * z_new / f_new)
-    return np.column_stack([x_new, y_new, z_new])
+    return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
 
 
 def oracle_delta_batch(state: PoseBatch, target: PoseBatch) -> DeltaBatch:

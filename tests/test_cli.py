@@ -423,8 +423,18 @@ class TestMalformedJson:
         ['{"model_points": [[0, 0, 0]]}'],
         [json.dumps({**PAIR, "bbox_pred": []})],
         [json.dumps({**PAIR, "bbox_pred": 0})],
+        [json.dumps({**PAIR, "img_diag": float("nan")})],
+        [json.dumps({**PAIR, "img_diag": "nan"})],
+        [json.dumps({**PAIR, "img_diag": float("inf")})],
+        [json.dumps({**PAIR, "pred": {**TestEvaluate.GT, "quat_wxyz": [1, 0, 0]}})],
+        [json.dumps({**PAIR, "pred": {**TestEvaluate.GT, "quat_wxyz": [0, 0, 0, 0]}})],
+        [json.dumps({**PAIR, "gt": {**TestEvaluate.GT, "quat_wxyz": [1e200, 0, 0, 0]}})],
+        [json.dumps({**PAIR, "pred": {**TestEvaluate.GT, "t_m": ["a", 0, 1]}})],
+        [json.dumps({**PAIR, "gt": {**TestEvaluate.GT, "focal_px": 0}})],
     ], ids=["line-not-object", "points-header-not-object", "bbox-pred-empty",
-            "bbox-pred-zero"])
+            "bbox-pred-zero", "img-diag-nan", "img-diag-nan-string",
+            "img-diag-infinity", "quat-three-components", "quat-zero",
+            "quat-norm-overflow", "t-m-not-number", "focal-zero"])
     def test_evaluate_input_fault(self, runner, tmp_path, lines):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("\n".join(lines) + "\n")

@@ -234,7 +234,7 @@ class TestRunExperiment:
                            projected_bbox(targets.state(0), POINTS, INTR),
                            POINTS, INTR, IMG_DIAG, update_rule="Legacy")
 
-    @pytest.mark.parametrize("img_diag", [0.0, -800.0])
+    @pytest.mark.parametrize("img_diag", [0.0, -800.0, float("nan"), float("inf")])
     def test_nonpositive_image_diagonal_rejected(self, img_diag):
         targets = self.make_targets(2, 4)
         with pytest.raises(DomainError, match="image diagonal"):
