@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, DepthError, DomainError
 
 _DEGENERATE_TOL = 1e-12
+_PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see _check_6d_rows
 
 
 # The one-pose path computes on Python floats, which round as NumPy scalars do. Dot products
@@ -257,12 +258,13 @@ def rotation_from_6d(v1, v2) -> Rotation:
     if n1 < _DEGENERATE_TOL:
         raise DegenerateInputError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
-    w = v2 - v2.dot(e1) * e1
+    c = v2.dot(e1)
+    w = v2 - c * e1
     nw = math.sqrt(w.dot(w))
-    if nw < _DEGENERATE_TOL:
+    if not (math.isfinite(n1) and math.isfinite(nw)):
+        raise DomainError("6D vector norm is not finite")
+    if nw < _DEGENERATE_TOL or nw < _PARALLEL_RTOL * abs(c):
         raise DegenerateInputError("6D vectors are (numerically) parallel")
-    if n1 == math.inf or nw == math.inf:  # overflow: a column is zero
-        raise DomainError("matrix is not a proper rotation")
     (a0, a1, a2), (b0, b1, b2) = e1.tolist(), (w / nw).tolist()
     return Rotation(_matrix_to_quat(((a0, b0, a1 * b2 - a2 * b1),
                                      (a1, b1, a2 * b0 - a0 * b2),
@@ -421,6 +423,15 @@ def matrices_to_quats(m: np.ndarray) -> np.ndarray:
     return quat_unit(q)
 
 
+def _check_6d_rows(n1, c, nw):
+    """The 6D decoders' rule on n1 = |v1|, c = v2 . e1 and nw = |v2 - c e1| per
+    row: a pair is (numerically) parallel where nw < 1e-12 or nw < 1e-9 |c|."""
+    if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(nw))):
+        raise DomainError("6D vector norm is not finite")
+    if np.any((nw < _DEGENERATE_TOL) | (nw < _PARALLEL_RTOL * np.abs(c))):
+        raise DegenerateInputError("6D vectors are (numerically) parallel")
+
+
 def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Row-wise :func:`rotation_from_6d` of vector pairs (N, 3), as unit
     quaternions (N, 4), with the same checks."""
@@ -428,16 +439,12 @@ def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     if np.any(n1 < _DEGENERATE_TOL):
         raise DegenerateInputError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
-    w = v2 - np.sum(v2 * e1, axis=1, keepdims=True) * e1
+    c = np.sum(v2 * e1, axis=1, keepdims=True)
+    w = v2 - c * e1
     nw = np.linalg.norm(w, axis=1, keepdims=True)
-    if np.any(nw < _DEGENERATE_TOL):
-        raise DegenerateInputError("6D vectors are (numerically) parallel")
+    _check_6d_rows(n1, c, nw)
     e2 = w / nw
-    m = np.stack([e1, e2, np.cross(e1, e2)], axis=2)
-    err = np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
-    if not (np.all(err <= 1e-6) and np.all(np.linalg.det(m) >= 0)):
-        raise DomainError("matrix is not a proper rotation")
-    return matrices_to_quats(m)
+    return matrices_to_quats(np.stack([e1, e2, np.cross(e1, e2)], axis=2))
 
 
 def quats_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:

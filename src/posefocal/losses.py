@@ -5,6 +5,10 @@ penalty on the log focal length, and a disentangled reprojection loss.
 Gradients are taken with respect to the ten scalar update components
 (vx, vy, vz, v_r1, v_r2, vf); the L1 subgradient at 0 is defined as 0.
 
+Each pose term applies one predicted component and takes the ground truth
+for all others (the x-y term's depth too), so the x-y and depth terms are
+translation differences and the rotation term compares rotated model points.
+
 Evaluation is row-wise: one pass scores the K rows of a ``DeltaBatch``;
 ``total_loss``, ``smoothness_margins`` and ``disentangled_pose_loss`` are
 one-row views, and ``gradient_check`` is one 21-row pass.
@@ -19,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DepthError, DomainError
-from .geometry import ModelPoints, ParamState, PoseBatch, Rotation, camera_points
-from .update_rules import (DeltaBatch, DeltaTheta, apply_update_batch, oracle_delta_batch,
-                           translation_update_batch)
+from .errors import DegenerateInputError, DepthError, DomainError
+from .geometry import (CameraIntrinsics, ModelPoints, ParamState, _check_6d_rows,
+                       project_points)
+from .update_rules import DeltaBatch, DeltaTheta, translation_update_batch
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
                "v_r1_0", "v_r1_1", "v_r1_2",
@@ -91,7 +95,7 @@ def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
 
     n1 = np.sqrt(_dot(v1, v1))[:, None]
     if np.any(n1 < 1e-12):
-        raise DomainError("first 6D vector is (numerically) zero")
+        raise DegenerateInputError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
     p1 = eye - e1[:, :, None] * e1[:, None, :]
     de1_dv1 = p1 / n1[:, :, None]
@@ -99,8 +103,7 @@ def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     c = _dot(e1, v2)[:, None]
     w = v2 - c * e1
     nw = np.sqrt(_dot(w, w))[:, None]
-    if np.any(nw < 1e-12):
-        raise DomainError("6D vectors are (numerically) parallel")
+    _check_6d_rows(n1, c, nw)
     dw_de1 = -(e1[:, :, None] * v2[:, None, :] + c[:, :, None] * eye)
     dw_dv1 = dw_de1 @ de1_dv1
 
@@ -135,20 +138,10 @@ def huber_log_focal(f: float, f_hat: float, huber_delta: float = 1.0) -> float:
     return float(_huber(float(np.log(f) - np.log(f_hat)), huber_delta)[0])
 
 
-def _camera_points(rot: Rotation, t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    cam = pts @ rot.as_matrix().T + np.asarray(t, dtype=float)
-    bad = np.nonzero(cam[:, 2] <= 0)[0]
-    if bad.size:
-        raise DepthError(f"point {bad[0]} has non-positive depth {cam[bad[0], 2]:.6g}")
-    return cam
-
-
 def reprojection_loss(pred: ParamState, gt: ParamState, points: ModelPoints) -> float:
     """Summed L1 pixel distance between projections under two parameter sets."""
-    cam = _camera_points(pred.rotation, pred.translation, points.points)
-    cam_h = _camera_points(gt.rotation, gt.translation, points.points)
-    uv = pred.focal * cam[:, :2] / cam[:, 2:3]
-    uv_h = gt.focal * cam_h[:, :2] / cam_h[:, 2:3]
+    uv, uv_h = (project_points(CameraIntrinsics(s.focal), s.rotation, s.translation,
+                               points.points) for s in (pred, gt))
     return float(np.abs(uv - uv_h).sum())
 
 
@@ -168,53 +161,49 @@ def point_matching_distance(a: ParamState, b: ParamState, points: ModelPoints) -
     return float(np.abs(diff).mean(axis=0).sum())
 
 
+def _rotated_points(state: ParamState, delta: DeltaBatch, points: ModelPoints):
+    """Per row, the model points under the updated rotation, pts @ (R_u R)^T
+    (K, P, 3), and their derivatives with respect to (v_r1, v_r2), (K, 6, P, 3)."""
+    rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
+    m = points.points @ state.rotation.as_matrix().T
+    return m @ rot_u.transpose(0, 2, 1), m @ drot.transpose(0, 3, 2, 1)
+
+
 def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
-                points: ModelPoints, drot: np.ndarray):
-    """Per row, the three disentangled point-matching terms and their
-    gradients. Each term applies the update with one predicted component and
-    the oracle values for all others, then measures the point-matching
-    distance to the ground-truth pose."""
-    # One row each for the state, the oracle update and the oracle pose,
-    # broadcast against the K rows; the x-y and depth terms share its rotation.
-    one = PoseBatch.from_states([state])
-    hat = oracle_delta_batch(one, PoseBatch.from_states([gt]))
-    oracle = apply_update_batch(one, hat, False)
-    pts = points.points
-    gt_pts = pts @ gt.rotation.as_matrix().T + gt.translation
+                points: ModelPoints, rotated):
+    """Per row, the three disentangled point-matching terms, their gradients
+    and their residuals, given ``_rotated_points``; in the x-y and depth
+    terms the ground-truth rotation cancels."""
+    (x, y, z), (xh, yh, zh) = state.translation.tolist(), gt.translation.tolist()
+    f, f_hat = state.focal, gt.focal
+    t = state.translation[None]
     grad = np.zeros((len(delta.vx), 10))
 
-    def term(s: PoseBatch):
-        diff = camera_points(s, pts) - gt_pts
-        return s, diff, np.sign(diff)
+    # x-y term: only (vx, vy) predicted; the depth ratio is the oracle's.
+    t1 = translation_update_batch(t, f, replace(delta, vz=zh / z), f_hat)
+    diff1 = t1 - gt.translation
+    grad[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
 
-    def translation_only(**predicted) -> PoseBatch:
-        return replace(oracle, translation=translation_update_batch(
-            one.translation, one.focal, replace(hat, **predicted), oracle.focal))
-
-    # x-y term: only (vx, vy) predicted.
-    s1, diff1, sg1 = term(translation_only(vx=delta.vx, vy=delta.vy))
-    grad[:, :2] = sg1[:, :, :2].mean(axis=1) * s1.translation[:, 2:] / s1.focal[:, None]
-
-    # depth term: only vz predicted.
-    s2, diff2, sg2 = term(translation_only(vz=delta.vz))
-    grad[:, 2] = _dot(sg2.mean(axis=1), s2.translation / delta.vz[:, None])
+    # depth term: only vz predicted; the centre shift is the oracle's.
+    t2 = translation_update_batch(t, f, replace(delta, vx=f_hat * xh / zh - f * x / z,
+                                                vy=f_hat * yh / zh - f * y / z), f_hat)
+    diff2 = t2 - gt.translation
+    grad[:, 2] = _dot(np.sign(diff2), t2 / delta.vz[:, None])
 
     # rotation term: only the 6D rotation predicted.
-    _, diff3, sg3 = term(apply_update_batch(one, replace(hat, v_r1=delta.v_r1,
-                                                         v_r2=delta.v_r2), False))
-    m = pts @ state.rotation.as_matrix().T
-    grad[:, 3:9] = np.einsum("kni,kjni->kj", sg3, m @ drot.transpose(0, 3, 2, 1)) / len(pts)
+    diff3 = rotated[0] - points.points @ gt.rotation.as_matrix().T
+    grad[:, 3:9] = np.einsum("kni,kjni->kj", np.sign(diff3), rotated[1]) / len(points)
 
-    diffs = (diff1, diff2, diff3)
-    return sum(np.abs(d).mean(axis=1).sum(axis=1) for d in diffs), grad, diffs
+    pose = np.abs(diff1).sum(axis=1) + np.abs(diff2).sum(axis=1) \
+        + np.abs(diff3).mean(axis=1).sum(axis=1)
+    return pose, grad, (diff1, diff2, diff3)
 
 
 def disentangled_pose_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
                            points: ModelPoints) -> float:
     """Sum of the three disentangled point-matching terms."""
     rows = _rows(delta)
-    drot = rotation_6d_jacobian(rows.v_r1, rows.v_r2)[1]
-    return float(_pose_terms(state, rows, gt, points, drot)[0][0])
+    return float(_pose_terms(state, rows, gt, points, _rotated_points(state, rows, points))[0][0])
 
 
 def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
@@ -223,13 +212,12 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     residuals at whose zeros the loss kinks, (diff_a, df, pose_diffs, r),
     each with a leading axis of K: the pixel residuals of the reprojection
     pose half, the updated minus the ground-truth focal (each residual of the
-    focal half is df times a fixed factor), the residuals of the three
-    point-matching terms, and the Huber residual."""
+    focal half is df times a fixed factor), the (K, 3), (K, 3) and (K, P, 3)
+    residuals of the three point-matching terms, and the Huber residual."""
     pts = points.points
     f_hat = gt.focal
     k = len(delta.vx)
-
-    rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
+    rotated = _rotated_points(state, delta, points)
 
     # Huber on the log focal length.
     r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
@@ -243,11 +231,10 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     t = state.translation[None]
     t_pose = translation_update_batch(t, state.focal, delta, f_hat)
     dt_dvz = translation_update_batch(t, state.focal, replace(delta, vz=np.ones(k)), f_hat)
-    m = pts @ state.rotation.as_matrix().T
-    cam = m @ rot_u.transpose(0, 2, 1) + t_pose[:, None, :]
-    if np.any(cam[..., 2] <= 0):
-        raise DepthError("updated pose puts a model point behind the camera")
-    cam_hat = _camera_points(gt.rotation, gt.translation, pts)
+    cam = rotated[0] + t_pose[:, None, :]
+    cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
+    if np.any(cam[..., 2] <= 0) or np.any(cam_hat[:, 2] <= 0):
+        raise DepthError("updated or ground-truth pose puts a model point behind the camera")
     depth = cam[..., 2:]
     uv = f_hat * cam[..., :2] / depth
     uv_hat = f_hat * cam_hat[:, :2] / cam_hat[:, 2:3]
@@ -259,7 +246,7 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     gq_sum = gq.sum(axis=1)
     grad_reproj[:, :2] = gq_sum[:, :2] * t_pose[:, 2:] / f_hat
     grad_reproj[:, 2] = _dot(gq_sum, dt_dvz)
-    grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, m @ drot.transpose(0, 3, 2, 1))
+    grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, rotated[1])
 
     # Reprojection, focal part: predicted focal (the multiplicative update)
     # at the ground-truth pose.
@@ -271,7 +258,7 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     grad_reproj *= 0.5
 
     # Disentangled pose loss.
-    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, drot)
+    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, rotated)
 
     a, b = weights.alpha, weights.beta
     total = pose + a * (b * huber + reproj)
@@ -299,7 +286,7 @@ def smoothness_margins(state: ParamState, delta: DeltaTheta, gt: ParamState,
     the minimum absolute metric residual of the pose terms, and the distance
     of the Huber residual to its transition point. Residuals with no
     sensitivity to the update variables are skipped: the x-y pose term's
-    depth coordinate is fixed by the oracle, and the focal-scaled
+    depth coordinate is fixed by the ground truth, and the focal-scaled
     reprojection residuals all cross their kinks at the single point where
     the updated focal equals the ground truth, so that family contributes
     one margin.
@@ -311,7 +298,7 @@ def _margins(residuals, weights: LossWeights) -> dict:
     """The margins of row 0."""
     diff_a, df, (diff1, diff2, diff3), r = residuals
     return {"pixel": float(min(np.abs(diff_a[0]).min(), abs(df[0]))),
-            "metric": float(min(np.abs(diff1[0, :, :2]).min(), np.abs(diff2[0]).min(),
+            "metric": float(min(np.abs(diff1[0, :2]).min(), np.abs(diff2[0]).min(),
                                 np.abs(diff3[0]).min())),
             "huber": float(abs(abs(r[0]) - weights.huber_delta))}
 

@@ -32,8 +32,11 @@ class DeltaTheta:
     vf: float
 
     def __post_init__(self):
-        object.__setattr__(self, "v_r1", np.asarray(self.v_r1, dtype=float))
-        object.__setattr__(self, "v_r2", np.asarray(self.v_r2, dtype=float))
+        for name in ("v_r1", "v_r2"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
+                raise DomainError(f"{name} must be a finite 3-vector")
+            object.__setattr__(self, name, v)
         if not all(map(math.isfinite, (self.vx, self.vy, self.vz, self.vf))):
             raise DomainError("update components must be finite")
         if self.vz <= 0:
@@ -164,9 +167,10 @@ class DeltaBatch:
 
     def __post_init__(self):
         for name in ("vx", "vy", "vz", "v_r1", "v_r2", "vf"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not all(np.all(np.isfinite(c)) for c in (self.vx, self.vy, self.vz, self.vf)):
-            raise DomainError("update components must be finite")
+            v = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(v)) or name in ("v_r1", "v_r2") and v.shape[1:] != (3,):
+                raise DomainError(f"{name}: update components must be finite, v_r1, v_r2 (N, 3)")
+            object.__setattr__(self, name, v)
         if np.any(self.vz <= 0):
             raise DomainError(f"depth ratio must be positive, got {self.vz.min()}")
 

@@ -15,6 +15,7 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 project_point, project_points,
                                 quats_from_6d, quats_to_matrices,
                                 rotation_from_6d)
+from posefocal.losses import rotation_6d_jacobian
 
 F600 = CameraIntrinsics(600.0, 0.0, 0.0)
 IDENT = Rotation.identity()
@@ -117,6 +118,48 @@ class TestBatchedRotations:
         with pytest.raises(DegenerateInputError):
             quats_from_6d(np.array([[1.0, 0, 0], [1.0, 0, 0]]),
                           np.array([[0.0, 1, 0], [2.0, 0, 0]]))
+
+
+def _outcome(decode, v1, v2):
+    try:
+        decode(v1, v2)
+    except DomainError as exc:
+        return type(exc)
+    return None
+
+
+class TestSixDDomainRule:
+    """The three 6D decoders accept and reject the same pairs."""
+
+    DECODERS = (rotation_from_6d,
+                lambda a, b: quats_from_6d(a[None], b[None]),
+                lambda a, b: rotation_6d_jacobian(a[None], b[None]))
+
+    def outcomes(self, v1, v2):
+        return {_outcome(decode, v1, v2) for decode in self.DECODERS}
+
+    def test_near_parallel_pairs_on_both_sides_of_the_threshold(self):
+        rng = np.random.default_rng(21)
+        for sin in np.geomspace(1e-12, 1e-6, 400):
+            v1, u = rng.standard_normal((2, 3))
+            e1 = v1 / np.linalg.norm(v1)
+            perp = np.cross(e1, u)
+            v2 = rng.uniform(0.5, 2.0) * (e1 + sin * perp / np.linalg.norm(perp))
+            got = self.outcomes(v1, v2)
+            assert len(got) == 1, (sin, got)
+            if sin < 3e-10:
+                assert got == {DegenerateInputError}, sin
+            elif sin > 3e-9:
+                assert got == {None}, sin
+
+    @pytest.mark.parametrize("v1, v2", [([np.nan, 0, 0], [0, 1, 0]),
+                                        ([1, 0, 0], [0, np.inf, 0]),
+                                        ([1e200, 1e200, 0], [0, 0, 1])],
+                             ids=["nan", "inf", "overflow"])
+    def test_non_finite_norms_are_domain_errors(self, v1, v2):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = self.outcomes(np.array(v1, float), np.array(v2, float))
+        assert got == {DomainError}
 
 
 class TestGeodesicDistance:

@@ -1,6 +1,8 @@
 """Losses: Huber focal term, reprojection terms, disentangled pose loss,
 analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,16 +146,22 @@ class TestDisentangledPoseLoss:
         loss = disentangled_pose_loss(state, oracle_delta(state, gt), gt, pts)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
-    def test_isolates_depth_error(self):
+    @pytest.mark.parametrize("component", ["xy", "depth", "rotation"])
+    def test_isolates_component_error(self, component):
+        # One component off the oracle: its term is the point-matching
+        # distance of the full update, and the other two terms vanish.
         rng = np.random.default_rng(6)
         state, _, gt, pts = random_case(rng)
         hat = oracle_delta(state, gt)
-        wrong_z = DeltaTheta(hat.vx, hat.vy, hat.vz * 1.3, hat.v_r1, hat.v_r2,
-                             hat.vf)
-        state_z = apply_update(state, wrong_z)
-        loss = disentangled_pose_loss(state, wrong_z, gt, pts)
-        assert loss == pytest.approx(
-            point_matching_distance(state_z, gt, pts), abs=1e-9)
+        moved = {"xy": dict(vx=hat.vx + 7.0, vy=hat.vy - 4.0),
+                 "depth": dict(vz=hat.vz * 1.3),
+                 "rotation": dict(v_r1=hat.v_r1 + [0.1, -0.05, 0.02],
+                                  v_r2=hat.v_r2 + [-0.03, 0.08, 0.05])}[component]
+        wrong = replace(hat, **moved)
+        loss = disentangled_pose_loss(state, wrong, gt, pts)
+        expected = point_matching_distance(apply_update(state, wrong), gt, pts)
+        assert expected > 1e-3
+        assert loss == pytest.approx(expected, abs=1e-9)
 
     def test_depth_term_hand_case(self):
         state = make_state(z=1.0)

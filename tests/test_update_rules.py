@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posefocal.errors import DomainError
 from posefocal.geometry import BBox, CameraIntrinsics, ParamState, Rotation, project_point
-from posefocal.update_rules import (DeltaTheta, apply_focal_update,
+from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                                     apply_legacy_translation_update,
                                     apply_rotation_update,
                                     apply_translation_update, apply_update,
@@ -106,6 +106,27 @@ class TestTranslationUpdate:
     def test_non_positive_depth_ratio_rejected(self):
         with pytest.raises(DomainError):
             make_delta(vz=0.0)
+
+
+class TestDeltaChecks:
+    def test_non_finite_6d_vector_rejected(self):
+        with pytest.raises(DomainError, match="v_r1"):
+            DeltaTheta(0, 0, 1, [np.nan, 0, 0], [0, 1, 0], 0)
+
+    def test_6d_vector_shape_checked(self):
+        with pytest.raises(DomainError, match="v_r2"):
+            DeltaTheta(0, 0, 1, [1, 0, 0], [0, 1], 0)
+
+    def test_batch_non_finite_6d_vector_rejected(self):
+        v_r2 = np.array([[0.0, 1.0, 0.0], [0.0, np.inf, 0.0]])
+        with pytest.raises(DomainError, match="v_r2"):
+            DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), np.eye(3)[[0, 0]], v_r2,
+                       np.zeros(2))
+
+    def test_batch_6d_shape_checked(self):
+        with pytest.raises(DomainError, match="v_r1"):
+            DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), np.ones(6), np.eye(3)[:2],
+                       np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
