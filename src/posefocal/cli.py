@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -178,13 +177,11 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
 
 @main.command("sample")
 @click.argument("distribution", type=click.Path(exists=True, dir_okay=False))
-@click.option("-n", "--num", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("-n", "--num", type=click.IntRange(min=0), required=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def sample(distribution, num, seed, out):
     """Draw pose/focal samples from a fitted distribution file."""
-    if num < 0:
-        _fail(DomainError("sample count must be non-negative"))
     try:
         with _reading(distribution):
             poses = _draw_poses(json.loads(Path(distribution).read_text()), num, seed)
@@ -213,7 +210,7 @@ SIMULATE_SCHEMA = {
     "properties": {
         "n_trials": {"type": "integer", "minimum": 1},
         "iterations": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "update_rules": {
             "type": "array", "minItems": 1,
             "items": {"enum": list(UPDATE_RULES)},
@@ -250,7 +247,7 @@ SIMULATE_SCHEMA = {
             "properties": {
                 "count": {"type": "integer", "minimum": 1},
                 "extent": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "path": {"type": "string"},
             },
         },
@@ -263,6 +260,7 @@ SIMULATE_SCHEMA = {
 
 def validate_config(config: dict, schema: dict):
     """Schema-validate; the raised message names the offending field path."""
+    import jsonschema
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
     if errors:
@@ -478,14 +476,12 @@ def run_gradcheck(seed: int, n: int, step: float) -> dict:
 
 
 @main.command("gradcheck")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("-n", "--num", type=int, default=100, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("-n", "--num", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--step", type=float, default=1e-6, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gradcheck(seed, num, step, out):
     """Check analytic loss gradients against central finite differences."""
-    if num < 1:
-        raise click.BadParameter(f"must be at least 1, got {num}", param_hint="'-n'")
     try:
         report = run_gradcheck(seed, num, step)
     except DomainError as exc:

@@ -377,17 +377,35 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise composition a @ b (b applied first) of quaternions (N, 4),
-    normalized as :class:`Rotation` normalizes."""
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; matmul rounds as the one-row ``a @ b`` does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton product a b of quaternions (N, 4), not normalized."""
     w1, x1, y1, z1 = a.T
     w2, x2, y2, z2 = b.T
-    return quat_unit(np.stack([
+    return np.stack([
         w1*w2 - x1*x2 - y1*y2 - z1*z2,
         w1*x2 + x1*w2 + y1*z2 - z1*y2,
         w1*y2 - x1*z2 + y1*w2 + z1*x2,
         w1*z2 + x1*y2 - y1*x2 + z1*w2,
-    ], axis=1))
+    ], axis=1)
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise composition a @ b (b applied first), scaled to unit norm."""
+    return quat_unit(_quat_product(a, b))
+
+
+def geodesic_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`geodesic_distance` between unit quaternions (N, 4),
+    bit for bit: each norm is ``sqrt(q.q)``, as in :class:`Rotation`."""
+    inv = quat_conj(qa)
+    rel = _quat_product(inv / np.sqrt(row_dot(inv, inv))[:, None], qb)
+    rel = rel / np.sqrt(row_dot(rel, rel))[:, None]
+    return 2.0 * np.arctan2(np.sqrt(row_dot(rel[:, 1:], rel[:, 1:])), np.abs(rel[:, 0]))
 
 
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DepthError, DomainError
 from .geometry import (CameraIntrinsics, ModelPoints, ParamState, _check_6d_rows,
-                       project_points)
+                       project_points, row_dot)
 from .update_rules import DeltaBatch, DeltaTheta, translation_update_batch
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
@@ -73,11 +73,6 @@ def _rows(delta: DeltaTheta, steps: np.ndarray = np.zeros((1, 10))) -> DeltaBatc
     return DeltaBatch(c[:, 0], c[:, 1], c[:, 2], c[:, 3:6], c[:, 6:9], c[:, 9])
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Row-wise; matmul rounds as the one-row ``a @ b`` does.
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _skew(v: np.ndarray) -> np.ndarray:
     x, y, z = v.T
     o = np.zeros_like(x)
@@ -93,16 +88,16 @@ def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """
     v1, v2, eye = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float), np.eye(3)
 
-    n1 = np.sqrt(_dot(v1, v1))[:, None]
+    n1 = np.sqrt(row_dot(v1, v1))[:, None]
     if np.any(n1 < 1e-12):
         raise DegenerateInputError("first 6D vector is (numerically) zero")
     e1 = v1 / n1
     p1 = eye - e1[:, :, None] * e1[:, None, :]
     de1_dv1 = p1 / n1[:, :, None]
 
-    c = _dot(e1, v2)[:, None]
+    c = row_dot(e1, v2)[:, None]
     w = v2 - c * e1
-    nw = np.sqrt(_dot(w, w))[:, None]
+    nw = np.sqrt(row_dot(w, w))[:, None]
     _check_6d_rows(n1, c, nw)
     dw_de1 = -(e1[:, :, None] * v2[:, None, :] + c[:, :, None] * eye)
     dw_dv1 = dw_de1 @ de1_dv1
@@ -188,7 +183,7 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     t2 = translation_update_batch(t, f, replace(delta, vx=f_hat * xh / zh - f * x / z,
                                                 vy=f_hat * yh / zh - f * y / z), f_hat)
     diff2 = t2 - gt.translation
-    grad[:, 2] = _dot(np.sign(diff2), t2 / delta.vz[:, None])
+    grad[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
 
     # rotation term: only the 6D rotation predicted.
     diff3 = rotated[0] - points.points @ gt.rotation.as_matrix().T
@@ -245,7 +240,7 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     grad_reproj = np.zeros((k, 10))  # halved below, with the focal part's
     gq_sum = gq.sum(axis=1)
     grad_reproj[:, :2] = gq_sum[:, :2] * t_pose[:, 2:] / f_hat
-    grad_reproj[:, 2] = _dot(gq_sum, dt_dvz)
+    grad_reproj[:, 2] = row_dot(gq_sum, dt_dvz)
     grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, rotated[1])
 
     # Reprojection, focal part: predicted focal (the multiplicative update)

@@ -7,6 +7,8 @@ input-noise model.
 
 All samplers take an integer seed (or a numpy Generator) and are
 deterministic; the pose samplers return a :class:`PoseBatch`.
+
+SciPy is imported only inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq, least_squares
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateFitError, DomainError
-from .geometry import (BBox, ParamState, PoseBatch, Rotation, geodesic_distance,
+from .geometry import (BBox, ParamState, PoseBatch, Rotation, geodesic_angles,
                        quat_multiply, quat_unit, quats_from_axis_angle)
 
 Z_CLAMP = -900.0  # concentration floor; keeps the normalization constant finite
@@ -111,6 +110,7 @@ def _bingham_moments(z: np.ndarray, with_jac: bool = False):
     x1 = (z1 - z2) c / 2, and p2 likewise at x2 = (z3 - z4) t / 2. z need
     not be sorted. The Jacobian is the covariance of the u_i^2.
     """
+    from scipy import special
     c, t, w = _hopf_rule(float(z.min()))
     z1, z2, z3, z4 = z
     lo, hi = max(z1, z2), max(z3, z4)
@@ -147,6 +147,7 @@ def fit_bingham(quaternions) -> BinghamParams:
     antipodally symmetric scatter matrix; the concentrations are solved by
     matching the scatter eigenvalues, clamped to [-900, 0].
     """
+    from scipy.optimize import least_squares
     q = np.asarray(quaternions, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4 or q.shape[0] < 5:
         raise DegenerateFitError("need at least 5 quaternions of shape (N, 4)")
@@ -187,6 +188,7 @@ def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
 
     Returns (n, 4) unit quaternions; deterministic for a fixed seed.
     """
+    from scipy.optimize import brentq
     rng = _as_rng(seed)
     if n == 0:
         return np.zeros((0, 4))
@@ -407,6 +409,7 @@ class NonparamDeltas:
 
 def _nn_percentile(points: np.ndarray, pct: float = 95.0) -> float:
     """Percentile of nearest-neighbor distances (a duplicate is at 0)."""
+    from scipy.spatial import cKDTree
     dist, _ = cKDTree(points).query(points, k=2)
     return float(np.percentile(dist[:, 1], pct))
 
@@ -417,6 +420,7 @@ def select_deltas_95pct(records) -> NonparamDeltas:
     The (x, y) and (z, f) planes each yield one Euclidean radius, shared by
     the pair's two axes; rotation uses the geodesic angle.
     """
+    from scipy.spatial import cKDTree
     if len(records) < 2:
         raise DegenerateFitError("need at least 2 records")
     t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
@@ -429,10 +433,8 @@ def select_deltas_95pct(records) -> NonparamDeltas:
     n = len(records)
     q = np.stack([r.rotation.quat for r in records])
     hits = cKDTree(np.concatenate([q, -q])).query(q, k=3)[1] % n
-    nearest = [next(j for j in row if j != i) for i, row in enumerate(hits.tolist())]
-    ang = [geodesic_distance(records[i].rotation, records[j].rotation)
-           for i, j in enumerate(nearest)]
-    d_r = float(np.percentile(ang, 95.0))
+    nearest = hits[np.arange(n), np.argmax(hits != np.arange(n)[:, None], axis=1)]
+    d_r = float(np.percentile(geodesic_angles(q, q[nearest]), 95.0))
     return NonparamDeltas(d_r, d_xy, d_xy, d_zf, d_zf)
 
 

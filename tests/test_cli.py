@@ -1,11 +1,15 @@
 """CLI surface: fit-dist, sample, simulate, evaluate, gradcheck."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import posefocal
 from posefocal.cli import _load_targets, main
 from posefocal.geometry import BBox, Rotation
 from posefocal.sampling import AnnotationRecord, UniformRanges, sample_pose_uniform
@@ -329,6 +333,41 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestNegativeSeed:
+    """A negative seed is a usage error naming the seed, never a traceback
+    and never blamed on an input file."""
+
+    def check(self, res, name):
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "Traceback" not in res.output
+        assert name in res.output
+
+    def test_gradcheck(self, runner):
+        res = runner.invoke(main, ["gradcheck", "--seed", "-1", "-n", "2"])
+        self.check(res, "'--seed'")
+
+    def test_sample(self, runner, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"kind": "uniform"}))
+        res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--seed", "-1",
+                                   "--out", str(tmp_path / "x.jsonl")])
+        self.check(res, "'--seed'")
+        assert "dist.json" not in res.output
+
+    @pytest.mark.parametrize("config, name", [
+        ({"seed": -1}, "config field seed"),
+        ({"model_points": {"seed": -3}}, "config field model_points/seed"),
+    ], ids=["seed", "model-points-seed"])
+    def test_simulate(self, runner, tmp_path, config, name):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_trials": 1, "iterations": 1,
+                                   "targets": {"kind": "uniform"}, **config}))
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        self.check(res, name)
+
+
 class TestMalformedJson:
     """A JSON syntax error is reported as an error naming the file (and the
     line of a JSON-lines file), never as a traceback."""
@@ -456,3 +495,55 @@ class TestMalformedJson:
         res = runner.invoke(main, ["fit-dist", str(annotations), "--kind", kind,
                                    "--out", str(tmp_path / "x.json")])
         self.check_clean(res, "ann.jsonl line 5")
+
+
+IMPORT_SPLIT_SCRIPT = r"""
+import json, sys
+from pathlib import Path
+
+import posefocal
+import posefocal.cli
+
+
+def loaded(name):
+    return any(m == name or m.startswith(name + ".") for m in sys.modules)
+
+
+def run(*argv):
+    posefocal.cli.main(list(argv), standalone_mode=False)
+
+
+d = Path(sys.argv[1])
+seen = {"import": {"scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")}}
+run("evaluate", str(d / "pairs.jsonl"), "--out", str(d / "eval.json"))
+run("gradcheck", "-n", "3")
+seen["score"] = {"scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")}
+run("simulate", "--config", str(d / "sim.json"), "--out", str(d / "sim_out.json"))
+seen["simulate"] = {"scipy": loaded("scipy")}
+run("fit-dist", str(d / "ann.jsonl"), "--kind", "parametric", "--out", str(d / "dist.json"))
+run("sample", str(d / "dist.json"), "-n", "5", "--out", str(d / "poses.jsonl"))
+seen["datagen"] = {"scipy": loaded("scipy")}
+print(json.dumps(seen))
+"""
+
+
+def test_only_fit_dist_and_sample_load_scipy(annotations, tmp_path):
+    """evaluate and gradcheck load neither SciPy nor jsonschema, simulate
+    loads no SciPy; fit-dist and a parametric sample load SciPy when they run."""
+    pairs = TestEvaluate()
+    pairs.write_pairs(tmp_path, [pairs.header(), pairs.pair()])
+    (tmp_path / "sim.json").write_text(json.dumps(
+        {"n_trials": 2, "iterations": 2, "targets": {"kind": "uniform"},
+         "model_points": {"count": 8}}))
+    src = os.path.dirname(os.path.dirname(posefocal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_SPLIT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen["import"] == {"scipy": False, "jsonschema": False}
+    assert seen["score"] == {"scipy": False, "jsonschema": False}
+    assert seen["simulate"] == {"scipy": False}
+    assert seen["datagen"] == {"scipy": True}
+    assert len((tmp_path / "poses.jsonl").read_text().splitlines()) == 6

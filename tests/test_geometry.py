@@ -11,7 +11,7 @@ from posefocal.errors import DegenerateInputError, DepthError, DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, Rotation,
                                 adjust_intrinsics_for_crop, bbox_iou,
-                                compute_crop, geodesic_distance,
+                                compute_crop, geodesic_angles, geodesic_distance,
                                 project_point, project_points,
                                 quats_from_6d, quats_to_matrices,
                                 rotation_from_6d)
@@ -197,6 +197,23 @@ class TestGeodesicDistance:
         ra, rb, rc = (Rotation(np.array(q)) for q in (qa, qb, qc))
         assert geodesic_distance(ra, rc) <= (
             geodesic_distance(ra, rb) + geodesic_distance(rb, rc) + 1e-9)
+
+    def test_batched_angles_are_bit_identical(self):
+        rng = np.random.default_rng(21)
+        n = 10_000
+        ra = [random_rotation(rng) for _ in range(n)]
+        rb = [random_rotation(rng) for _ in range(n)]
+        for i in range(0, n, 10):
+            rb[i] = Rotation(-ra[i].quat)  # sign-flipped copy: angle 0
+            rb[i + 1] = ra[i + 1]  # exact duplicate
+            rb[i + 2] = Rotation(ra[i + 2].quat + 1e-7 * rng.standard_normal(4))
+            rb[i + 3] = ra[i + 3] @ Rotation.from_axis_angle(rng.standard_normal(3), np.pi)
+        qa = np.stack([r.quat for r in ra])
+        qb = np.stack([r.quat for r in rb])
+        want = np.array([geodesic_distance(a, b) for a, b in zip(ra, rb)])
+        got = geodesic_angles(qa, qb)
+        assert np.array_equal(got, want), np.abs(got - want).max()
+        assert want[::10].max() < 1e-7 and want[1::10].max() < 1e-7
 
 
 # ---------------------------------------------------------------------------
