@@ -212,7 +212,7 @@ SIMULATE_SCHEMA = {
         "iterations": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
         "update_rules": {
-            "type": "array", "minItems": 1,
+            "type": "array", "minItems": 1, "uniqueItems": True,
             "items": {"enum": list(UPDATE_RULES)},
         },
         "predictor": {

@@ -3,8 +3,10 @@
 Six per-image errors: rotation geodesic angle, normalized translation,
 normalized point-matching, relative focal length, bbox-normalized
 reprojection, and detection IoU; ``evaluate_pair`` scores one pair, forming
-its two camera-frame clouds once, and ``evaluate_batch`` scores N rows.
-Medians use the lower-median convention for even counts."""
+its two camera-frame clouds once. ``evaluate_batch`` scores N rows in two
+halves: a :class:`GroundTruth`, checked and formed once, and its ``score``
+of each predicted batch. Medians use the lower-median convention for even
+counts."""
 
 from __future__ import annotations
 
@@ -141,52 +143,61 @@ def evaluate_pair(pair: EvalPair) -> MetricRecord:
                         bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)
 
 
-def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints,
-                   bbox_gt: np.ndarray, img_diag: float,
-                   intrinsics: CameraIntrinsics) -> dict:
-    """Row-wise :func:`evaluate_pair` over N pairs sharing one point cloud.
+class GroundTruth:
+    """The ground-truth half of :func:`evaluate_batch`: N ground-truth poses,
+    boxes (x1, y1, x2, y2) and image diagonal, checked and formed once for :meth:`score`."""
 
-    ``bbox_gt`` holds the N ground-truth boxes (x1, y1, x2, y2); each
-    predicted box is projected through ``intrinsics``. Returns an (N,) array
-    per field of :class:`MetricRecord`. Where a predicted point has
-    non-positive depth, e_proj is inf and iou is NaN (no predicted box).
-    """
-    if not (math.isfinite(img_diag) and img_diag > 0):
-        raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
-    t_norm = np.linalg.norm(gt.translation, axis=1)
-    if np.any(t_norm <= 0):
-        raise DomainError("ground-truth translation must be non-zero")
-    cam = camera_points(pred, points.points)
-    cam_hat = camera_points(gt, points.points)
-    if np.any(cam_hat[..., 2] <= 0):
-        raise DomainError("ground truth puts a model point behind the camera")
-    behind = np.any(cam[..., 2] <= 0, axis=1)
-    diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
-    avg = np.linalg.norm(cam - cam_hat, axis=2).mean(axis=1)
-    uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows behind the camera
-        uv = pred.focal[:, None, None] * cam[..., :2] / cam[..., 2:3]
-        e_proj = np.linalg.norm(uv - uv_hat, axis=2).mean(axis=1) / diag
-    e_proj[behind] = math.inf
+    def __init__(self, gt: PoseBatch, points: ModelPoints, bbox_gt: np.ndarray,
+                 img_diag: float):
+        if not (math.isfinite(img_diag) and img_diag > 0):
+            raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
+        self.t_norm = np.linalg.norm(gt.translation, axis=1)
+        if np.any(self.t_norm <= 0):
+            raise DomainError("ground-truth translation must be non-zero")
+        self.cam_hat = cam_hat = camera_points(gt, points.points)
+        if np.any(cam_hat[..., 2] <= 0):
+            raise DomainError("ground truth puts a model point behind the camera")
+        self.uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
+        self.gt, self.points, self.bbox, self.img_diag = gt, points.points, bbox_gt, img_diag
+        self.diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
+        self.area = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
 
-    box = image_boxes(cam, intrinsics)
-    iw = np.minimum(bbox_gt[:, 2], box[:, 2]) - np.maximum(bbox_gt[:, 0], box[:, 0])
-    ih = np.minimum(bbox_gt[:, 3], box[:, 3]) - np.maximum(bbox_gt[:, 1], box[:, 1])
-    inter = iw * ih
-    area_gt = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
-    area = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
-    with np.errstate(invalid="ignore"):
-        iou = np.where((iw > 0) & (ih > 0), inter / (area_gt + area - inter), 0.0)
-    iou[behind] = np.nan
-    return {
-        "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(  # as err_rot
-            quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
-        "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / t_norm,
-        "e_pose": diag / img_diag * avg / t_norm,
-        "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
-        "e_proj": e_proj,
-        "iou": iou,
-    }
+    def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics, iou: bool = True) -> dict:
+        """The prediction half: an (N,) array per :class:`MetricRecord` field ("iou"
+        if asked); e_proj inf and iou NaN where a predicted point has non-positive depth."""
+        gt, box_gt = self.gt, self.bbox
+        cam = camera_points(pred, self.points)
+        behind = np.any(cam[..., 2] <= 0, axis=1)
+        avg = np.linalg.norm(cam - self.cam_hat, axis=2).mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows behind the camera
+            uv = pred.focal[:, None, None] * cam[..., :2] / cam[..., 2:3]
+            e_proj = np.linalg.norm(uv - self.uv_hat, axis=2).mean(axis=1) / self.diag
+        e_proj[behind] = math.inf
+        out = {
+            "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(  # as err_rot
+                quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
+            "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / self.t_norm,
+            "e_pose": self.diag / self.img_diag * avg / self.t_norm,
+            "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
+            "e_proj": e_proj,
+        }
+        if iou:
+            box = image_boxes(cam, intrinsics)
+            iw = np.minimum(box_gt[:, 2], box[:, 2]) - np.maximum(box_gt[:, 0], box[:, 0])
+            ih = np.minimum(box_gt[:, 3], box[:, 3]) - np.maximum(box_gt[:, 1], box[:, 1])
+            inter = iw * ih
+            area = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+            with np.errstate(invalid="ignore"):
+                out["iou"] = np.where((iw > 0) & (ih > 0),
+                                      inter / (self.area + area - inter), 0.0)
+            out["iou"][behind] = np.nan
+        return out
+
+
+def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints, bbox_gt: np.ndarray,
+                   img_diag: float, intrinsics: CameraIntrinsics) -> dict:
+    """Row-wise :func:`evaluate_pair` over N pairs: both halves in one call."""
+    return GroundTruth(gt, points, bbox_gt, img_diag).score(pred, intrinsics)
 
 
 def lower_median(values) -> float:

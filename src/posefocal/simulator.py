@@ -20,7 +20,7 @@ from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
                        PoseBatch, camera_points, image_boxes, quat_axis_angle,
                        quat_multiply, quats_from_6d, quats_from_axis_angle,
                        quats_to_matrices)
-from .metrics import (METRIC_FIELDS, MetricRecord, aggregate, evaluate_batch,
+from .metrics import (METRIC_FIELDS, GroundTruth, MetricRecord, aggregate,
                       lower_median)
 from .update_rules import (DeltaBatch, apply_update_batch, init_state_batch,
                            oracle_delta_batch)
@@ -123,9 +123,11 @@ CONVERGED_TOL = 1e-6  # bound on e_rot, e_trans and e_focal of a converged trial
 
 
 def _check_settings(rules, iterations: int):
-    for rule in rules:
+    for i, rule in enumerate(rules):
         if rule not in UPDATE_RULES:
             raise DomainError(f"unknown update rule {rule!r}")
+        if rule in rules[:i]:
+            raise DomainError(f"duplicate update rule {rule!r}")
     if iterations < 1:
         raise DomainError("iteration count must be at least 1")
 
@@ -149,20 +151,22 @@ def projected_bbox(state: ParamState, points: ModelPoints,
 
 def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
             legacy: np.ndarray, draws: np.ndarray, points: ModelPoints,
-            intrinsics: CameraIntrinsics, img_diag: float):
+            intrinsics: CameraIntrinsics, img_diag: float, every_iou: bool):
     """The refinement loop, advancing N rows (trials x update rules) per pass.
 
     Row i refines towards ``target`` row i from the standard initialization
     in box ``bbox_gt[i]``, with the translation rule ``legacy[i]`` and the
     noise draws ``draws[:, i]`` (iterations, N, 8). Returns the metrics of
-    every iteration, initial state included, and the final states.
+    every iteration, initial state included, against one :class:`GroundTruth`
+    (the IoU at the last only, unless ``every_iou``), and the final states.
 
     The predictor's depth ratio is floored at 1e-6 to prevent depth collapse
     from adversarial predictors. An invalid prediction aborts the loop with
     the iteration index.
     """
     state = init_state_batch(bbox_gt, intrinsics)
-    trajectory = [evaluate_batch(state, target, points, bbox_gt, img_diag, intrinsics)]
+    truth = GroundTruth(target, points, bbox_gt, img_diag)
+    trajectory = [truth.score(state, intrinsics, every_iou)]
     for k in range(1, len(draws) + 1):
         try:
             delta = predictor(state, target, k, draws[k - 1])
@@ -170,8 +174,7 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
             state = apply_update_batch(state, delta, legacy)
         except DomainError as exc:
             raise DomainError(f"trial aborted at iteration {k}: {exc}") from exc
-        trajectory.append(evaluate_batch(state, target, points, bbox_gt, img_diag,
-                                         intrinsics))
+        trajectory.append(truth.score(state, intrinsics, every_iou or k == len(draws)))
     return trajectory, state
 
 
@@ -197,7 +200,8 @@ def run_refinement(target: ParamState, bbox: BBox, points: ModelPoints,
     draws = np.random.default_rng(seed).standard_normal((iterations, 1, 8))
     trajectory, final = _refine(
         predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
-        np.array([update_rule == "legacy"]), draws, points, intrinsics, img_diag)
+        np.array([update_rule == "legacy"]), draws, points, intrinsics, img_diag,
+        every_iou=True)
     return TrialResult(trajectory=[_records(m, slice(None))[0] for m in trajectory],
                        final_state=final.state(0),
                        converged=bool(_converged(trajectory[-1])[0]))
@@ -226,8 +230,8 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
         raise DepthError("a target puts a model point behind the camera")
     rows = np.tile(np.arange(n), len(variants))
     legacy = np.repeat([rule == "legacy" for rule in variants], n)
-    trajectory, _ = _refine(predictor, targets.take(rows), bbox[rows],
-                            legacy, draws[:, rows], points, intrinsics, img_diag)
+    trajectory, _ = _refine(predictor, targets.take(rows), bbox[rows], legacy,
+                            draws[:, rows], points, intrinsics, img_diag, keep_trajectories)
     converged = _converged(trajectory[-1])
 
     report = {"n_trials": n, "iterations": iterations,

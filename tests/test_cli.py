@@ -191,6 +191,15 @@ class TestSimulate:
         assert res.exit_code != 0
         assert "n_trials" in res.output
 
+    def test_duplicate_update_rules_rejected(self, runner, tmp_path):
+        cfg = self.write_config(tmp_path, update_rules=["exact", "exact"])
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "config field update_rules" in res.output
+        assert "non-unique" in res.output
+        assert not (tmp_path / "x.json").exists()
+
     def test_uniform_targets_and_trial_noise_use_separate_streams(self):
         """Trial i's noise comes from default_rng(seed + i); the uniform
         targets must not be drawn from any of those streams."""

@@ -8,9 +8,9 @@ import pytest
 from posefocal.errors import DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation)
-from posefocal.metrics import (EvalPair, aggregate, err_focal, err_pose,
-                               err_proj, err_rot, err_trans, evaluate_batch,
-                               evaluate_pair, lower_median)
+from posefocal.metrics import (EvalPair, GroundTruth, aggregate, err_focal,
+                               err_pose, err_proj, err_rot, err_trans,
+                               evaluate_batch, evaluate_pair, lower_median)
 from posefocal.simulator import projected_bbox
 
 CUBE = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (12, 3)))
@@ -158,6 +158,55 @@ class TestEvaluateBatch:
             evaluate_batch(PoseBatch.from_states([pred]), PoseBatch.from_states([gt]),
                            CUBE, np.array([GT_BBOX.as_list()]), 800.0,
                            CameraIntrinsics(600.0, 0.0, 0.0))
+
+
+class TestGroundTruth:
+    INTR = CameraIntrinsics(600.0, 5.0, -3.0)
+
+    def make_truth(self, n=6, seed=41):
+        rng = np.random.default_rng(seed)
+        gts = PoseBatch.from_states([
+            make_state(*rng.uniform(-0.2, 0.2, 2), rng.uniform(0.8, 2.0),
+                       rng.uniform(300, 900), Rotation(rng.standard_normal(4)))
+            for _ in range(n)])
+        boxes = np.array([projected_bbox(gts.state(i), CUBE, self.INTR).as_list()
+                          for i in range(n)])
+        return gts, boxes, rng
+
+    def test_one_half_scores_like_fresh_calls(self):
+        """One ground-truth half, scored through several states, gives the
+        arrays of a fresh evaluate_batch call at each, bit for bit."""
+        gts, boxes, rng = self.make_truth()
+        truth = GroundTruth(gts, CUBE, boxes, 800.0)
+        for step in range(4):
+            preds = PoseBatch(gts.quat + 0.2 * step * rng.standard_normal(gts.quat.shape),
+                              gts.translation + [0.05 * step, 0.0, 0.0],
+                              gts.focal * (1.0 + 0.1 * step))
+            if step == 2:  # row 1's points behind the camera
+                preds.translation[1, 2] = 0.0
+            got = truth.score(preds, self.INTR)
+            want = evaluate_batch(preds, gts, CUBE, boxes, 800.0, self.INTR)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key], equal_nan=True), key
+            assert (got["e_proj"][1] == math.inf) == (step == 2)
+            assert np.isnan(got["iou"][1]) == (step == 2)
+            without = truth.score(preds, self.INTR, iou=False)
+            assert without.keys() == set(want) - {"iou"}
+            for key in without:
+                assert np.array_equal(without[key], want[key]), key
+
+    def test_bad_ground_truth_rejected_when_built(self):
+        gts, boxes, _ = self.make_truth(3)
+        zero = PoseBatch(gts.quat, np.where(np.arange(3)[:, None] == 2, 0.0,
+                                            gts.translation), gts.focal)
+        with pytest.raises(DomainError, match="ground-truth translation must be non-zero"):
+            GroundTruth(zero, CUBE, boxes, 800.0)
+        near = PoseBatch(gts.quat, gts.translation * [1.0, 1.0, 0.01], gts.focal)
+        with pytest.raises(DomainError, match="ground truth puts a model point behind"):
+            GroundTruth(near, CUBE, boxes, 800.0)
+        with pytest.raises(DomainError, match="image diagonal"):
+            GroundTruth(gts, CUBE, boxes, 0.0)
 
 
 class TestAggregate:

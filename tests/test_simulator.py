@@ -234,6 +234,34 @@ class TestRunExperiment:
                            projected_bbox(targets.state(0), POINTS, INTR),
                            POINTS, INTR, IMG_DIAG, update_rule="Legacy")
 
+    @pytest.mark.parametrize("variants, name", [(("exact", "exact"), "exact"),
+                                                (("legacy", "exact", "legacy"), "legacy")])
+    def test_duplicate_variant_rejected(self, variants, name):
+        """A repeated arm would run twice yet keep one report entry."""
+        with pytest.raises(DomainError, match=f"duplicate update rule '{name}'"):
+            run_experiment(self.make_targets(2, 3), POINTS, INTR, IMG_DIAG,
+                           iterations=5, variants=variants)
+
+    def test_final_iou_alone_gives_the_same_report(self):
+        """Without trajectories the IoU is scored at the last iteration only;
+        the report is the one kept trajectories give, minus them. Small
+        objects under noise leave some final boxes off the ground truth."""
+        points = ModelPoints(np.random.default_rng(0).uniform(-0.02, 0.02, (50, 3)))
+        settings = dict(predictor=OraclePredictor(noise=NoiseScales(), clamp=ClampBounds()),
+                        iterations=6, seed=5)
+        targets = sample_pose_uniform(UniformRanges(z_range=(0.8, 1.2), f_range=(200.0, 1000.0),
+                                                    xy_box=0.8), 20, 4)
+        short = run_experiment(targets, points, INTR, IMG_DIAG, **settings)
+        full = run_experiment(targets, points, INTR, IMG_DIAG, keep_trajectories=True,
+                              **settings)
+        for rule, entry in full["variants"].items():
+            final = [trial[-1]["iou"] for trial in entry.pop("trajectories")]
+            assert 0.0 in final and max(final) > 0.5
+            assert short["variants"][rule]["summary"]["accuracies"]["acc_det_0.5"] \
+                == entry["summary"]["accuracies"]["acc_det_0.5"] \
+                == sum(v > 0.5 for v in final) / len(final)
+        assert short == full
+
     @pytest.mark.parametrize("img_diag", [0.0, -800.0, float("nan"), float("inf")])
     def test_nonpositive_image_diagonal_rejected(self, img_diag):
         targets = self.make_targets(2, 4)
