@@ -153,10 +153,15 @@ def fit_dist(annotations, kind, out):
 # sample
 # ---------------------------------------------------------------------------
 
-def _uniform_ranges(doc: dict) -> UniformRanges:
-    """The ranges ``doc`` sets, the others at their defaults."""
-    fields = ("z_range", "f_range", "xy_box")
-    return replace(UniformRanges(), **{k: doc[k] for k in fields if k in doc})
+def _uniform_ranges(doc: dict, where: str = "") -> UniformRanges:
+    """The ranges ``doc`` sets, the others at their defaults; an invalid one
+    raises a DomainError naming ``where`` and the field."""
+    ranges = UniformRanges()
+    for k in ("z_range", "f_range", "xy_box"):
+        if k in doc:
+            with _reading(where + k):
+                ranges = replace(ranges, **{k: doc[k]})
+    return ranges
 
 
 def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
@@ -296,7 +301,7 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
         if len(states) < n:
             raise DomainError(f"target file has {len(states)} poses, need {n}")
         return PoseBatch.from_states(states[:n])
-    return sample_pose_uniform(_uniform_ranges(cfg), n,
+    return sample_pose_uniform(_uniform_ranges(cfg, "config field targets/"), n,
                                np.random.SeedSequence(seed).spawn(1)[0])
 
 

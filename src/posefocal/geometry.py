@@ -382,6 +382,13 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b of (N, 3) arrays, summed left to right as ``np.sum(a * b,
+    axis=1)`` sums them; ``sqrt(dot3(a, a))`` is ``np.linalg.norm(a, axis=1)``."""
+    p = a * b
+    return (p[:, 0] + p[:, 1]) + p[:, 2]
+
+
 def _quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton product a b of quaternions (N, 4), not normalized."""
     w1, x1, y1, z1 = a.T
@@ -409,13 +416,16 @@ def geodesic_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (N, 3, 3) of unit quaternions (N, 4)."""
-    w, x, y, z = q.T
-    return np.stack([
-        np.stack([1 - 2*y*y - 2*z*z, 2*x*y - 2*w*z, 2*x*z + 2*w*y], axis=1),
-        np.stack([2*x*y + 2*w*z, 1 - 2*x*x - 2*z*z, 2*y*z - 2*w*x], axis=1),
-        np.stack([2*x*z - 2*w*y, 2*y*z + 2*w*x, 1 - 2*x*x - 2*y*y], axis=1),
-    ], axis=1)
+    """Rotation matrices (N, 3, 3) of unit quaternions (N, 4), each entry
+    rounded as :meth:`Rotation.as_matrix` rounds it."""
+    # the products (2 a) b of as_matrix: yy, xx, xx, zz, zz, yy, xy, xz, yz, wz, wy, wx
+    p = (2 * q)[:, [2, 1, 1, 3, 3, 2, 1, 1, 2, 0, 0, 0]] \
+        * q[:, [2, 1, 1, 3, 3, 2, 2, 3, 3, 3, 2, 1]]
+    m = np.empty((len(q), 9))
+    np.subtract(1 - p[:, :3], p[:, 3:6], out=m[:, ::4])
+    m[:, [3, 2, 7]] = p[:, 6:9] + p[:, 9:]
+    m[:, [1, 6, 5]] = p[:, 6:9] - p[:, 9:]
+    return m.reshape(-1, 3, 3)
 
 
 def matrices_to_quats(m: np.ndarray) -> np.ndarray:
@@ -453,21 +463,24 @@ def _check_6d_rows(n1, c, nw):
 def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Row-wise :func:`rotation_from_6d` of vector pairs (N, 3), as unit
     quaternions (N, 4), with the same checks."""
-    n1 = np.linalg.norm(v1, axis=1, keepdims=True)
+    n1 = np.sqrt(dot3(v1, v1))[:, None]
     if np.any(n1 < _DEGENERATE_TOL):
         raise DegenerateInputError("first 6D vector is (numerically) zero")
-    e1 = v1 / n1
-    c = np.sum(v2 * e1, axis=1, keepdims=True)
+    m = np.empty((len(v1), 3, 3))  # columns e1, e2 and their cross product
+    e1 = np.divide(v1, n1, out=m[:, :, 0])
+    c = dot3(v2, e1)[:, None]
     w = v2 - c * e1
-    nw = np.linalg.norm(w, axis=1, keepdims=True)
+    nw = np.sqrt(dot3(w, w))[:, None]
     _check_6d_rows(n1, c, nw)
-    e2 = w / nw
-    return matrices_to_quats(np.stack([e1, e2, np.cross(e1, e2)], axis=2))
+    np.divide(w, nw, out=m[:, :, 1])
+    r1, r2 = m[:, [1, 2, 0], :2], m[:, [2, 0, 1], :2]  # as np.cross rounds it
+    np.subtract(r1[..., 0] * r2[..., 1], r2[..., 0] * r1[..., 1], out=m[:, :, 2])
+    return matrices_to_quats(m)
 
 
 def quats_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Row-wise :meth:`Rotation.from_axis_angle` of axes (N, 3) and angles (N,)."""
-    n = np.linalg.norm(axis, axis=1, keepdims=True)
+    n = np.sqrt(dot3(axis, axis))[:, None]
     if np.any(n < _DEGENERATE_TOL):
         raise DegenerateInputError("rotation axis is a zero vector")
     half = 0.5 * angle
@@ -478,7 +491,7 @@ def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes (N, 3) and angles (N,) in [0, pi] of unit quaternions (N, 4);
     the axis is (1, 0, 0) for a rotation by less than 1e-15."""
     w, vec = q[:, 0], q[:, 1:]
-    norm = np.linalg.norm(vec, axis=1)
+    norm = np.sqrt(dot3(vec, vec))
     small = norm < 1e-15
     sign = np.sign(np.where(w != 0, w, 1.0))
     axis = np.where(small[:, None], np.array([1.0, 0.0, 0.0]),
@@ -486,10 +499,13 @@ def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return axis, np.where(small, 0.0, 2.0 * np.arctan2(norm, np.abs(w)))
 
 
-def camera_points(poses: PoseBatch, points: np.ndarray) -> np.ndarray:
-    """Model points (P, 3) in each pose's camera frame, shape (N, P, 3)."""
-    return (points @ quats_to_matrices(poses.quat).transpose(0, 2, 1)
-            + poses.translation[:, None, :])
+def camera_points(poses: PoseBatch, points: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Model points (P, 3) in each pose's camera frame, shape (N, P, 3), laid out
+    (N, 3, P) in memory, in ``out`` if given: one contiguous row per coordinate."""
+    cam = np.matmul(quats_to_matrices(poses.quat), points.T, out=out).transpose(0, 2, 1)
+    cam += poses.translation[:, None, :]
+    return cam
 
 
 def image_boxes(cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -11,13 +11,13 @@ counts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       PoseBatch, bbox_iou, camera_points, image_boxes,
+                       PoseBatch, bbox_iou, camera_points, dot3, image_boxes,
                        quat_conj, quat_multiply)
 
 ROT_ACC_THRESHOLD = math.pi / 6.0
@@ -25,6 +25,7 @@ PROJ_ACC_THRESHOLD = 0.1
 IOU_ACC_THRESHOLD = 0.5
 
 METRIC_FIELDS = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
+GT_NORM_ERROR = "ground-truth translation must be non-zero, with a norm that does not overflow"
 
 HISTOGRAM_EDGES = {
     "e_rot": np.linspace(0.0, math.pi, 19),
@@ -37,7 +38,8 @@ HISTOGRAM_EDGES = {
 
 @dataclass(frozen=True)
 class EvalPair:
-    """A prediction/ground-truth pair plus the context metrics need."""
+    """A prediction/ground-truth pair plus the context metrics need;
+    ``gt_distance`` is the ground-truth translation's norm."""
 
     pred: ParamState
     gt: ParamState
@@ -45,10 +47,17 @@ class EvalPair:
     bbox_gt: BBox
     img_diag: float
     bbox_pred: BBox | None = None
+    gt_distance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.img_diag) and self.img_diag > 0):
             raise DomainError(f"image diagonal must be finite and positive, got {self.img_diag}")
+        t_hat = self.gt.translation
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(t_hat.dot(t_hat))
+        if not 0 < norm < math.inf:
+            raise DomainError(GT_NORM_ERROR)
+        object.__setattr__(self, "gt_distance", norm)
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,6 @@ def err_rot(pair: EvalPair) -> float:
     return float(2.0 * np.arcsin(min(1.0, math.sqrt(v.dot(v)))))
 
 
-def _gt_distance(pair: EvalPair) -> float:
-    t_hat = pair.gt.translation
-    norm = math.sqrt(t_hat.dot(t_hat))
-    if norm <= 0:
-        raise DomainError("ground-truth translation must be non-zero")
-    return norm
-
-
 def _clouds(pair: EvalPair) -> tuple[np.ndarray, np.ndarray]:
     """The model points in the predicted and in the ground-truth camera frame."""
     pts = pair.points.points
@@ -101,15 +102,15 @@ def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
 def err_trans(pair: EvalPair) -> float:
     """Translation error normalized by the ground-truth distance."""
     d = pair.pred.translation - pair.gt.translation
-    return math.sqrt(d.dot(d)) / _gt_distance(pair)
+    return math.sqrt(d.dot(d)) / pair.gt_distance
 
 
 def err_pose(pair: EvalPair, clouds=None) -> float:
     """Point-matching error, normalized and scaled by the relative object size;
     ``clouds`` are the pair's two camera-frame clouds, if already formed."""
-    norm = _gt_distance(pair)
     cam, cam_hat = clouds or _clouds(pair)
-    return pair.bbox_gt.diagonal / pair.img_diag * _mean_distance(cam, cam_hat) / norm
+    return pair.bbox_gt.diagonal / pair.img_diag * _mean_distance(cam, cam_hat) \
+        / pair.gt_distance
 
 
 def err_focal(pair: EvalPair) -> float:
@@ -143,17 +144,28 @@ def evaluate_pair(pair: EvalPair) -> MetricRecord:
                         bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)
 
 
+def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+    """``np.linalg.norm(a - b, axis=2).mean(axis=1)`` of (N, P, k) arrays, bit for
+    bit: the squares are summed component by component in (N, P) buffers."""
+    np.square(np.subtract(a[..., 0], b[..., 0], out=acc), out=acc)
+    for i in range(1, a.shape[2]):
+        acc += np.square(np.subtract(a[..., i], b[..., i], out=tmp), out=tmp)
+    return np.sqrt(acc, out=acc).mean(axis=1)
+
+
 class GroundTruth:
     """The ground-truth half of :func:`evaluate_batch`: N ground-truth poses,
-    boxes (x1, y1, x2, y2) and image diagonal, checked and formed once for :meth:`score`."""
+    boxes (x1, y1, x2, y2) and image diagonal, checked and formed once for :meth:`score`,
+    which reuses one set of buffers."""
 
     def __init__(self, gt: PoseBatch, points: ModelPoints, bbox_gt: np.ndarray,
                  img_diag: float):
         if not (math.isfinite(img_diag) and img_diag > 0):
             raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
-        self.t_norm = np.linalg.norm(gt.translation, axis=1)
-        if np.any(self.t_norm <= 0):
-            raise DomainError("ground-truth translation must be non-zero")
+        with np.errstate(over="ignore"):
+            self.t_norm = np.sqrt(dot3(gt.translation, gt.translation))
+        if not np.all((self.t_norm > 0) & (self.t_norm < math.inf)):
+            raise DomainError(GT_NORM_ERROR)
         self.cam_hat = cam_hat = camera_points(gt, points.points)
         if np.any(cam_hat[..., 2] <= 0):
             raise DomainError("ground truth puts a model point behind the camera")
@@ -161,28 +173,34 @@ class GroundTruth:
         self.gt, self.points, self.bbox, self.img_diag = gt, points.points, bbox_gt, img_diag
         self.diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
         self.area = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
+        n, p = cam_hat.shape[:2]
+        self._cam, self._acc, self._tmp = np.empty((n, 3, p)), np.empty((n, p)), np.empty((n, p))
 
     def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics, iou: bool = True) -> dict:
         """The prediction half: an (N,) array per :class:`MetricRecord` field ("iou"
         if asked); e_proj inf and iou NaN where a predicted point has non-positive depth."""
         gt, box_gt = self.gt, self.bbox
-        cam = camera_points(pred, self.points)
+        cam = camera_points(pred, self.points, self._cam)
         behind = np.any(cam[..., 2] <= 0, axis=1)
-        avg = np.linalg.norm(cam - self.cam_hat, axis=2).mean(axis=1)
+        avg = _mean_distances(cam, self.cam_hat, self._acc, self._tmp)
+        if iou:  # before the projection below overwrites the cloud's x and y
+            box = image_boxes(cam, intrinsics)
+        uv = cam[..., :2]
         with np.errstate(divide="ignore", invalid="ignore"):  # rows behind the camera
-            uv = pred.focal[:, None, None] * cam[..., :2] / cam[..., 2:3]
-            e_proj = np.linalg.norm(uv - self.uv_hat, axis=2).mean(axis=1) / self.diag
+            uv *= pred.focal[:, None, None]  # f x / z and f y / z, in place
+            uv /= cam[..., 2:3]
+            e_proj = _mean_distances(uv, self.uv_hat, self._acc, self._tmp) / self.diag
         e_proj[behind] = math.inf
+        rel = quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:]
+        d = pred.translation - gt.translation
         out = {
-            "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(  # as err_rot
-                quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
-            "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / self.t_norm,
+            "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dot3(rel, rel)))),  # as err_rot
+            "e_trans": np.sqrt(dot3(d, d)) / self.t_norm,
             "e_pose": self.diag / self.img_diag * avg / self.t_norm,
             "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
             "e_proj": e_proj,
         }
         if iou:
-            box = image_boxes(cam, intrinsics)
             iw = np.minimum(box_gt[:, 2], box[:, 2]) - np.maximum(box_gt[:, 0], box[:, 0])
             ih = np.minimum(box_gt[:, 3], box[:, 3]) - np.maximum(box_gt[:, 1], box[:, 1])
             inter = iw * ih

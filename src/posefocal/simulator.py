@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       PoseBatch, camera_points, image_boxes, quat_axis_angle,
+                       PoseBatch, camera_points, dot3, image_boxes, quat_axis_angle,
                        quat_multiply, quats_from_6d, quats_from_axis_angle,
                        quats_to_matrices)
 from .metrics import (METRIC_FIELDS, GroundTruth, MetricRecord, aggregate,
@@ -88,7 +88,7 @@ class OraclePredictor:
 
     def _add_noise(self, delta: DeltaBatch, z: np.ndarray) -> DeltaBatch:
         ns = self.noise
-        axis = z[:, :3] / np.maximum(np.linalg.norm(z[:, :3], axis=1), 1e-15)[:, None]
+        axis = z[:, :3] / np.maximum(np.sqrt(dot3(z[:, :3], z[:, :3])), 1e-15)[:, None]
         angle = np.deg2rad(ns.sigma_rot_deg) * z[:, 3]
         mat = quats_to_matrices(quat_multiply(quats_from_axis_angle(axis, angle),
                                               quats_from_6d(delta.v_r1, delta.v_r2)))

@@ -1,0 +1,207 @@
+"""The campaign's batched kernels round exactly as the NumPy formulas they
+replaced: each reference below is that formula (np.linalg.norm, np.sum,
+np.cross, np.stack and (N, P, 3) temporaries), kept here, and every
+comparison is bit for bit, NaN for NaN."""
+
+import numpy as np
+import pytest
+
+from posefocal.geometry import (CameraIntrinsics, ModelPoints, PoseBatch, camera_points,
+                                dot3, image_boxes, quat_axis_angle, quat_conj,
+                                quat_multiply, quat_unit, quats_from_6d,
+                                quats_from_axis_angle, quats_to_matrices)
+from posefocal.metrics import GroundTruth
+
+INTR = CameraIntrinsics(600.0, 4.0, -2.0)
+
+
+def same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas
+# ---------------------------------------------------------------------------
+
+def ref_quats_to_matrices(q):
+    w, x, y, z = q.T
+    return np.stack([
+        np.stack([1 - 2*y*y - 2*z*z, 2*x*y - 2*w*z, 2*x*z + 2*w*y], axis=1),
+        np.stack([2*x*y + 2*w*z, 1 - 2*x*x - 2*z*z, 2*y*z - 2*w*x], axis=1),
+        np.stack([2*x*z - 2*w*y, 2*y*z + 2*w*x, 1 - 2*x*x - 2*y*y], axis=1),
+    ], axis=1)
+
+
+def ref_matrices_to_quats(m):
+    m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    t = m00 + m11 + m22
+    d21, d02, d10 = m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]
+    s01, s02, s12 = m[:, 0, 1] + m[:, 1, 0], m[:, 0, 2] + m[:, 2, 0], m[:, 1, 2] + m[:, 2, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 0.5 / np.sqrt(t + 1.0)
+        by_trace = np.stack([0.25 / s, d21 * s, d02 * s, d10 * s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m00 - m11 - m22)
+        by_x = np.stack([d21 / s, 0.25 * s, s01 / s, s02 / s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m11 - m00 - m22)
+        by_y = np.stack([d02 / s, s01 / s, 0.25 * s, s12 / s], axis=1)
+        s = 2.0 * np.sqrt(1.0 + m22 - m00 - m11)
+        by_z = np.stack([d10 / s, s02 / s, s12 / s, 0.25 * s], axis=1)
+    q = np.where((t > 0)[:, None], by_trace,
+                 np.where(((m00 > m11) & (m00 > m22))[:, None], by_x,
+                          np.where((m11 > m22)[:, None], by_y, by_z)))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def ref_pivots(m):
+    """Which Shepperd branch each row of ``ref_matrices_to_quats`` takes."""
+    m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    return np.where(m00 + m11 + m22 > 0, 0,
+                    np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)))
+
+
+def ref_quats_from_6d(v1, v2):
+    n1 = np.linalg.norm(v1, axis=1, keepdims=True)
+    e1 = v1 / n1
+    c = np.sum(v2 * e1, axis=1, keepdims=True)
+    w = v2 - c * e1
+    e2 = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return ref_matrices_to_quats(np.stack([e1, e2, np.cross(e1, e2)], axis=2))
+
+
+def ref_camera_points(poses, points):
+    return (points @ ref_quats_to_matrices(poses.quat).transpose(0, 2, 1)
+            + poses.translation[:, None, :])
+
+
+def ref_score(pred, gt, points, box_gt, img_diag, intrinsics, iou):
+    """``GroundTruth.score`` as first written, ground-truth half included."""
+    t_norm = np.linalg.norm(gt.translation, axis=1)
+    cam_hat = ref_camera_points(gt, points)
+    uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
+    diag = np.hypot(box_gt[:, 2] - box_gt[:, 0], box_gt[:, 3] - box_gt[:, 1])
+    area_gt = (box_gt[:, 2] - box_gt[:, 0]) * (box_gt[:, 3] - box_gt[:, 1])
+    cam = ref_camera_points(pred, points)
+    behind = np.any(cam[..., 2] <= 0, axis=1)
+    avg = np.linalg.norm(cam - cam_hat, axis=2).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = pred.focal[:, None, None] * cam[..., :2] / cam[..., 2:3]
+        e_proj = np.linalg.norm(uv - uv_hat, axis=2).mean(axis=1) / diag
+    e_proj[behind] = np.inf
+    out = {
+        "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(
+            quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
+        "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / t_norm,
+        "e_pose": diag / img_diag * avg / t_norm,
+        "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
+        "e_proj": e_proj,
+    }
+    if iou:
+        box = image_boxes(cam, intrinsics)
+        iw = np.minimum(box_gt[:, 2], box[:, 2]) - np.maximum(box_gt[:, 0], box[:, 0])
+        ih = np.minimum(box_gt[:, 3], box[:, 3]) - np.maximum(box_gt[:, 1], box[:, 1])
+        inter = iw * ih
+        area = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+        with np.errstate(invalid="ignore"):
+            out["iou"] = np.where((iw > 0) & (ih > 0), inter / (area_gt + area - inter), 0.0)
+        out["iou"][behind] = np.nan
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def random_quats(rng, n, pivot=None):
+    """Unit quaternions; ``pivot`` 0-3 makes w, x, y or z the dominant part,
+    which puts the rotation on that Shepperd branch."""
+    q = rng.standard_normal((n, 4))
+    if pivot is not None:
+        q[:, pivot] = np.sign(q[:, pivot]) * (np.abs(q[:, pivot]) + 10.0)
+    return quat_unit(q)
+
+
+def random_poses(rng, n, behind=0):
+    t = np.column_stack([rng.uniform(-0.4, 0.4, (n, 2)), rng.uniform(0.6, 3.0, n)])
+    t[:behind, 2] = rng.uniform(-0.5, 0.08, behind)  # some points behind the camera
+    return PoseBatch(random_quats(rng, n), t, rng.uniform(200.0, 1000.0, n))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+class TestRotationKernels:
+    @pytest.mark.parametrize("pivot", [0, 1, 2, 3])
+    def test_quats_from_6d_on_each_pivot(self, pivot):
+        rng = np.random.default_rng(10 + pivot)
+        m = ref_quats_to_matrices(random_quats(rng, 3000, pivot))
+        m = m[ref_pivots(m) == pivot]
+        assert len(m) > 2500
+        scale = rng.uniform(0.01, 100.0, (len(m), 1))
+        v1 = m[:, :, 0] * scale + 1e-4 * rng.standard_normal((len(m), 3))
+        v2 = m[:, :, 1] * scale[::-1] + 1e-4 * rng.standard_normal((len(m), 3))
+        assert same(quats_from_6d(v1, v2), ref_quats_from_6d(v1, v2))
+
+    def test_quats_from_6d_on_near_parallel_pairs(self):
+        rng = np.random.default_rng(3)
+        v1 = rng.standard_normal((4000, 3))
+        perp = np.cross(v1, rng.standard_normal((4000, 3)))
+        perp *= np.linalg.norm(v1, axis=1, keepdims=True) / np.linalg.norm(perp, axis=1,
+                                                                           keepdims=True)
+        sin = 10.0 ** rng.uniform(-8.0, -3.0, (4000, 1))  # above the 1e-9 rule
+        v2 = v1 * rng.choice([-1.0, 1.0], (4000, 1)) * rng.uniform(0.5, 5.0, (4000, 1)) \
+            + sin * perp
+        assert same(quats_from_6d(v1, v2), ref_quats_from_6d(v1, v2))
+
+    def test_quats_to_matrices(self):
+        rng = np.random.default_rng(4)
+        q = np.concatenate([random_quats(rng, 1000, p) for p in (None, 0, 1, 2, 3)])
+        q[::7, 0] = 0.0  # exact half turns
+        assert same(quats_to_matrices(q), ref_quats_to_matrices(q))
+
+    def test_axis_angle_kernels(self):
+        rng = np.random.default_rng(5)
+        axis = rng.standard_normal((3000, 3)) * 10.0 ** rng.uniform(-6, 6, (3000, 1))
+        angle = rng.uniform(-4.0, 4.0, 3000)
+        n = np.linalg.norm(axis, axis=1, keepdims=True)
+        want = quat_unit(np.column_stack([np.cos(0.5 * angle),
+                                          np.sin(0.5 * angle)[:, None] * (axis / n)]))
+        assert same(quats_from_axis_angle(axis, angle), want)
+        assert same(quat_axis_angle(want)[1], np.where(
+            np.linalg.norm(want[:, 1:], axis=1) < 1e-15, 0.0,
+            2.0 * np.arctan2(np.linalg.norm(want[:, 1:], axis=1), np.abs(want[:, 0]))))
+        assert same(np.sqrt(dot3(axis, axis)), np.linalg.norm(axis, axis=1))
+
+
+class TestCameraPoints:
+    @pytest.mark.parametrize("n, p", [(1, 1), (7, 100), (120, 100), (33, 257)])
+    def test_matches_reference(self, n, p):
+        rng = np.random.default_rng(n * p)
+        poses = random_poses(rng, n)
+        points = rng.uniform(-0.3, 0.3, (p, 3))
+        want = ref_camera_points(poses, points)
+        assert same(camera_points(poses, points), want)
+        buf = np.full((n, 3, p), np.nan)
+        got = camera_points(poses, points, buf)
+        assert same(got, want) and np.shares_memory(got, buf)
+
+
+class TestGroundTruthScore:
+    @pytest.mark.parametrize("n, p, behind", [(1, 5, 0), (1, 5, 1), (60, 100, 9),
+                                              (120, 100, 20), (25, 333, 25)])
+    def test_matches_reference(self, n, p, behind):
+        rng = np.random.default_rng(7 * n + p)
+        points = rng.uniform(-0.1, 0.1, (p, 3))
+        gt = random_poses(rng, n)
+        box_gt = image_boxes(ref_camera_points(gt, points), INTR)
+        truth = GroundTruth(gt, ModelPoints(points), box_gt, 800.0)
+        for step in range(3):  # the buffers are reused across calls
+            pred = random_poses(rng, n, behind=behind if step != 1 else 0)
+            for iou in (True, False):
+                got = truth.score(pred, INTR, iou)
+                want = ref_score(pred, gt, points, box_gt, 800.0, INTR, iou)
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert same(got[key], want[key]), (step, iou, key)
+            if behind and step != 1:  # the case covers rows behind the camera
+                assert np.isinf(got["e_proj"][:behind]).any()

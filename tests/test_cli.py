@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ class TestSimulate:
             trial_stream = sample_pose_uniform(UniformRanges(), 6, 3 + i)
             assert not np.any(targets.quat == trial_stream.quat)
 
+    @pytest.mark.parametrize("field, value", [("z_range", [2, 1]), ("f_range", [0, 5])])
+    def test_invalid_uniform_range_names_field(self, runner, tmp_path, field, value):
+        cfg = self.write_config(tmp_path, targets={"kind": "uniform", field: value})
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert f"config field targets/{field}: invalid" in res.output
+
+    def test_overflowing_target_translation_is_an_error(self, runner, tmp_path):
+        """|t| overflows its norm: an error naming the translation, not e_trans 0."""
+        cfg = self.write_config(tmp_path, targets={"kind": "uniform", "xy_box": 1e160})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                       str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "ground-truth translation" in res.output
+        assert not (tmp_path / "x.json").exists()
+
     def test_nested_schema_error_path(self, runner, tmp_path):
         cfg = self.write_config(
             tmp_path, predictor={"noise": {"sigma_x_px": -1.0}, "clamp": None})
@@ -277,6 +297,18 @@ class TestEvaluate:
         res = runner.invoke(main, ["evaluate", str(path), "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert load_output(out)["records"][0]["iou"] is None
+
+    def test_overflowing_gt_translation_is_an_error(self, runner, tmp_path):
+        """|t| overflows its norm: an error naming the translation, not NaN metrics."""
+        pair = dict(self.pair(), gt=dict(self.GT, t_m=[1e160, 0, 1]))
+        path = self.write_pairs(tmp_path, [self.header(), pair])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = runner.invoke(main, ["evaluate", str(path), "--out",
+                                       str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "ground-truth translation" in res.output
+        assert not (tmp_path / "x.json").exists()
 
     def test_csv_output(self, runner, tmp_path):
         path = self.write_pairs(tmp_path, [self.header(), self.pair()])
