@@ -8,7 +8,7 @@ input-noise model.
 All samplers take an integer seed (or a numpy Generator) and are
 deterministic; the pose samplers return a :class:`PoseBatch`.
 
-SciPy is imported only inside the functions that call it.
+Everything here, the Bingham fit and sampler included, is plain NumPy.
 """
 
 from __future__ import annotations
@@ -101,6 +101,15 @@ def _hopf_rule(z_min: float):
     return np.concatenate([h, 1.0 - h]), np.concatenate([1.0 - h, h]), np.concatenate([w, w])
 
 
+def _ive012(x: np.ndarray) -> np.ndarray:
+    """(3, len(x)) ive(n, x), n = 0, 1, 2, within 3e-15 of ive(0, x) for |x| <= 450:
+    (1/pi) int_0^pi exp(|x| (cos t - 1)) cos nt dt by the 128-node midpoint rule."""
+    theta = np.pi * (np.arange(128) + 0.5) / 128
+    drop = np.exp(np.abs(x)[:, None] * (-2.0 * np.sin(0.5 * theta) ** 2))
+    return (drop @ np.cos(np.outer(theta, np.arange(3))) / 128).T \
+        * np.sign(x) ** np.arange(3)[:, None]
+
+
 def _bingham_moments(z: np.ndarray, with_jac: bool = False):
     """E[u_i^2] along the frame axes, and optionally d E[u_i^2] / d z_j.
 
@@ -110,14 +119,12 @@ def _bingham_moments(z: np.ndarray, with_jac: bool = False):
     x1 = (z1 - z2) c / 2, and p2 likewise at x2 = (z3 - z4) t / 2. z need
     not be sorted. The Jacobian is the covariance of the u_i^2.
     """
-    from scipy import special
     c, t, w = _hopf_rule(float(z.min()))
     z1, z2, z3, z4 = z
     lo, hi = max(z1, z2), max(z3, z4)
     s = w * np.exp(lo * c + hi * t - max(lo, hi))
-    orders = np.arange(3)[:, None]
-    a0, a1, a2 = special.ive(orders, 0.5 * (z1 - z2) * c)
-    b0, b1, b2 = special.ive(orders, 0.5 * (z3 - z4) * t)
+    a0, a1, a2 = _ive012(0.5 * (z1 - z2) * c)
+    b0, b1, b2 = _ive012(0.5 * (z3 - z4) * t)
     # second moments of the two circles: cos^2 p -> (I0 + I1) / 2, sin^2 p -> (I0 - I1) / 2
     pa = 0.5 * c * np.array([a0 + a1, a0 - a1])
     pb = 0.5 * t * np.array([b0 + b1, b0 - b1])
@@ -145,9 +152,9 @@ def fit_bingham(quaternions) -> BinghamParams:
 
     ``quaternions`` is an (N, 4) array. The frame is the eigenbasis of the
     antipodally symmetric scatter matrix; the concentrations are solved by
-    matching the scatter eigenvalues, clamped to [-900, 0].
+    matching the scatter eigenvalues, clamped to [-900, 0]. Raises
+    :class:`DegenerateFitError` if the solve does not converge.
     """
-    from scipy.optimize import least_squares
     q = np.asarray(quaternions, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4 or q.shape[0] < 5:
         raise DegenerateFitError("need at least 5 quaternions of shape (N, 4)")
@@ -161,26 +168,52 @@ def fit_bingham(quaternions) -> BinghamParams:
     lam = np.clip(evals, 1e-12, None)
     lam = lam / lam.sum()
 
-    # Relative residuals: near the clamp the eigenvalues are ~1/1800, and
-    # absolute ones meet gtol while the moments still differ by ~1e-7.
+    # Relative residuals weigh the three moments alike: near the clamp the
+    # eigenvalues are ~1/1800, and absolute ones would hardly count there.
     def residual(z3):
-        z = np.append(z3, 0.0)
-        return _bingham_moments(z)[:3] / lam[:3] - 1.0
+        moments, jac = _bingham_moments(np.append(z3, 0.0), with_jac=True)
+        return moments[:3] / lam[:3] - 1.0, jac[:3, :3] / lam[:3, None]
 
-    def jacobian(z3):
-        z = np.append(z3, 0.0)
-        _, jac = _bingham_moments(z, with_jac=True)
-        return jac[:3, :3] / lam[:3, None]
-
-    x0 = np.clip(0.5 / lam[3] - 0.5 / lam[:3], Z_CLAMP + 1.0, -1e-3)
-    sol = least_squares(residual, x0, jac=jacobian, bounds=(Z_CLAMP, 0.0),
-                        xtol=1e-12, ftol=1e-12, gtol=1e-15)
-    z = np.append(np.sort(sol.x), 0.0)
-    z = np.minimum(z, 0.0)
+    # Bounded Newton: a coordinate at a bound whose gradient points out stays. The
+    # step halves until the residual falls; 30 halvings that fail end the solve.
+    x = np.clip(0.5 / lam[3] - 0.5 / lam[:3], Z_CLAMP + 1.0, -1e-3)
+    r, jac = residual(x)
+    for it in range(_MAX_RETRIES + 1):
+        if it == _MAX_RETRIES or not np.isfinite(r @ r):
+            raise DegenerateFitError(f"Bingham concentration solve did not converge in "
+                                     f"{it} iterations (residual {np.abs(r).max():.3g})")
+        free = ~(((x <= Z_CLAMP) & (jac.T @ r > 0)) | ((x >= 0.0) & (jac.T @ r < 0)))
+        step = np.linalg.lstsq(jac * free, -r, rcond=None)[0]
+        if np.all(np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(x))):
+            break
+        for _ in range(30):
+            trial = np.clip(x + step, Z_CLAMP, 0.0)
+            r_trial, jac_trial = residual(trial)
+            if r_trial @ r_trial < r @ r:
+                break
+            step = 0.5 * step
+        else:
+            break
+        x, r, jac = trial, r_trial, jac_trial
+    z = np.append(np.sort(x), 0.0)
     m = evecs.copy()
     if np.linalg.det(m) < 0:
         m[:, 0] = -m[:, 0]
     return BinghamParams(m, z)
+
+
+def _envelope_root(beta: np.ndarray) -> float:
+    """The root b in [1, 4] of sum 1 / (b + 2 beta) = 1 (beta >= 0, beta[0] = 0):
+    Newton on the increasing, concave h(b) = 1 / sum 1 / (b + 2 beta) climbs
+    from h(1) <= 1 without overshoot, and beta = 0 gives h = b / 4, b = 4."""
+    b = 1.0
+    while True:  # b rises strictly, so this ends
+        inv = 1.0 / (b + 2.0 * beta)
+        h = 1.0 / inv.sum()
+        b_next = b + (1.0 - h) / (h * h * (inv @ inv))
+        if not b_next > b:
+            return b
+        b = b_next
 
 
 def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
@@ -188,18 +221,13 @@ def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
 
     Returns (n, 4) unit quaternions; deterministic for a fixed seed.
     """
-    from scipy.optimize import brentq
     rng = _as_rng(seed)
     if n == 0:
         return np.zeros((0, 4))
     d = 4
     # B = -M Z M^T is PSD with smallest eigenvalue 0.
     beta = -params.z[::-1]  # descending z -> ascending beta, beta[0] = 0
-
-    def envelope_eq(b):
-        return np.sum(1.0 / (b + 2.0 * beta)) - 1.0
-
-    b = brentq(envelope_eq, 1e-12, float(d), xtol=1e-13)
+    b = _envelope_root(beta)
     omega_diag = 1.0 + 2.0 * beta / b  # in the M-frame (reversed column order)
     log_m_star = -(d - b) / 2.0 + (d / 2.0) * np.log(d / b)
 
@@ -407,33 +435,55 @@ class NonparamDeltas:
                    float(d["delta_y_m"]), float(d["delta_z_m"]), float(d["delta_f_px"]))
 
 
-def _nn_percentile(points: np.ndarray, pct: float = 95.0) -> float:
-    """Percentile of nearest-neighbor distances (a duplicate is at 0)."""
-    from scipy.spatial import cKDTree
-    dist, _ = cKDTree(points).query(points, k=2)
-    return float(np.percentile(dist[:, 1], pct))
+def _nearest_other(points: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance (np.linalg.norm's, bit for bit) to, and index mod ``period`` of, the
+    nearest row j != i (mod ``period``) of each of the first ``period`` rows i. A sweep
+    along the widest axis compares rows k apart until no squared gap beats a best."""
+    n = len(points)
+    axis = np.argmax(np.ptp(points, axis=0))
+    order = np.argsort(points[:, axis], kind="stable")
+    cols, row, pos = points[order].T.copy(), order % period, np.arange(n)
+    key, arg, first = cols[axis], pos.copy(), np.flatnonzero(order < period)[0]
+    best = np.where(order < period, np.inf, -np.inf)  # other rows ask for nothing
+    for k in range(1, n):
+        lo, hi = slice(max(first - k, 0), n - k), slice(max(first, k), n)
+        gap = key[hi] - key[lo]
+        gap *= gap
+        if not ((gap < best[lo]) | (gap < best[hi])).any():
+            break
+        d = cols[:, hi] - cols[:, lo]
+        d *= d
+        s = d.sum(axis=0)
+        s[row[hi] == row[lo]] = np.inf
+        for near, nearest, other in ((best[lo], arg[lo], pos[hi]),
+                                     (best[hi], arg[hi], pos[lo])):
+            closer = s < near
+            np.copyto(near, s, where=closer)
+            np.copyto(nearest, other, where=closer)
+    back = np.argsort(order)[:period]
+    return np.sqrt(best[back]), row[arg[back]]
 
 
 def select_deltas_95pct(records) -> NonparamDeltas:
     """95th percentile of nearest-neighbor distances, per coordinate pair.
 
-    The (x, y) and (z, f) planes each yield one Euclidean radius, shared by
-    the pair's two axes; rotation uses the geodesic angle.
+    The (x, y) and (z, f) planes each yield one Euclidean radius (a duplicate
+    is at 0), shared by the pair's two axes; rotation uses the geodesic angle.
     """
-    from scipy.spatial import cKDTree
     if len(records) < 2:
         raise DegenerateFitError("need at least 2 records")
+    n = len(records)
     t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
     f = np.array([r.focal for r in records])
-    d_xy = _nn_percentile(t[:, :2])
-    d_zf = _nn_percentile(np.column_stack([t[:, 2], f]))
+    d_xy = float(np.percentile(_nearest_other(t[:, :2], n)[0], 95.0))
+    d_zf = float(np.percentile(_nearest_other(np.column_stack([t[:, 2], f]), n)[0], 95.0))
 
     # The chordal distance to the nearer of q' and -q' grows with the geodesic
-    # angle; a duplicate ties with the point itself, so skip i by index.
-    n = len(records)
+    # angle; a duplicate ties with the point itself, so rows skip i by index.
+    # With the sweep column of (c; -c) made non-negative, -c sorts before c.
     q = np.stack([r.rotation.quat for r in records])
-    hits = cKDTree(np.concatenate([q, -q])).query(q, k=3)[1] % n
-    nearest = hits[np.arange(n), np.argmax(hits != np.arange(n)[:, None], axis=1)]
+    c = np.where(q[:, [np.argmax(np.abs(q).max(axis=0))]] < 0.0, -q, q)
+    nearest = _nearest_other(np.concatenate([c, -c]), n)[1]
     d_r = float(np.percentile(geodesic_angles(q, q[nearest]), 95.0))
     return NonparamDeltas(d_r, d_xy, d_xy, d_zf, d_zf)
 

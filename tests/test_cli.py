@@ -542,6 +542,8 @@ IMPORT_SPLIT_SCRIPT = r"""
 import json, sys
 from pathlib import Path
 
+sys.modules["scipy"] = None  # any import of SciPy now raises ImportError
+
 import posefocal
 import posefocal.cli
 
@@ -555,22 +557,24 @@ def run(*argv):
 
 
 d = Path(sys.argv[1])
-seen = {"import": {"scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")}}
+seen = {"import": loaded("jsonschema")}
 run("evaluate", str(d / "pairs.jsonl"), "--out", str(d / "eval.json"))
 run("gradcheck", "-n", "3")
-seen["score"] = {"scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")}
+for kind in ("parametric", "nonparametric"):
+    run("fit-dist", str(d / "ann.jsonl"), "--kind", kind, "--out", str(d / f"{kind}.json"))
+    run("sample", str(d / f"{kind}.json"), "-n", "5", "--seed", "1",
+        "--out", str(d / f"{kind}.jsonl"))
+seen["score and datagen"] = loaded("jsonschema")
 run("simulate", "--config", str(d / "sim.json"), "--out", str(d / "sim_out.json"))
-seen["simulate"] = {"scipy": loaded("scipy")}
-run("fit-dist", str(d / "ann.jsonl"), "--kind", "parametric", "--out", str(d / "dist.json"))
-run("sample", str(d / "dist.json"), "-n", "5", "--out", str(d / "poses.jsonl"))
-seen["datagen"] = {"scipy": loaded("scipy")}
+seen["simulate"] = loaded("jsonschema")
 print(json.dumps(seen))
 """
 
 
-def test_only_fit_dist_and_sample_load_scipy(annotations, tmp_path):
-    """evaluate and gradcheck load neither SciPy nor jsonschema, simulate
-    loads no SciPy; fit-dist and a parametric sample load SciPy when they run."""
+def test_no_command_needs_scipy(annotations, tmp_path):
+    """With SciPy made unimportable, every command runs: evaluate, gradcheck,
+    both fit-dist kinds, sample from both distributions and simulate; only
+    simulate loads jsonschema."""
     pairs = TestEvaluate()
     pairs.write_pairs(tmp_path, [pairs.header(), pairs.pair()])
     (tmp_path / "sim.json").write_text(json.dumps(
@@ -583,8 +587,6 @@ def test_only_fit_dist_and_sample_load_scipy(annotations, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.strip().splitlines()[-1])
-    assert seen["import"] == {"scipy": False, "jsonschema": False}
-    assert seen["score"] == {"scipy": False, "jsonschema": False}
-    assert seen["simulate"] == {"scipy": False}
-    assert seen["datagen"] == {"scipy": True}
-    assert len((tmp_path / "poses.jsonl").read_text().splitlines()) == 6
+    assert seen == {"import": False, "score and datagen": False, "simulate": True}
+    for kind in ("parametric", "nonparametric"):
+        assert len((tmp_path / f"{kind}.jsonl").read_text().splitlines()) == 6

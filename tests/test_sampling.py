@@ -3,13 +3,15 @@ refiner noise."""
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
+from posefocal import sampling
 from posefocal.errors import DegenerateFitError, DomainError
 from posefocal.geometry import BBox, Rotation, geodesic_distance
 from posefocal.sampling import (Z_CLAMP, AnnotationRecord, BinghamParams,
                                 Gaussian2DParams, NonparamDeltas,
                                 RefinerNoise, UniformRanges, _bingham_moments,
+                                _envelope_root, _ive012, _nearest_other,
                                 fit_bingham,
                                 fit_translation_focal, load_annotations,
                                 sample_bingham, sample_pose_nonparametric,
@@ -131,11 +133,68 @@ class TestBingham:
             moments = _bingham_moments(fitted.z)
             assert np.abs(moments / eigenvalues - 1.0).max() <= 1e-10
 
+    def test_fit_matches_least_squares_reference(self):
+        """The bounded Newton solve lands where SciPy's bounded least squares
+        on the same residuals does, on a 150-record fit and near the clamp."""
+        rng = np.random.default_rng(13)
+        mode = np.array([0.9, 0.1, 0.3, 0.2])
+        m, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        near_clamp = BinghamParams(m, np.array([-880.0, -850.0, -820.0, 0.0]))
+        for quats in (mode / np.linalg.norm(mode) + rng.normal(0.0, 0.05, (150, 4)),
+                      sample_bingham(near_clamp, 4000, rng)):
+            want = least_squares_fit_z(quats)
+            got = fit_bingham(quats).z
+            assert np.abs(got[:3] / want[:3] - 1.0).max() <= 1e-9
+            assert got[3] == want[3] == 0.0
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_MAX_RETRIES", 1)
+        quats = np.array([0.9, 0.1, 0.3, 0.2]) + np.random.default_rng(15).normal(
+            0.0, 0.05, (150, 4))
+        with pytest.raises(DegenerateFitError, match=r"in 1 iterations \(residual \d"):
+            fit_bingham(quats)
+
+    @pytest.mark.parametrize("z", [(0.0, 0.0, 0.0, 0.0), (-8.0, -4.0, -1.0, 0.0),
+                                   (-900.0, -900.0, -900.0, 0.0)])
+    def test_envelope_root_matches_brentq(self, z):
+        beta = -np.array(z)[::-1]
+        want = optimize.brentq(lambda b: np.sum(1.0 / (b + 2.0 * beta)) - 1.0, 1e-12, 4.0,
+                               xtol=1e-13)
+        got = _envelope_root(beta)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if not any(z):
+            assert got == want == 4.0
+
+    def test_bessel_matches_scipy(self):
+        x = np.concatenate([np.linspace(-450.0, 450.0, 9001), [0.0, -0.0],
+                            np.geomspace(1e-12, 450.0, 500), -np.geomspace(1e-12, 450.0, 500)])
+        want = special.ive(np.arange(3)[:, None], x)
+        assert (np.abs(_ive012(x) - want) / want[0]).max() <= 5e-15
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-1.0, -2.0, -3.0, 0.0]))
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-3.0, -2.0, -1.0, 0.5]))
+
+
+def least_squares_fit_z(quats):
+    """Concentrations of the former SciPy fit: bounded least squares on the
+    relative moment residuals from the same start, tolerances 1e-12/1e-12/1e-15."""
+    q = quats / np.linalg.norm(quats, axis=1, keepdims=True)
+    lam = np.clip(np.linalg.eigvalsh(q.T @ q / len(q)), 1e-12, None)
+    lam = lam / lam.sum()
+
+    def residual(z3):
+        return _bingham_moments(np.append(z3, 0.0))[:3] / lam[:3] - 1.0
+
+    def jacobian(z3):
+        return _bingham_moments(np.append(z3, 0.0), with_jac=True)[1][:3, :3] / lam[:3, None]
+
+    x0 = np.clip(0.5 / lam[3] - 0.5 / lam[:3], Z_CLAMP + 1.0, -1e-3)
+    sol = optimize.least_squares(residual, x0, jac=jacobian, bounds=(Z_CLAMP, 0.0),
+                                 xtol=1e-12, ftol=1e-12, gtol=1e-15)
+    return np.minimum(np.append(np.sort(sol.x), 0.0), 0.0)
 
 
 def hopf_reference(z):
@@ -292,6 +351,47 @@ class TestNonparametric:
         assert deltas.delta_r == np.percentile(ang.min(axis=1), 95.0)
         assert deltas.delta_x == deltas.delta_y == nn95(t[:, :2])
         assert deltas.delta_z == deltas.delta_f == nn95(zf)
+
+    @pytest.mark.parametrize("case", ["duplicates", "antipodal", "antipodal-unsigned",
+                                      "twins", "ties", "shared-sweep-coordinate",
+                                      "identical"])
+    def test_nearest_other_matches_brute_force(self, case):
+        rng = np.random.default_rng(16)
+        period = None
+        if case == "duplicates":
+            base = rng.normal(size=(20, 2))
+            points = np.concatenate([base, base[:7], base[:3]])
+        elif case.startswith("antipodal"):
+            # unit quaternions with duplicates and sign flips among them against
+            # their negatives, signed as select_deltas_95pct signs them or not
+            q = rng.normal(size=(30, 4))
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            q = np.concatenate([q, -q[:10], q[:5]])
+            if case == "antipodal":
+                q = np.where(q[:, [np.argmax(np.abs(q).max(axis=0))]] < 0.0, -q, q)
+            period, points = len(q), np.concatenate([q, -q])
+        elif case == "twins":
+            # row i + 20 is nearest to row i but is the same row modulo 20
+            base = rng.normal(size=(20, 3))
+            period, points = 20, np.concatenate([base, base + 1e-9])
+        elif case == "ties":
+            # integer grid: every row has up to four neighbors at exactly 1
+            points = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
+            points = points[rng.permutation(len(points))]
+        elif case == "shared-sweep-coordinate":
+            # x is the widest axis and takes two values, so rows tie along it
+            points = np.column_stack([np.repeat([0.0, 10.0], 20), rng.random(40)])
+        else:
+            points = np.full((12, 3), 0.25)
+        period = period or len(points)
+        owner = np.arange(len(points)) % period
+        dist = np.linalg.norm(points[:period, None] - points[None, :], axis=-1)
+        dist[owner[None, :] == np.arange(period)[:, None]] = np.inf
+        got, nearest = _nearest_other(points, period)
+        assert np.array_equal(got, dist.min(axis=1))
+        assert np.all(nearest != np.arange(period))
+        hit = np.where(owner[None, :] == nearest[:, None], dist, np.inf).min(axis=1)
+        assert np.array_equal(hit, got)
 
     def test_ordering_invariance(self):
         rng = np.random.default_rng(10)
