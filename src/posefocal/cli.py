@@ -71,10 +71,13 @@ def write_json(path, manifest: dict, payload: dict):
                           encoding="utf-8", newline="\n")
 
 
-def write_jsonl(path, manifest: dict, rows):
-    lines = [_dump({"manifest": manifest})]
-    lines.extend(_dump(r) for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_jsonl(path, manifest: dict, poses: PoseBatch):
+    """The manifest, then each pose's ParamState.to_dict() as _dump writes it: %r is
+    json's float repr, and a PoseBatch holds only finite floats."""
+    rows = np.column_stack([poses.focal, poses.quat, poses.translation]).ravel().tolist()
+    line = '\n{"focal_px":%r,"quat_wxyz":[%r,%r,%r,%r],"t_m":[%r,%r,%r]}'
+    text = _dump({"manifest": manifest}) + line * len(poses) % tuple(rows) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_csv(path, manifest: dict, header, rows):
@@ -193,7 +196,7 @@ def sample(distribution, num, seed, out):
     except DomainError as exc:
         _fail(exc)
     write_jsonl(out, _manifest("sample", {"n": num}, seed=seed,
-                               input_paths=[distribution]), poses.to_dicts())
+                               input_paths=[distribution]), poses)
     click.echo(f"wrote {num} samples -> {out}")
 
 

@@ -340,6 +340,8 @@ class PoseBatch:
     focal: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.quat)):
+            raise DomainError("quaternions must be finite")
         if not np.all(np.isfinite(self.translation)):
             raise DomainError("translation must be a finite 3-vector")
         bad = ~(np.isfinite(self.focal) & (self.focal > 0))
@@ -360,11 +362,6 @@ class PoseBatch:
 
     def state(self, i: int) -> ParamState:
         return ParamState(Rotation(self.quat[i]), self.translation[i], float(self.focal[i]))
-
-    def to_dicts(self) -> list[dict]:
-        """Every row as :meth:`ParamState.to_dict` writes it."""
-        return [{"quat_wxyz": q, "t_m": t, "focal_px": f} for q, t, f in
-                zip(self.quat.tolist(), self.translation.tolist(), self.focal.tolist())]
 
 
 def quat_unit(q: np.ndarray) -> np.ndarray:

@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import posefocal
-from posefocal.cli import _load_targets, main
-from posefocal.geometry import BBox, Rotation
+from posefocal.cli import _draw_poses, _load_targets, main, write_jsonl
+from posefocal.errors import DomainError
+from posefocal.geometry import BBox, PoseBatch, Rotation
 from posefocal.sampling import AnnotationRecord, UniformRanges, sample_pose_uniform
 
 
@@ -131,6 +133,74 @@ class TestSample:
                                    str(out)])
         assert res.exit_code == 0, res.output
         assert len(out.read_text().splitlines()) == 21
+
+
+def old_write_jsonl(path, manifest, rows):
+    """The per-row writer write_jsonl replaced: one json.dumps per row."""
+    lines = [json.dumps({"manifest": manifest}, sort_keys=True, separators=(",", ":"))]
+    lines.extend(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def pose_rows(poses):
+    return [{"quat_wxyz": q, "t_m": t, "focal_px": f} for q, t, f in
+            zip(poses.quat.tolist(), poses.translation.tolist(), poses.focal.tolist())]
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 600.0, 1e16, 1e22, 1.7976931348623157e308]
+
+
+class TestWriteJsonl:
+    """write_jsonl formats all rows in one pass; its bytes must be those of one
+    json.dumps per row, for any finite floats."""
+
+    MANIFEST = {"command": "sample", "config": {"n": 3}, "seed": 0, "timestamp": None}
+
+    @staticmethod
+    def batch(n):
+        """Values over 20 decades of both signs, a tenth of them EDGE_FLOATS;
+        row 0 holds each edge value."""
+        rng = np.random.default_rng(n)
+        quat = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-10, 10, (n, 4))
+        trans = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-10, 10, (n, 3))
+        focal = 10.0 ** rng.uniform(-5, 20, n)
+        for a, signs in ((quat, [-1.0, 1.0]), (trans, [-1.0, 1.0]), (focal, [1.0])):
+            flat = a.reshape(-1)
+            pick = rng.random(flat.size) < 0.1
+            flat[pick] = rng.choice(EDGE_FLOATS[1:], pick.sum()) \
+                * rng.choice(signs, pick.sum())
+        if n:
+            quat[0], trans[0], focal[0] = EDGE_FLOATS[:4], EDGE_FLOATS[4:], 1e-7
+        return PoseBatch(quat, trans, focal)
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_matches_per_row_json(self, tmp_path, n):
+        poses = self.batch(n)
+        write_jsonl(tmp_path / "new.jsonl", self.MANIFEST, poses)
+        old_write_jsonl(tmp_path / "old.jsonl", self.MANIFEST, pose_rows(poses))
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["parametric", "nonparametric", "uniform"])
+    def test_sample_matches_per_row_json(self, runner, annotations, tmp_path, kind):
+        dist = tmp_path / "dist.json"
+        if kind == "uniform":
+            dist.write_text(json.dumps({"kind": "uniform", "z_range": [0.8, 2.4]}))
+        else:
+            dist = TestSample().fit(runner, annotations, tmp_path, kind=kind)
+        out, want = tmp_path / "poses.jsonl", tmp_path / "want.jsonl"
+        res = runner.invoke(main, ["sample", str(dist), "-n", "300", "--seed", "4",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads(out.read_text().splitlines()[0])["manifest"]
+        old_write_jsonl(want, manifest,
+                        pose_rows(_draw_poses(json.loads(dist.read_text()), 300, 4)))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_non_finite_quaternion_rejected(self):
+        """json writes NaN where %r writes nan: no PoseBatch may hold one."""
+        with pytest.raises(DomainError, match="quaternions must be finite"):
+            PoseBatch(np.array([[np.nan, 0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]),
+                      np.array([600.0]))
 
 
 class TestSimulate:
