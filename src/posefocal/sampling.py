@@ -28,6 +28,12 @@ Z_CLAMP = -900.0  # concentration floor; keeps the normalization constant finite
 _MAX_RETRIES = 100
 
 
+def _require_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise DomainError(f"{name} must be finite")
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -52,6 +58,7 @@ class BinghamParams:
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         z = np.asarray(self.z, dtype=float)
+        _require_finite(m=m, z=z)
         if m.shape != (4, 4) or np.abs(m.T @ m - np.eye(4)).max() > 1e-9:
             raise DomainError("m must be a 4x4 orthogonal matrix")
         if z.shape != (4,) or z[3] != 0.0 or np.any(np.diff(z) < 0) or np.any(z > 0):
@@ -259,6 +266,7 @@ class Gaussian2DParams:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
+        _require_finite(mean=mean, cov=cov)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise DomainError("mean must be (2,) and cov (2, 2)")
         try:
@@ -375,10 +383,12 @@ class UniformRanges:
     xy_box: float = 0.15  # side length of the x-y sampling box, meters
 
     def __post_init__(self):
-        if self.z_range[0] <= 0 or self.z_range[0] >= self.z_range[1]:
-            raise DomainError("invalid depth range")
-        if self.f_range[0] <= 0 or self.f_range[0] >= self.f_range[1]:
-            raise DomainError("invalid focal range")
+        for name, what in (("z_range", "depth"), ("f_range", "focal")):
+            r = np.asarray(getattr(self, name))
+            if r.shape != (2,) or not 0 < r[0] < r[1] < np.inf:
+                raise DomainError(f"invalid {what} range: need finite 0 < lo < hi")
+        if not 0 < self.xy_box < np.inf:
+            raise DomainError("invalid x-y box: need a finite side > 0")
 
 
 def sample_rotation_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -421,8 +431,8 @@ class NonparamDeltas:
 
     def __post_init__(self):
         for name in ("delta_r", "delta_x", "delta_y", "delta_z", "delta_f"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return {"delta_r_rad": self.delta_r, "delta_x_m": self.delta_x,

@@ -300,6 +300,16 @@ class TestSimulate:
         assert "ground-truth translation" in res.output
         assert not (tmp_path / "x.json").exists()
 
+    def test_overflowing_range_end_names_field(self, runner, tmp_path):
+        """JSON's 1e309 reads as inf, which the schema's "number" admits."""
+        cfg = self.write_config(tmp_path, targets={"kind": "uniform",
+                                                   "z_range": [0.8, "HUGE"]})
+        cfg.write_text(cfg.read_text().replace('"HUGE"', "1e309"))
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "config field targets/z_range: invalid" in res.output
+
     def test_nested_schema_error_path(self, runner, tmp_path):
         cfg = self.write_config(
             tmp_path, predictor={"noise": {"sigma_x_px": -1.0}, "clamp": None})
@@ -564,6 +574,43 @@ class TestMalformedJson:
         res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--out",
                                    str(tmp_path / "x.jsonl")])
         self.check_clean(res, "dist.json")
+
+    PARAMETRIC = {"kind": "parametric",
+                  "bingham": {"m": np.eye(4).tolist(), "z": [-3.0, -2.0, -1.0, 0.0]},
+                  "xy": {"mean": [0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.01]]},
+                  "zf": {"mean": [0.3, 6.3], "cov": [[0.01, 0.0], [0.0, 0.04]]}}
+    NONPARAMETRIC = {"kind": "nonparametric", "records": [
+        {"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, 1], "f_px": 600.0,
+         "img_wh": [640, 480], "bbox": [0, 0, 60, 80]}],
+        "deltas": {"delta_r_rad": 0.1, "delta_x_m": 0.01, "delta_y_m": 0.01,
+                   "delta_z_m": 0.1, "delta_f_px": 50.0}}
+
+    @pytest.mark.parametrize("text, field", [
+        (json.dumps({**PARAMETRIC, "bingham": {**PARAMETRIC["bingham"], "m": [
+            [float("nan"), 0, 0, 0], *np.eye(4)[1:].tolist()]}}), "m"),
+        (json.dumps({**PARAMETRIC, "xy": {**PARAMETRIC["xy"], "mean": [float("nan"), 0]}}),
+         "mean"),
+        (json.dumps({**NONPARAMETRIC, "deltas": {**NONPARAMETRIC["deltas"],
+                                                 "delta_r_rad": float("nan")}}), "delta_r"),
+        ('{"kind": "uniform", "xy_box": -1}', "xy_box"),
+        ('{"kind": "uniform", "xy_box": NaN}', "xy_box"),
+        ('{"kind": "uniform", "xy_box": 1e309}', "xy_box"),
+        ('{"kind": "uniform", "xy_box": "a"}', "xy_box"),
+        ('{"kind": "uniform", "xy_box": "0.3"}', "xy_box"),
+        ('{"kind": "uniform", "z_range": [0.8, 1e309]}', "z_range"),
+        ('{"kind": "uniform", "f_range": [NaN, 900]}', "f_range"),
+        ('{"kind": "uniform", "z_range": [1]}', "z_range"),
+    ], ids=["bingham-m-nan", "xy-mean-nan", "delta-r-nan", "xy-box-negative",
+            "xy-box-nan", "xy-box-1e309", "xy-box-string", "xy-box-numeric-string",
+            "z-range-1e309", "f-range-nan", "z-range-one-element"])
+    def test_sample_distribution_field_fault(self, runner, tmp_path, text, field):
+        """A non-finite or out-of-range parameter is an error naming the field."""
+        dist = tmp_path / "dist.json"
+        dist.write_text(text)
+        res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--out",
+                                   str(tmp_path / "x.jsonl")])
+        self.check_clean(res, f"dist.json: {field}")
+        assert not (tmp_path / "x.jsonl").exists()
 
     PAIR = {"pred": TestEvaluate.GT, "gt": TestEvaluate.GT, "points": [[0, 0, 0]],
             "bbox_gt": [0, 0, 60, 80], "img_diag": 800.0}

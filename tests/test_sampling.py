@@ -177,6 +177,16 @@ class TestBingham:
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-3.0, -2.0, -1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("field", ["m", "z"])
+    def test_non_finite_params_rejected(self, field, bad):
+        """A non-finite z left sample_bingham accepting nothing, forever; a NaN
+        in m passed the orthogonality test and sampled NaN quaternions."""
+        params = {"m": np.eye(4), "z": np.array([-3.0, -2.0, -1.0, 0.0])}
+        params[field].flat[0] = bad
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            BinghamParams(**params)
+
 
 def least_squares_fit_z(quats):
     """Concentrations of the former SciPy fit: bounded least squares on the
@@ -227,6 +237,14 @@ def hopf_reference(z):
 # ---------------------------------------------------------------------------
 
 class TestGaussianFits:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_non_finite_params_rejected(self, field, bad):
+        params = {"mean": np.zeros(2), "cov": np.eye(2)}
+        params[field].flat[0] = bad
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            Gaussian2DParams(**params)
+
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(5)
         mean_xy = np.array([0.0, 0.5])
