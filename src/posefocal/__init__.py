@@ -31,7 +31,7 @@ from .update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                            apply_legacy_translation_update,
                            apply_rotation_update, apply_translation_update,
                            apply_update, apply_update_batch, init_state,
-                           init_state_batch, oracle_delta, oracle_delta_batch,
+                           init_state_batch, oracle_delta, oracle_terms,
                            translation_update_batch)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -365,7 +365,10 @@ def sample_pose_parametric(bingham: BinghamParams, xy: Gaussian2DParams,
     rng = _as_rng(seed)
     quats = sample_bingham(bingham, n, rng)
     xy_s = xy.sample(n, rng)
-    zf_s = np.exp(zf.sample(n, rng))
+    with np.errstate(over="ignore", under="ignore"):
+        zf_s = np.exp(zf.sample(n, rng))
+    if not np.all((0 < zf_s) & (zf_s < np.inf)):
+        raise DomainError("zf: a drawn depth or focal is not finite and positive")
     return PoseBatch(quat_unit(quats), np.column_stack([xy_s, zf_s[:, 0]]), zf_s[:, 1])
 
 

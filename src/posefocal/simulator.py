@@ -2,28 +2,27 @@
 
 A predictor is any callable (state, target, iteration, draws) -> DeltaBatch
 over N rows: the current and target poses as a PoseBatch, the 1-based
-iteration, and that iteration's (N, 8) standard-normal draws. The oracle
-predictor inverts the update rule exactly; noisy and clamped variants
-emulate an imperfect network so the exact and legacy translation rules can
-be compared under identical randomness.
+iteration, and that iteration's (N, 8) standard-normal draws. A network's 6D
+output enters as a ``DeltaBatch`` pair, decoded once by the update; the oracle
+predictor inverts the update rule exactly, its rotation a quaternion throughout,
+and its noisy and clamped variants emulate an imperfect network so the exact and
+legacy translation rules can be compared under identical randomness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       PoseBatch, camera_points, dot3, image_boxes, quat_axis_angle,
-                       quat_multiply, quats_from_6d, quats_from_axis_angle,
-                       quats_to_matrices)
+                       PoseBatch, camera_points, image_boxes, quat_axis_angle,
+                       quat_multiply, quats_from_axis_angle)
 from .metrics import (METRIC_FIELDS, GroundTruth, MetricRecord, aggregate,
                       lower_median)
-from .update_rules import (DeltaBatch, apply_update_batch, init_state_batch,
-                           oracle_delta_batch)
+from .update_rules import DeltaBatch, apply_update_batch, init_state_batch, oracle_terms
 
 VZ_FLOOR = 1e-6  # depth-ratio clamp guarding against depth collapse
 
@@ -79,43 +78,21 @@ class OraclePredictor:
 
     def __call__(self, state: PoseBatch, target: PoseBatch, iteration: int,
                  draws: np.ndarray) -> DeltaBatch:
-        delta = oracle_delta_batch(state, target)
-        if self.noise is not None:
-            delta = self._add_noise(delta, draws)
-        if self.clamp is not None:
-            delta = self._apply_clamp(delta)
-        return delta
-
-    def _add_noise(self, delta: DeltaBatch, z: np.ndarray) -> DeltaBatch:
-        ns = self.noise
-        axis = z[:, :3] / np.maximum(np.sqrt(dot3(z[:, :3], z[:, :3])), 1e-15)[:, None]
-        angle = np.deg2rad(ns.sigma_rot_deg) * z[:, 3]
-        mat = quats_to_matrices(quat_multiply(quats_from_axis_angle(axis, angle),
-                                              quats_from_6d(delta.v_r1, delta.v_r2)))
-        return DeltaBatch(
-            vx=delta.vx + ns.sigma_x_px * z[:, 4],
-            vy=delta.vy + ns.sigma_y_px * z[:, 5],
-            vz=delta.vz * np.exp(ns.sigma_z_log * z[:, 6]),
-            v_r1=mat[:, :, 0],
-            v_r2=mat[:, :, 1],
-            vf=delta.vf + ns.sigma_f_log * z[:, 7],
-        )
-
-    def _apply_clamp(self, delta: DeltaBatch) -> DeltaBatch:
-        cl = self.clamp
-        quat = quats_from_6d(delta.v_r1, delta.v_r2)
-        axis, angle = quat_axis_angle(quat)
-        max_angle = np.deg2rad(cl.max_angle_deg)
-        capped = quats_from_axis_angle(axis, np.full(len(angle), max_angle))
-        mat = quats_to_matrices(np.where((angle > max_angle)[:, None], capped, quat))
-        return DeltaBatch(
-            vx=np.clip(delta.vx, -cl.max_px, cl.max_px),
-            vy=np.clip(delta.vy, -cl.max_px, cl.max_px),
-            vz=np.exp(np.clip(np.log(delta.vz), -cl.max_log_depth, cl.max_log_depth)),
-            v_r1=mat[:, :, 0],
-            v_r2=mat[:, :, 1],
-            vf=np.clip(delta.vf, -cl.max_log_focal, cl.max_log_focal),
-        )
+        vx, vy, vz, quat, vf = oracle_terms(state, target)
+        if (ns := self.noise) is not None:
+            angle = np.deg2rad(ns.sigma_rot_deg) * draws[:, 3]
+            quat = quat_multiply(quats_from_axis_angle(draws[:, :3], angle), quat)
+            vx = vx + ns.sigma_x_px * draws[:, 4]
+            vy = vy + ns.sigma_y_px * draws[:, 5]
+            vz = vz * np.exp(ns.sigma_z_log * draws[:, 6])
+            vf = vf + ns.sigma_f_log * draws[:, 7]
+        if (cl := self.clamp) is not None:
+            axis, angle = quat_axis_angle(quat)
+            quat = quats_from_axis_angle(axis, np.minimum(angle, np.deg2rad(cl.max_angle_deg)))
+            vx, vy = np.clip([vx, vy], -cl.max_px, cl.max_px)
+            vz = np.exp(np.clip(np.log(vz), -cl.max_log_depth, cl.max_log_depth))
+            vf = np.clip(vf, -cl.max_log_focal, cl.max_log_focal)
+        return DeltaBatch.from_quat(vx, vy, vz, quat, vf)
 
 
 UPDATE_RULES = ("exact", "legacy")
@@ -160,9 +137,9 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
     every iteration, initial state included, against one :class:`GroundTruth`
     (the IoU at the last only, unless ``every_iou``), and the final states.
 
-    The predictor's depth ratio is floored at 1e-6 to prevent depth collapse
-    from adversarial predictors. An invalid prediction aborts the loop with
-    the iteration index.
+    The predictor's depth ratio is floored at 1e-6 in the delta it returns, against
+    depth collapse from adversarial predictors; a checked ratio stays valid, so no
+    check runs again. An invalid prediction aborts the loop with the iteration index.
     """
     state = init_state_batch(bbox_gt, intrinsics)
     truth = GroundTruth(target, points, bbox_gt, img_diag)
@@ -170,7 +147,7 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
     for k in range(1, len(draws) + 1):
         try:
             delta = predictor(state, target, k, draws[k - 1])
-            delta = replace(delta, vz=np.maximum(delta.vz, VZ_FLOOR))
+            object.__setattr__(delta, "vz", np.maximum(delta.vz, VZ_FLOOR))
             state = apply_update_batch(state, delta, legacy)
         except DomainError as exc:
             raise DomainError(f"trial aborted at iteration {k}: {exc}") from exc

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ParamState, PoseBatch, Rotation,
                        quat_conj, quat_multiply, quats_from_6d, quats_to_matrices,
-                       rotation_from_6d)
+                       rotation_from_6d, row_dot)
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,10 @@ def init_state(bbox: BBox, intrinsics: CameraIntrinsics,
 
 @dataclass(frozen=True)
 class DeltaBatch:
-    """N predicted updates as arrays: vx, vy, vz, vf (N,) and v_r1, v_r2
-    (N, 3). Row i is one :class:`DeltaTheta`, with the same checks."""
+    """N predicted updates as arrays: vx, vy, vz, vf (N,) and each row's rotation as a
+    6D pair v_r1, v_r2 (N, 3) or, by :meth:`from_quat`, a unit quaternion ``quat``
+    (N, 4). The other form is derived when first read: ``quat`` by :func:`quats_from_6d`,
+    the pair as two matrix columns. Row i is one :class:`DeltaTheta`, checked once."""
 
     vx: np.ndarray
     vy: np.ndarray
@@ -166,13 +168,33 @@ class DeltaBatch:
     vf: np.ndarray
 
     def __post_init__(self):
-        for name in ("vx", "vy", "vz", "v_r1", "v_r2", "vf"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v)) or name in ("v_r1", "v_r2") and v.shape[1:] != (3,):
-                raise DomainError(f"{name}: update components must be finite, v_r1, v_r2 (N, 3)")
-            object.__setattr__(self, name, v)
+        self._check(**vars(self))
+
+    @classmethod
+    def from_quat(cls, vx, vy, vz, quat, vf) -> "DeltaBatch":
+        return object.__new__(cls)._check(vx=vx, vy=vy, vz=vz, quat=quat, vf=vf)
+
+    def _check(self, **fields):
+        for name, value in fields.items():
+            v = vars(self)[name] = np.asarray(value, dtype=float)
+            cols = {"v_r1": (3,), "v_r2": (3,), "quat": (4,)}.get(name, v.shape[1:])
+            if v.shape[1:] != cols or not np.all(np.isfinite(v)):
+                raise DomainError(f"{name} must be finite" + (f" (N, {cols[0]})" if cols else ""))
+        if "quat" in fields and np.any(np.abs(row_dot(self.quat, self.quat) - 1) > 1e-6):
+            raise DomainError("quat: rows must be unit quaternions")
         if np.any(self.vz <= 0):
             raise DomainError(f"depth ratio must be positive, got {self.vz.min()}")
+        return self
+
+    def __getattr__(self, name):  # the rotation form not given when built
+        given = vars(self)
+        if name == "quat" and "v_r1" in given:
+            given["quat"] = quats_from_6d(self.v_r1, self.v_r2)
+        elif name in ("v_r1", "v_r2") and "quat" in given:
+            given["v_r1"], given["v_r2"], _ = quats_to_matrices(self.quat).transpose(2, 0, 1)
+        else:
+            raise AttributeError(name)
+        return given[name]
 
 
 def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
@@ -183,7 +205,7 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
     if np.any(f <= 0):
         raise DomainError(f"focal length must be positive, got {f.min()}")
     f_new = np.exp(delta.vf) * f
-    quat = quat_multiply(quats_from_6d(delta.v_r1, delta.v_r2), state.quat)
+    quat = quat_multiply(delta.quat, state.quat)
     return PoseBatch(quat, translation_update_batch(state.translation, f, delta, f_new,
                                                     legacy), f_new)
 
@@ -205,17 +227,15 @@ def translation_update_batch(translation: np.ndarray, f, delta: DeltaBatch, f_ne
     return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
 
 
-def oracle_delta_batch(state: PoseBatch, target: PoseBatch) -> DeltaBatch:
-    """Row-wise :func:`oracle_delta`."""
+def oracle_terms(state: PoseBatch, target: PoseBatch) -> tuple:
+    """Row-wise :func:`oracle_delta` as the unchecked arrays of :meth:`DeltaBatch.from_quat`."""
     x, y, z = state.translation.T
     xh, yh, zh = target.translation.T
     if np.any(z <= 0) or np.any(zh <= 0):
         raise DomainError("both states must have positive depth")
     f, fh = state.focal, target.focal
-    r_rel = quats_to_matrices(quat_multiply(target.quat, quat_conj(state.quat)))
-    return DeltaBatch(vx=fh * xh / zh - f * x / z, vy=fh * yh / zh - f * y / z,
-                      vz=zh / z, v_r1=r_rel[:, :, 0], v_r2=r_rel[:, :, 1],
-                      vf=np.log(fh / f))
+    return (fh * xh / zh - f * x / z, fh * yh / zh - f * y / z, zh / z,
+            quat_multiply(target.quat, quat_conj(state.quat)), np.log(fh / f))
 
 
 def init_state_batch(boxes: np.ndarray, intrinsics: CameraIntrinsics) -> PoseBatch:

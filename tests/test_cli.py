@@ -126,6 +126,21 @@ class TestSample:
             doc = json.loads(line)
             assert doc["t_m"][2] > 0 and doc["focal_px"] > 0
 
+    def test_wide_depth_focal_gaussian_names_the_field(self, runner, annotations, tmp_path):
+        """exp of a wide log-depth draw overflows: an error naming the field, no warning."""
+        dist = self.fit(runner, annotations, tmp_path)
+        doc = json.loads(dist.read_text())
+        doc["zf"]["cov"][0][0] = 1e6
+        dist.write_text(json.dumps(doc))
+        out = tmp_path / "poses.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["sample", str(dist), "-n", "100", "--out", str(out)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "zf: " in res.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_nonparametric_sampling(self, runner, annotations, tmp_path):
         dist = self.fit(runner, annotations, tmp_path, kind="nonparametric")
         out = tmp_path / "np_poses.jsonl"

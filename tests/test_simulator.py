@@ -1,11 +1,14 @@
 """Closed-loop refinement simulator with oracle, noisy, and clamped
 predictors."""
 
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from posefocal import geometry, simulator, update_rules
 from posefocal.errors import DomainError
 from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
                                 PoseBatch, Rotation, geodesic_distance,
@@ -16,8 +19,7 @@ from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
                                  OraclePredictor, projected_bbox,
                                  run_experiment, run_refinement)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update,
-                                    init_state, oracle_delta,
-                                    oracle_delta_batch)
+                                    init_state, oracle_delta)
 
 POINTS = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (50, 3)))
 INTR = CameraIntrinsics(600.0, 0.0, 0.0)
@@ -157,7 +159,7 @@ class TestRunRefinement:
             if k == 2:
                 return DeltaBatch([np.nan], [0.0], [1.0], [[1.0, 0, 0]],
                                   [[0.0, 1, 0]], [0.0])
-            return oracle_delta_batch(state, target)
+            return OraclePredictor()(state, target, k, draws)
 
         rng = np.random.default_rng(10)
         with pytest.raises(DomainError, match="iteration 2"):
@@ -362,3 +364,77 @@ def test_campaign_matches_scalar_reference(noise):
                         assert rec_got[key] is None
                     else:
                         assert rec_got[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def six_d_predictor(vz):
+    """An outside predictor that emits a 6D pair (the identity rotation), no
+    shift and no focal change, and depth ratio ``vz``, for every row."""
+    def predict(state, target, k, draws):
+        n = len(state)
+        return DeltaBatch(np.zeros(n), np.zeros(n), np.full(n, vz), np.tile([1.0, 0, 0], (n, 1)),
+                          np.tile([0.0, 1, 0], (n, 1)), np.zeros(n))
+    return predict
+
+
+class TestOneDecodeAndOneCheckPerIteration:
+    ITERATIONS = 6
+
+    def run(self, monkeypatch, predictor):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (geometry, simulator, update_rules):
+            for name in ("quats_from_6d", "matrices_to_quats"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(DeltaBatch, "_check", counting("check", DeltaBatch._check))
+        targets = sample_pose_uniform(UniformRanges(z_range=(0.9, 1.5)), 8, 0)
+        run_experiment(targets, POINTS, INTR, IMG_DIAG, predictor=predictor,
+                       iterations=self.ITERATIONS, seed=1)
+        return calls
+
+    def test_oracle_keeps_its_rotation_a_quaternion(self, monkeypatch):
+        calls = self.run(monkeypatch, OraclePredictor(noise=NoiseScales(),
+                                                      clamp=ClampBounds()))
+        assert calls == Counter(check=self.ITERATIONS)
+
+    def test_outside_6d_pair_is_decoded_once(self, monkeypatch):
+        calls = self.run(monkeypatch, six_d_predictor(1.0))
+        assert calls == Counter(check=self.ITERATIONS, quats_from_6d=self.ITERATIONS,
+                                matrices_to_quats=self.ITERATIONS)
+
+
+@pytest.mark.parametrize("rule", ["exact", "legacy"])
+def test_depth_ratio_floor_scales_each_step(rule):
+    """A collapsing depth ratio moves the depth by exactly VZ_FLOOR per step."""
+    depths, predict = [], six_d_predictor(1e-300)
+
+    def recording(state, target, k, draws):
+        depths.append(state.translation[0, 2])
+        return predict(state, target, k, draws)
+
+    result = run_one(make_target(np.random.default_rng(12)), iterations=4,
+                     predictor=recording, update_rule=rule)
+    depths.append(result.final_state.translation[2])
+    assert depths[0] == 1.0
+    for before, after in zip(depths, depths[1:]):
+        assert after == VZ_FLOOR * before
+
+
+@pytest.mark.parametrize("predictor", [
+    OraclePredictor(), OraclePredictor(noise=NoiseScales()),
+    OraclePredictor(noise=NoiseScales(), clamp=ClampBounds(20.0, 0.1, 5.0, 0.02))],
+    ids=["oracle", "noisy", "noisy-clamped"])
+def test_negated_target_quaternions_give_the_same_report(predictor):
+    """q and -q are one rotation: the report does not depend on the sign."""
+    targets = sample_pose_uniform(UniformRanges(z_range=(0.8, 1.2), f_range=(200.0, 1000.0),
+                                                xy_box=0.8), 24, 4)
+    negated = PoseBatch(-targets.quat, targets.translation, targets.focal)
+    settings = dict(predictor=predictor, iterations=10, seed=5, keep_trajectories=True)
+    assert json.dumps(run_experiment(negated, POINTS, INTR, IMG_DIAG, **settings)) \
+        == json.dumps(run_experiment(targets, POINTS, INTR, IMG_DIAG, **settings))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posefocal.errors import DomainError
-from posefocal.geometry import BBox, CameraIntrinsics, ParamState, Rotation, project_point
+from posefocal.geometry import (BBox, CameraIntrinsics, ParamState, Rotation, project_point,
+                                quat_unit, quats_from_6d, quats_to_matrices)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                                     apply_legacy_translation_update,
                                     apply_rotation_update,
@@ -127,6 +128,33 @@ class TestDeltaChecks:
         with pytest.raises(DomainError, match="v_r1"):
             DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), np.ones(6), np.eye(3)[:2],
                        np.zeros(2))
+
+    @pytest.mark.parametrize("quat", [[[1.0, 0, 0, 0], [np.nan, 0, 0, 1]], np.eye(3)[:2],
+                                      [[1.0, 0, 0, 0], [0.0, 2.0, 0, 0]], np.zeros((2, 4))],
+                             ids=["non-finite", "three-wide", "not-unit", "zero"])
+    def test_batch_quaternion_checked(self, quat):
+        with pytest.raises(DomainError, match="quat"):
+            DeltaBatch.from_quat(np.zeros(2), np.zeros(2), np.ones(2), quat, np.zeros(2))
+
+
+class TestDeltaBatchRotationForms:
+    def test_pair_read_from_quaternion_decodes_to_it(self):
+        quat = quat_unit(np.random.default_rng(0).standard_normal((50, 4)))
+        delta = DeltaBatch.from_quat(np.zeros(50), np.zeros(50), np.ones(50), quat,
+                                     np.zeros(50))
+        assert np.array_equal(delta.v_r1, quats_to_matrices(quat)[:, :, 0])
+        assert np.array_equal(delta.v_r2, quats_to_matrices(quat)[:, :, 1])
+        decoded = quats_from_6d(delta.v_r1, delta.v_r2)
+        sign = np.sign(np.sum(decoded * quat, axis=1))[:, None]
+        assert np.allclose(decoded * sign, quat, rtol=0, atol=1e-15)
+
+    def test_quaternion_read_from_pair_is_its_decode(self):
+        rng = np.random.default_rng(1)
+        v_r1, v_r2 = rng.standard_normal((2, 50, 3))
+        delta = DeltaBatch(np.zeros(50), np.zeros(50), np.ones(50), v_r1, v_r2,
+                           np.zeros(50))
+        assert np.array_equal(delta.quat, quats_from_6d(v_r1, v_r2))
+        assert delta.quat is delta.quat
 
 
 # ---------------------------------------------------------------------------
