@@ -28,7 +28,6 @@ from .simulator import (ClampBounds, NoiseScales, OraclePredictor,
                         TrialResult, projected_bbox, run_experiment,
                         run_refinement)
 from .update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
-                           apply_legacy_translation_update,
                            apply_rotation_update, apply_translation_update,
                            apply_update, apply_update_batch, init_state,
                            init_state_batch, oracle_delta, oracle_terms,

@@ -3,8 +3,9 @@
 The focal update is multiplicative (stays positive for any finite input),
 the translation update feeds the *new* focal length back into the projection
 equations, and the rotation update is a Gram-Schmidt-orthogonalized left
-multiplication. The legacy translation rule, which treats the focal length
-as constant within a step, is kept for comparison experiments.
+multiplication. One translation rule serves both arms of the comparison
+experiments: ``legacy=True`` holds the focal length constant within a step,
+in :func:`apply_translation_update` as in the batched rules.
 """
 
 from __future__ import annotations
@@ -56,43 +57,30 @@ def apply_focal_update(focal: float, vf: float) -> float:
     return float(np.exp(vf) * focal)
 
 
-def _check_translation_inputs(z: float, vz: float, f_new: float):
+def apply_translation_update(state: ParamState, delta: DeltaTheta, f_new: float,
+                             legacy: bool = False) -> np.ndarray:
+    """Exact translation update using both the old and the new focal length:
+    the projected object center moves by exactly (vx, vy) pixels.
+
+    ``legacy=True`` selects the approximate rule that treats the focal length
+    as constant within a step: it coincides with the exact rule when f_new
+    equals the current focal; otherwise the carried center term is off by
+    f / f_new.
+    """
+    x, y, z = state.translation.tolist()
     if z <= 0:
         raise DomainError(f"object depth must be positive, got {z}")
-    if vz <= 0:
-        raise DomainError(f"depth ratio must be positive, got {vz}")
+    if delta.vz <= 0:
+        raise DomainError(f"depth ratio must be positive, got {delta.vz}")
     if f_new <= 0:
         raise DomainError(f"updated focal must be positive, got {f_new}")
-
-
-def apply_translation_update(state: ParamState, delta: DeltaTheta,
-                             f_new: float) -> np.ndarray:
-    """Exact translation update using both the old and the new focal length.
-
-    The projected object center moves by exactly (vx, vy) pixels.
-    """
-    x, y, z = state.translation.tolist()
-    _check_translation_inputs(z, delta.vz, f_new)
+    z_new = delta.vz * z
+    if legacy:
+        return np.array([(delta.vx / f_new + x / z) * z_new,
+                         (delta.vy / f_new + y / z) * z_new, z_new])
     f = state.focal
-    z_new = delta.vz * z
-    x_new = (delta.vx + f * x / z) * z_new / f_new
-    y_new = (delta.vy + f * y / z) * z_new / f_new
-    return np.array([x_new, y_new, z_new])
-
-
-def apply_legacy_translation_update(state: ParamState, delta: DeltaTheta,
-                                    f_new: float) -> np.ndarray:
-    """Approximate rule that treats the focal length as constant within a step.
-
-    Coincides with :func:`apply_translation_update` when f_new equals the
-    current focal; otherwise the carried center term is off by f / f_new.
-    """
-    x, y, z = state.translation.tolist()
-    _check_translation_inputs(z, delta.vz, f_new)
-    z_new = delta.vz * z
-    x_new = (delta.vx / f_new + x / z) * z_new
-    y_new = (delta.vy / f_new + y / z) * z_new
-    return np.array([x_new, y_new, z_new])
+    return np.array([(delta.vx + f * x / z) * z_new / f_new,
+                     (delta.vy + f * y / z) * z_new / f_new, z_new])
 
 
 def apply_rotation_update(rotation: Rotation, v_r1, v_r2) -> Rotation:
@@ -107,9 +95,7 @@ def apply_update(state: ParamState, delta: DeltaTheta, legacy: bool = False) -> 
     """
     f_new = apply_focal_update(state.focal, delta.vf)
     rot_new = apply_rotation_update(state.rotation, delta.v_r1, delta.v_r2)
-    rule = apply_legacy_translation_update if legacy else apply_translation_update
-    t_new = rule(state, delta, f_new)
-    return ParamState(rot_new, t_new, f_new)
+    return ParamState(rot_new, apply_translation_update(state, delta, f_new, legacy), f_new)
 
 
 def oracle_delta(state: ParamState, target: ParamState) -> DeltaTheta:

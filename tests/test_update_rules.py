@@ -9,7 +9,6 @@ from posefocal.errors import DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ParamState, Rotation, project_point,
                                 quat_unit, quats_from_6d, quats_to_matrices)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
-                                    apply_legacy_translation_update,
                                     apply_rotation_update,
                                     apply_translation_update, apply_update,
                                     init_state, oracle_delta)
@@ -74,7 +73,7 @@ class TestTranslationUpdate:
     def test_legacy_hand_evaluated_step(self):
         state = make_state(x=0.1, y=-0.2, z=1.0, f=600.0)
         delta = make_delta(vx=30.0, vy=0.0, vz=1.2)
-        out = apply_legacy_translation_update(state, delta, f_new=660.0)
+        out = apply_translation_update(state, delta, f_new=660.0, legacy=True)
         assert out[0] == pytest.approx((30.0 / 660.0 + 0.1) * 1.2)
         assert out[0] == pytest.approx(0.174545, abs=1e-6)
 
@@ -85,15 +84,15 @@ class TestTranslationUpdate:
             delta = make_delta(vx=rng.normal(0, 20), vy=rng.normal(0, 20),
                                vz=np.exp(rng.normal(0, 0.2)))
             exact = apply_translation_update(state, delta, f_new=state.focal)
-            legacy = apply_legacy_translation_update(state, delta,
-                                                     f_new=state.focal)
+            legacy = apply_translation_update(state, delta, f_new=state.focal,
+                                              legacy=True)
             assert np.allclose(exact, legacy, atol=1e-12)
 
     def test_zero_shift_with_focal_change_scales_xy_only_in_exact_rule(self):
         state = make_state()
         delta = make_delta(vz=1.0)
         exact = apply_translation_update(state, delta, f_new=900.0)
-        legacy = apply_legacy_translation_update(state, delta, f_new=900.0)
+        legacy = apply_translation_update(state, delta, f_new=900.0, legacy=True)
         assert np.allclose(legacy, state.translation)
         assert np.allclose(exact[:2], state.translation[:2] * 600.0 / 900.0)
 
