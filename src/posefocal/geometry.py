@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, DepthError, DomainError
 
 _DEGENERATE_TOL = 1e-12
-_PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see _check_6d_rows
+_PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see gram_schmidt_6d
 
 
 # The one-pose path computes on Python floats, which round as NumPy scalars do. Dot products
@@ -448,31 +448,37 @@ def matrices_to_quats(m: np.ndarray) -> np.ndarray:
     return quat_unit(q)
 
 
-def _check_6d_rows(n1, c, nw):
-    """The 6D decoders' rule on n1 = |v1|, c = v2 . e1 and nw = |v2 - c e1| per
-    row: a pair is (numerically) parallel where nw < 1e-12 or nw < 1e-9 |c|."""
+def gram_schmidt_6d(v1: np.ndarray, v2: np.ndarray) -> tuple:
+    """Row-wise Gram-Schmidt of vector pairs (N, 3): the matrices (N, 3, 3) with
+    columns e1 = v1 / n1, e2 = w / nw and e1 x e2, and the terms n1 = |v1|,
+    c = v2 . e1 and nw = |w| of w = v2 - c e1, each (N, 1).
+
+    The 6D decoders' domain rule: a (numerically) zero first vector, or a pair
+    that is (numerically) parallel, nw < 1e-12 or nw < 1e-9 |c|, raises
+    :class:`DegenerateInputError`; a non-finite norm raises :class:`DomainError`.
+    """
+    n1 = np.sqrt(dot3(v1, v1))[:, None]
+    if np.any(n1 < _DEGENERATE_TOL):
+        raise DegenerateInputError("first 6D vector is (numerically) zero")
+    m = np.empty((len(v1), 3, 3))
+    e1 = np.divide(v1, n1, out=m[:, :, 0])
+    c = dot3(v2, e1)[:, None]
+    w = v2 - c * e1
+    nw = np.sqrt(dot3(w, w))[:, None]
     if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(nw))):
         raise DomainError("6D vector norm is not finite")
     if np.any((nw < _DEGENERATE_TOL) | (nw < _PARALLEL_RTOL * np.abs(c))):
         raise DegenerateInputError("6D vectors are (numerically) parallel")
+    np.divide(w, nw, out=m[:, :, 1])
+    r1, r2 = m[:, [1, 2, 0], :2], m[:, [2, 0, 1], :2]  # as np.cross rounds it
+    np.subtract(r1[..., 0] * r2[..., 1], r2[..., 0] * r1[..., 1], out=m[:, :, 2])
+    return m, n1, c, nw
 
 
 def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Row-wise :func:`rotation_from_6d` of vector pairs (N, 3), as unit
     quaternions (N, 4), with the same checks."""
-    n1 = np.sqrt(dot3(v1, v1))[:, None]
-    if np.any(n1 < _DEGENERATE_TOL):
-        raise DegenerateInputError("first 6D vector is (numerically) zero")
-    m = np.empty((len(v1), 3, 3))  # columns e1, e2 and their cross product
-    e1 = np.divide(v1, n1, out=m[:, :, 0])
-    c = dot3(v2, e1)[:, None]
-    w = v2 - c * e1
-    nw = np.sqrt(dot3(w, w))[:, None]
-    _check_6d_rows(n1, c, nw)
-    np.divide(w, nw, out=m[:, :, 1])
-    r1, r2 = m[:, [1, 2, 0], :2], m[:, [2, 0, 1], :2]  # as np.cross rounds it
-    np.subtract(r1[..., 0] * r2[..., 1], r2[..., 0] * r1[..., 1], out=m[:, :, 2])
-    return matrices_to_quats(m)
+    return matrices_to_quats(gram_schmidt_6d(v1, v2)[0])
 
 
 def quats_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:

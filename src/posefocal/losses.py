@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, DepthError, DomainError
-from .geometry import (CameraIntrinsics, ModelPoints, ParamState, _check_6d_rows,
+from .errors import DepthError, DomainError
+from .geometry import (CameraIntrinsics, ModelPoints, ParamState, gram_schmidt_6d,
                        project_points, row_dot)
 from .update_rules import DeltaBatch, DeltaTheta, translation_update_batch
 
@@ -82,37 +82,27 @@ def _skew(v: np.ndarray) -> np.ndarray:
 def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise Gram-Schmidt rotations and their Jacobians.
 
-    Takes vector pairs v1, v2 (K, 3) and returns (R, dR) with R (K, 3, 3) and
-    dR (K, 3, 3, 6), where dR[k, :, :, j] is the derivative of R[k] with
-    respect to the j-th input scalar of row k (v1 then v2).
+    Takes vector pairs v1, v2 (K, 3) and returns (R, dR) with R (K, 3, 3) the
+    :func:`~posefocal.geometry.gram_schmidt_6d` matrices and dR (K, 3, 3, 6),
+    where dR[k, :, :, j] is the derivative of R[k] with respect to the j-th
+    input scalar of row k (v1 then v2).
     """
-    v1, v2, eye = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float), np.eye(3)
+    rot, n1, c, nw = gram_schmidt_6d(v1, v2)
+    e1, e2, eye = rot[:, :, 0], rot[:, :, 1], np.eye(3)
 
-    n1 = np.sqrt(row_dot(v1, v1))[:, None]
-    if np.any(n1 < 1e-12):
-        raise DegenerateInputError("first 6D vector is (numerically) zero")
-    e1 = v1 / n1
     p1 = eye - e1[:, :, None] * e1[:, None, :]
     de1_dv1 = p1 / n1[:, :, None]
-
-    c = row_dot(e1, v2)[:, None]
-    w = v2 - c * e1
-    nw = np.sqrt(row_dot(w, w))[:, None]
-    _check_6d_rows(n1, c, nw)
     dw_de1 = -(e1[:, :, None] * v2[:, None, :] + c[:, :, None] * eye)
     dw_dv1 = dw_de1 @ de1_dv1
 
-    e2 = w / nw
     de2_dw = (eye - e2[:, :, None] * e2[:, None, :]) / nw[:, :, None]
     de2_dv1 = de2_dw @ dw_dv1
     de2_dv2 = de2_dw @ p1
 
-    e3 = np.cross(e1, e2)
     s1, s2 = _skew(e1), _skew(e2)
     de3_dv1 = -s2 @ de1_dv1 + s1 @ de2_dv1
     de3_dv2 = s1 @ de2_dv2
 
-    rot = np.stack([e1, e2, e3], axis=2)
     drot = np.stack([np.concatenate([de1_dv1, np.zeros_like(de1_dv1)], axis=2),
                      np.concatenate([de2_dv1, de2_dv2], axis=2),
                      np.concatenate([de3_dv1, de3_dv2], axis=2)], axis=2)
