@@ -134,10 +134,6 @@ class BBox:
             raise DomainError(f"degenerate bbox {(self.x1, self.y1, self.x2, self.y2)}")
 
     @property
-    def center(self) -> np.ndarray:
-        return np.array([0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2)])
-
-    @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 

@@ -120,19 +120,9 @@ def oracle_delta(state: ParamState, target: ParamState) -> DeltaTheta:
     )
 
 
-def init_state(bbox: BBox, intrinsics: CameraIntrinsics,
-               depth: float = 1.0) -> ParamState:
-    """Initial state: identity rotation, given depth (default 1 m), and an
-    x-y translation whose projection lands on the bbox center."""
-    xc, yc = bbox.center
-    f = intrinsics.focal
-    return ParamState(
-        rotation=Rotation.identity(),
-        translation=np.array([(xc - intrinsics.cx) * depth / f,
-                              (yc - intrinsics.cy) * depth / f,
-                              depth]),
-        focal=f,
-    )
+def init_state(bbox: BBox, intrinsics: CameraIntrinsics) -> ParamState:
+    """The one-row :func:`init_state_batch`."""
+    return init_state_batch(np.array([bbox.as_list()]), intrinsics).state(0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +215,9 @@ def oracle_terms(state: PoseBatch, target: PoseBatch) -> tuple:
 
 
 def init_state_batch(boxes: np.ndarray, intrinsics: CameraIntrinsics) -> PoseBatch:
-    """Row-wise :func:`init_state` (depth 1 m) of boxes (N, 4) given as
-    x1, y1, x2, y2."""
+    """Initial states of boxes (N, 4) given as x1, y1, x2, y2: identity rotation,
+    depth 1 m, the camera's focal, and an x-y translation whose projection
+    lands on the box center."""
     n = len(boxes)
     xc = 0.5 * (boxes[:, 0] + boxes[:, 2])
     yc = 0.5 * (boxes[:, 1] + boxes[:, 3])

@@ -300,7 +300,10 @@ def reference_trial(predictor, target, legacy, seed, iterations):
                                       bbox_gt=bbox, img_diag=IMG_DIAG,
                                       bbox_pred=bbox_pred)).to_dict()
 
-    state = init_state(bbox, INTR)
+    xc, yc = 0.5 * (bbox.x1 + bbox.x2), 0.5 * (bbox.y1 + bbox.y2)
+    state = ParamState(Rotation.identity(), np.array([(xc - INTR.cx) / INTR.focal,
+                                                      (yc - INTR.cy) / INTR.focal, 1.0]),
+                       INTR.focal)
     trajectory = [measure(state)]
     for _ in range(iterations):
         delta = oracle_delta(state, target)

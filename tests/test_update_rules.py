@@ -11,7 +11,7 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ParamState, Rotation, pr
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                                     apply_rotation_update,
                                     apply_translation_update, apply_update,
-                                    init_state, oracle_delta)
+                                    init_state, init_state_batch, oracle_delta)
 
 
 def make_state(x=0.1, y=-0.2, z=1.0, f=600.0, rot=None):
@@ -264,3 +264,26 @@ class TestInitState:
         state = init_state(BBox(30, 0, 90, 60), CameraIntrinsics(600.0, 0, 0))
         assert state.translation[0] == pytest.approx(0.1)
         assert state.translation[1] == pytest.approx(0.05)
+
+    BOXES = [(30, 0, 90, 60), (-250, -40, -10, 300), (400.5, 200.25, 401.5, 700.0)]
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_projects_onto_box_center_off_principal_point(self, box):
+        intr = CameraIntrinsics(750.0, 320.5, -241.0)
+        state = init_state(BBox(*box), intr)
+        uv = project_point(intr, state.rotation, state.translation, np.zeros(3))
+        assert uv == pytest.approx([0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3])],
+                                   rel=0, abs=1e-9)
+        assert state.translation[2] == 1.0 and state.focal == 750.0
+
+    def test_batch_rows_project_onto_box_centers(self):
+        intr = CameraIntrinsics(750.0, 320.5, -241.0)
+        poses = init_state_batch(np.array(self.BOXES, dtype=float), intr)
+        assert len(poses) == len(self.BOXES)
+        assert np.array_equal(poses.quat, np.tile([1.0, 0, 0, 0], (len(self.BOXES), 1)))
+        assert np.array_equal(poses.translation[:, 2], np.ones(len(self.BOXES)))
+        assert np.array_equal(poses.focal, np.full(len(self.BOXES), 750.0))
+        for i, box in enumerate(self.BOXES):
+            uv = project_point(intr, Rotation.identity(), poses.translation[i], np.zeros(3))
+            assert uv == pytest.approx([0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3])],
+                                       rel=0, abs=1e-9)
