@@ -15,8 +15,8 @@ from .losses import (GRAD_LABELS, LossBreakdown, LossWeights,
                      gradient_check, huber_log_focal, point_matching_distance,
                      reprojection_loss, rotation_6d_jacobian, total_loss)
 from .metrics import (EvalPair, MetricRecord, aggregate, err_focal, err_pose,
-                      err_proj, err_rot, err_trans, evaluate_batch,
-                      evaluate_pair, lower_median)
+                      err_proj, err_rot, err_trans, evaluate_pair,
+                      lower_median)
 from .sampling import (AnnotationRecord, BinghamParams, Gaussian2DParams,
                        NonparamDeltas, RefinerNoise, UniformRanges,
                        fit_bingham, fit_translation_focal, load_annotations,

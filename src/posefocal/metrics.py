@@ -3,10 +3,9 @@
 Six per-image errors: rotation geodesic angle, normalized translation,
 normalized point-matching, relative focal length, bbox-normalized
 reprojection, and detection IoU; ``evaluate_pair`` scores one pair, forming
-its two camera-frame clouds once. ``evaluate_batch`` scores N rows in two
-halves: a :class:`GroundTruth`, checked and formed once, and its ``score``
-of each predicted batch. Medians use the lower-median convention for even
-counts."""
+its two camera-frame clouds once. N rows are scored row-wise in two halves: a
+:class:`GroundTruth`, checked and formed once, and its ``score`` of each
+predicted batch. Medians use the lower-median convention for even counts."""
 
 from __future__ import annotations
 
@@ -154,7 +153,7 @@ def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarr
 
 
 class GroundTruth:
-    """The ground-truth half of :func:`evaluate_batch`: N ground-truth poses,
+    """The ground-truth half of row-wise :func:`evaluate_pair`: N ground-truth poses,
     boxes (x1, y1, x2, y2) and image diagonal, checked and formed once for :meth:`score`,
     which reuses one set of buffers."""
 
@@ -210,12 +209,6 @@ class GroundTruth:
                                       inter / (self.area + area - inter), 0.0)
             out["iou"][behind] = np.nan
         return out
-
-
-def evaluate_batch(pred: PoseBatch, gt: PoseBatch, points: ModelPoints, bbox_gt: np.ndarray,
-                   img_diag: float, intrinsics: CameraIntrinsics) -> dict:
-    """Row-wise :func:`evaluate_pair` over N pairs: both halves in one call."""
-    return GroundTruth(gt, points, bbox_gt, img_diag).score(pred, intrinsics)
 
 
 def lower_median(values) -> float:

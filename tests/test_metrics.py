@@ -10,7 +10,7 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation)
 from posefocal.metrics import (EvalPair, GroundTruth, aggregate, err_focal,
                                err_pose, err_proj, err_rot, err_trans,
-                               evaluate_batch, evaluate_pair, lower_median)
+                               evaluate_pair, lower_median)
 from posefocal.simulator import projected_bbox
 
 CUBE = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (12, 3)))
@@ -132,8 +132,9 @@ class TestEvaluateBatch:
             preds.append(make_state(*rng.uniform(-0.2, 0.2, 2), z,
                                     rng.uniform(300, 900), Rotation(rng.standard_normal(4))))
         boxes = [projected_bbox(g, CUBE, intr) for g in gts]
-        got = evaluate_batch(PoseBatch.from_states(preds), PoseBatch.from_states(gts),
-                             CUBE, np.array([b.as_list() for b in boxes]), 800.0, intr)
+        got = GroundTruth(PoseBatch.from_states(gts), CUBE,
+                          np.array([b.as_list() for b in boxes]), 800.0).score(
+            PoseBatch.from_states(preds), intr)
         behind = 0
         for i, (pred, gt, box) in enumerate(zip(preds, gts, boxes)):
             try:
@@ -155,9 +156,9 @@ class TestEvaluateBatch:
         with pytest.raises(DomainError, match="ground truth puts a model point"):
             evaluate_pair(make_pair(pred, gt))
         with pytest.raises(DomainError, match="ground truth puts a model point"):
-            evaluate_batch(PoseBatch.from_states([pred]), PoseBatch.from_states([gt]),
-                           CUBE, np.array([GT_BBOX.as_list()]), 800.0,
-                           CameraIntrinsics(600.0, 0.0, 0.0))
+            GroundTruth(PoseBatch.from_states([gt]), CUBE, np.array([GT_BBOX.as_list()]),
+                        800.0).score(PoseBatch.from_states([pred]),
+                                     CameraIntrinsics(600.0, 0.0, 0.0))
 
 
 class TestGroundTruth:
@@ -175,7 +176,7 @@ class TestGroundTruth:
 
     def test_one_half_scores_like_fresh_calls(self):
         """One ground-truth half, scored through several states, gives the
-        arrays of a fresh evaluate_batch call at each, bit for bit."""
+        arrays of a fresh GroundTruth at each, bit for bit."""
         gts, boxes, rng = self.make_truth()
         truth = GroundTruth(gts, CUBE, boxes, 800.0)
         for step in range(4):
@@ -185,7 +186,7 @@ class TestGroundTruth:
             if step == 2:  # row 1's points behind the camera
                 preds.translation[1, 2] = 0.0
             got = truth.score(preds, self.INTR)
-            want = evaluate_batch(preds, gts, CUBE, boxes, 800.0, self.INTR)
+            want = GroundTruth(gts, CUBE, boxes, 800.0).score(preds, self.INTR)
             assert got.keys() == want.keys()
             for key in want:
                 assert np.array_equal(got[key], want[key], equal_nan=True), key
