@@ -266,8 +266,26 @@ SIMULATE_SCHEMA = {
 }
 
 
+def _numbers(value, path=()):
+    """(field path, value) of each float in parsed JSON; an array's elements
+    carry their array's path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, (*path, key))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item, path)
+    elif isinstance(value, float):
+        yield path, value
+
+
 def validate_config(config: dict, schema: dict):
-    """Schema-validate; the raised message names the offending field path."""
+    """Reject non-finite numbers (json reads NaN, Infinity and 1e309), then
+    schema-validate; the raised message names the offending field path."""
+    for path, value in _numbers(config):
+        if not np.isfinite(value):
+            raise DomainError(f"config field {'/'.join(map(str, path)) or '(root)'}: "
+                              f"invalid value {value}, numbers must be finite")
     import jsonschema
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))

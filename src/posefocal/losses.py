@@ -43,8 +43,11 @@ class LossWeights:
     huber_delta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.huber_delta <= 0:
-            raise DomainError("invalid loss weights")
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and non-negative")
+        if not 0 < self.huber_delta < np.inf:
+            raise DomainError("huber_delta must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,9 @@ def _skew(v: np.ndarray) -> np.ndarray:
 def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise Gram-Schmidt rotations and their Jacobians.
 
-    Takes vector pairs v1, v2 (K, 3) and returns (R, dR) with R (K, 3, 3) the
-    :func:`~posefocal.geometry.gram_schmidt_6d` matrices and dR (K, 3, 3, 6),
-    where dR[k, :, :, j] is the derivative of R[k] with respect to the j-th
-    input scalar of row k (v1 then v2).
+    Takes vector pairs v1, v2 (K, 3) and returns (R, dR) with R (K, 3, 3) and
+    dR (K, 3, 3, 6), where dR[k, :, :, j] is the derivative of R[k] with
+    respect to the j-th input scalar of row k (v1 then v2).
     """
     rot, n1, c, nw = gram_schmidt_6d(v1, v2)
     e1, e2, eye = rot[:, :, 0], rot[:, :, 1], np.eye(3)

@@ -572,6 +572,11 @@ class RefinerNoise:
     euler_deg: float = 15.0
     as_std: bool = True
 
+    def __post_init__(self):
+        for name in ("sigma_xy", "sigma_z", "focal_scale", "euler_deg"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and non-negative")
+
     def focal_sigma(self, focal: float) -> float:
         s = self.focal_scale * focal
         return s if self.as_std else np.sqrt(s)

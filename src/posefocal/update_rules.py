@@ -59,19 +59,12 @@ def apply_focal_update(focal: float, vf: float) -> float:
 
 def apply_translation_update(state: ParamState, delta: DeltaTheta, f_new: float,
                              legacy: bool = False) -> np.ndarray:
-    """Exact translation update using both the old and the new focal length:
-    the projected object center moves by exactly (vx, vy) pixels.
-
-    ``legacy=True`` selects the approximate rule that treats the focal length
-    as constant within a step: it coincides with the exact rule when f_new
-    equals the current focal; otherwise the carried center term is off by
-    f / f_new.
-    """
+    """Exact translation update with the old and the new focal length: the projected
+    object center moves by exactly (vx, vy) pixels. ``legacy=True`` treats the focal
+    as constant within a step, which puts the carried center term off by f / f_new."""
     x, y, z = state.translation.tolist()
     if z <= 0:
         raise DomainError(f"object depth must be positive, got {z}")
-    if delta.vz <= 0:
-        raise DomainError(f"depth ratio must be positive, got {delta.vz}")
     if f_new <= 0:
         raise DomainError(f"updated focal must be positive, got {f_new}")
     z_new = delta.vz * z

@@ -1,6 +1,7 @@
 """CLI surface: fit-dist, sample, simulate, evaluate, gradcheck."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -324,6 +325,25 @@ class TestSimulate:
                                    str(tmp_path / "x.json")])
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
         assert "config field targets/z_range: invalid" in res.output
+
+    @pytest.mark.parametrize("field, value", [
+        ("model_points/extent", math.nan), ("predictor/noise/sigma_x_px", math.nan),
+        ("focal_init", math.nan), ("focal_init", math.inf), ("img_diag", math.nan),
+        ("img_diag", math.inf), ("targets/z_range", -math.inf)])
+    def test_non_finite_number_names_field(self, runner, tmp_path, field, value):
+        """json reads NaN and Infinity, which the schema's bounds let through."""
+        *parents, name = field.split("/")
+        cfg = json.loads(self.write_config(tmp_path).read_text())
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[name] = [0.9, value] if name == "z_range" else value
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["simulate", "--config", str(tmp_path / "sim.json"),
+                                   "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert f"config field {field}: invalid value {value}" in res.output
+        assert not (tmp_path / "x.json").exists()
 
     def test_nested_schema_error_path(self, runner, tmp_path):
         cfg = self.write_config(

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from posefocal.errors import DomainError
 from posefocal.geometry import ModelPoints, ParamState, Rotation
 from posefocal.losses import (GRAD_LABELS, LossWeights, _evaluate,
                               disentangled_pose_loss,
@@ -207,6 +208,13 @@ class TestTotalLoss:
         w = LossWeights()
         assert w.alpha == pytest.approx(1e-2)
         assert w.beta == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", np.nan), ("alpha", -1.0), ("beta", np.inf), ("beta", np.nan),
+        ("huber_delta", np.nan), ("huber_delta", 0.0), ("huber_delta", np.inf)])
+    def test_invalid_weight_names_field(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            LossWeights(**{field: value})
 
 
 class TestDisentanglement:

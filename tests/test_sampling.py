@@ -464,6 +464,13 @@ class TestRefinerNoise:
             sample_refiner_noise(self.GT, seed=i).focal for i in range(10000)])
         assert draws.std() == pytest.approx(0.15 * 600.0, abs=2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_xy", -1.0), ("sigma_z", np.nan), ("focal_scale", np.inf),
+        ("euler_deg", -0.5)])
+    def test_invalid_scale_names_field(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be finite and non-negative"):
+            RefinerNoise(**{field: value})
+
     def test_variance_reading_is_switchable(self):
         noise = RefinerNoise(as_std=False)
         assert noise.focal_sigma(600.0) == pytest.approx(np.sqrt(0.15 * 600.0))
