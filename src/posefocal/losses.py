@@ -89,8 +89,9 @@ def rotation_6d_jacobian(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     dR (K, 3, 3, 6), where dR[k, :, :, j] is the derivative of R[k] with
     respect to the j-th input scalar of row k (v1 then v2).
     """
+    v1, v2, eye = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float), np.eye(3)
     rot, n1, c, nw = gram_schmidt_6d(v1, v2)
-    e1, e2, eye = rot[:, :, 0], rot[:, :, 1], np.eye(3)
+    e1, e2 = rot[:, :, 0], rot[:, :, 1]
 
     p1 = eye - e1[:, :, None] * e1[:, None, :]
     de1_dv1 = p1 / n1[:, :, None]

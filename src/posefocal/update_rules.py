@@ -208,9 +208,8 @@ def oracle_terms(state: PoseBatch, target: PoseBatch) -> tuple:
 
 
 def init_state_batch(boxes: np.ndarray, intrinsics: CameraIntrinsics) -> PoseBatch:
-    """Initial states of boxes (N, 4) given as x1, y1, x2, y2: identity rotation,
-    depth 1 m, the camera's focal, and an x-y translation whose projection
-    lands on the box center."""
+    """Initial states of boxes (N, 4) given as x1, y1, x2, y2: identity rotation, depth
+    1 m, the camera's focal and an x-y translation that projects onto the box center."""
     n = len(boxes)
     xc = 0.5 * (boxes[:, 0] + boxes[:, 2])
     yc = 0.5 * (boxes[:, 1] + boxes[:, 3])
