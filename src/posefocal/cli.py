@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 from contextlib import contextmanager
@@ -38,6 +37,7 @@ from .simulator import (UPDATE_RULES, ClampBounds, NoiseScales, OraclePredictor,
 from .update_rules import DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
+WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
 
 
 # ---------------------------------------------------------------------------
@@ -65,32 +65,43 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _writing(path):
+    """``path`` open for text; an OSError becomes a ClickException naming the path."""
+    fh = None
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        if fh is not None and os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)  # a partial file, not a device or pipe
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_json(path, manifest: dict, payload: dict):
-    doc = {"manifest": manifest, **payload}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8", newline="\n")
+    text = json.dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2)
+    with _writing(path) as fh:
+        fh.write(text + "\n")
 
 
 def write_jsonl(path, manifest: dict, poses: PoseBatch):
     """The manifest, then each pose's ParamState.to_dict() as _dump writes it: %r is
-    json's float repr, and a PoseBatch holds only finite floats."""
-    rows = np.column_stack([poses.focal, poses.quat, poses.translation]).ravel().tolist()
+    json's float repr, and a PoseBatch holds only finite floats. Rows are formatted
+    and written WRITE_BLOCK at a time, so memory does not grow with their number."""
     line = '\n{"focal_px":%r,"quat_wxyz":[%r,%r,%r,%r],"t_m":[%r,%r,%r]}'
-    text = _dump({"manifest": manifest}) + line * len(poses) % tuple(rows) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    with _writing(path) as fh:
+        fh.write(_dump({"manifest": manifest}))
+        for i in range(0, len(poses), WRITE_BLOCK):
+            rows = np.column_stack([a[i:i + WRITE_BLOCK] for a in (
+                poses.focal, poses.quat, poses.translation)]).ravel().tolist()
+            fh.write(line * (len(rows) // 8) % tuple(rows))
+        fh.write("\n")
 
 
 def write_csv(path, manifest: dict, header, rows):
-    buf = io.StringIO()
-    buf.write(f"# manifest: {_dump(manifest)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-
-
-def _fail(exc: Exception):
-    raise click.ClickException(str(exc))
+    with _writing(path) as fh:
+        fh.write(f"# manifest: {_dump(manifest)}\n")
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 @contextmanager
@@ -146,7 +157,7 @@ def fit_dist(annotations, kind, out):
             doc = {"kind": kind, "deltas": select_deltas_95pct(records).to_dict(),
                    "records": [r.to_dict() for r in records]}
     except DomainError as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc)) from exc
     write_json(out, _manifest("fit-dist", {"kind": kind}, seed=None,
                               input_paths=[annotations]), doc)
     click.echo(f"fitted {kind} distribution from {len(records)} records -> {out}")
@@ -194,7 +205,7 @@ def sample(distribution, num, seed, out):
         with _reading(distribution):
             poses = _draw_poses(json.loads(Path(distribution).read_text()), num, seed)
     except DomainError as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc)) from exc
     write_jsonl(out, _manifest("sample", {"n": num}, seed=seed,
                                input_paths=[distribution]), poses)
     click.echo(f"wrote {num} samples -> {out}")
@@ -367,7 +378,7 @@ def simulate(config_path, out, fmt):
             config = json.loads(Path(config_path).read_text())
         report = run_simulation(config)
     except DomainError as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc)) from exc
     manifest = _manifest("simulate", config, seed=config.get("seed", 0),
                          input_paths=[config_path])
     if fmt == "json":
@@ -439,7 +450,7 @@ def evaluate(pairs_file, out, fmt):
         pairs = _load_pairs(pairs_file)
         records = [evaluate_pair(p) for p in pairs]
     except DomainError as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc)) from exc
     summary = aggregate(records)
     manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":

@@ -244,13 +244,12 @@ def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
         chunk = max(2 * (n - out.shape[0]), 256)
         g = rng.standard_normal((chunk, 4))
         u = rng.random(chunk)
-        y = g / np.sqrt(omega_diag)
-        x = y / np.linalg.norm(y, axis=1, keepdims=True)
-        quad_b = (x * x) @ beta
-        quad_omega = (x * x) @ omega_diag
-        log_accept = -quad_b + (d / 2.0) * np.log(quad_omega) - log_m_star
-        accepted = x[np.log(u) < log_accept]
-        out = np.vstack([out, accepted @ frame.T])
+        g /= np.sqrt(omega_diag)  # the candidates are built in place in g
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        x2 = g * g
+        log_accept = -(x2 @ beta) + (d / 2.0) * np.log(x2 @ omega_diag) - log_m_star
+        g = g[np.log(u) < log_accept]  # the accepted rows; frees the candidates
+        out = np.vstack([out, g @ frame.T])
     return out[:n]
 
 

@@ -12,7 +12,7 @@ legacy translation rules can be compared under identical randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +43,9 @@ class NoiseScales:
     sigma_f_log: float = 0.15
 
     def __post_init__(self):
-        if min(self.sigma_x_px, self.sigma_y_px, self.sigma_z_log,
-               self.sigma_rot_deg, self.sigma_f_log) < 0:
-            raise DomainError("noise scales must be non-negative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise DomainError(f"NoiseScales.{f.name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class ClampBounds:
     max_log_focal: float = 0.05
 
     def __post_init__(self):
-        if min(self.max_px, self.max_log_depth, self.max_angle_deg,
-               self.max_log_focal) <= 0:
-            raise DomainError("clamp bounds must be positive")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise DomainError(f"ClampBounds.{f.name} must be finite and positive")
 
 
 @dataclass(frozen=True)

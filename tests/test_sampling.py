@@ -41,6 +41,37 @@ def random_records(rng, n, spread=0.3):
 # Bingham distribution
 # ---------------------------------------------------------------------------
 
+LOOSE_Z = (-8.0, -4.0, -1.0, 0.0)  # accepts about 79 % of the candidates
+TIGHT_Z = (-300.0, -200.0, -100.0, 0.0)  # accepts about 45 %
+
+
+def out_of_place_sample_bingham(params, n, seed):
+    """sample_bingham with each candidate array allocated anew, as it was
+    before it built them in place; returns the samples and the number of
+    rejection rounds."""
+    rng = np.random.default_rng(seed)
+    d = 4
+    beta = -params.z[::-1]
+    b = _envelope_root(beta)
+    omega_diag = 1.0 + 2.0 * beta / b
+    log_m_star = -(d - b) / 2.0 + (d / 2.0) * np.log(d / b)
+    frame = params.m[:, ::-1]
+    out, rounds = np.empty((0, 4)), 0
+    while out.shape[0] < n:
+        chunk = max(2 * (n - out.shape[0]), 256)
+        g = rng.standard_normal((chunk, 4))
+        u = rng.random(chunk)
+        y = g / np.sqrt(omega_diag)
+        x = y / np.linalg.norm(y, axis=1, keepdims=True)
+        quad_b = (x * x) @ beta
+        quad_omega = (x * x) @ omega_diag
+        log_accept = -quad_b + (d / 2.0) * np.log(quad_omega) - log_m_star
+        accepted = x[np.log(u) < log_accept]
+        out = np.vstack([out, accepted @ frame.T])
+        rounds += 1
+    return out[:n], rounds
+
+
 class TestBingham:
     def test_density_is_antipodally_symmetric(self):
         rng = np.random.default_rng(0)
@@ -88,6 +119,23 @@ class TestBingham:
         a = sample_bingham(params, 100, 42)
         b = sample_bingham(params, 100, 42)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("z, n", [
+        (LOOSE_Z, 1), (LOOSE_Z, 37), (LOOSE_Z, 255), (LOOSE_Z, 10_000),
+        (TIGHT_Z, 1), (TIGHT_Z, 255), (TIGHT_Z, 10_000)])
+    def test_sampler_matches_out_of_place_reference(self, z, n):
+        """Candidates built in place give the same quaternions, bit for bit,
+        as the out-of-place step, over several seeds and rejection rounds."""
+        m, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+        params = BinghamParams(m, np.array(z))
+        rounds = []
+        for seed in range(5):
+            want, k = out_of_place_sample_bingham(params, n, seed)
+            got = sample_bingham(params, n, seed)
+            assert got.shape == (n, 4) and got.tobytes() == want.tobytes()
+            rounds.append(k)
+        if z is TIGHT_Z and n > 1:  # accepts under half its candidates
+            assert min(rounds) >= 2
 
     def test_too_few_samples_rejected(self):
         quats = np.eye(4)

@@ -129,6 +129,31 @@ class TestOraclePredictor:
             assert residuals[False] < residuals[True]
 
 
+class TestScalesAndBounds:
+    """Every field of NoiseScales and ClampBounds must be finite and in range;
+    the error names the class and the field."""
+
+    @pytest.mark.parametrize("field", ["sigma_x_px", "sigma_y_px", "sigma_z_log",
+                                       "sigma_rot_deg", "sigma_f_log"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_noise_scale_rejected(self, field, value):
+        with pytest.raises(DomainError,
+                           match=rf"^NoiseScales\.{field} must be finite and non-negative"):
+            NoiseScales(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_px", "max_log_depth", "max_angle_deg",
+                                       "max_log_focal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_clamp_bound_rejected(self, field, value):
+        with pytest.raises(DomainError,
+                           match=rf"^ClampBounds\.{field} must be finite and positive"):
+            ClampBounds(**{field: value})
+
+    def test_edges_accepted(self):
+        assert NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0).sigma_f_log == 0.0
+        assert ClampBounds(5e-324, 1e300, 1.0, 1.0).max_px == 5e-324
+
+
 class TestRunRefinement:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
