@@ -47,10 +47,11 @@ WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
 def _manifest(command: str, config: dict, seed: int | None, input_paths=()) -> dict:
     """The run manifest an output file embeds."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = None
-    if epoch is not None:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc) \
-            .isoformat().replace("+00:00", "Z")
+    try:
+        stamp = None if epoch is None else datetime.fromtimestamp(
+            int(epoch), tz=timezone.utc).isoformat().replace("+00:00", "Z")
+    except (ValueError, OverflowError, OSError) as exc:  # not an integer, or out of range
+        raise click.ClickException(f"invalid SOURCE_DATE_EPOCH={epoch!r}: {exc}") from exc
     return {"command": command, "config": config, "seed": seed,
             "version": __version__,
             "inputs": {str(p): _sha256(p) for p in input_paths},
@@ -222,7 +223,6 @@ _CLAMP_PROPS = {k: {"type": "number", "exclusiveMinimum": 0} for k in
                 ("max_px", "max_log_depth", "max_angle_deg", "max_log_focal")}
 
 SIMULATE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["n_trials", "targets"],
     "additionalProperties": False,
@@ -277,33 +277,58 @@ SIMULATE_SCHEMA = {
 }
 
 
-def _numbers(value, path=()):
-    """(field path, value) of each float in parsed JSON; an array's elements
-    carry their array's path."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _numbers(item, (*path, key))
-    elif isinstance(value, list):
-        for item in value:
-            yield from _numbers(item, path)
-    elif isinstance(value, float):
-        yield path, value
+SCHEMA_KEYWORDS = ("type", "enum", "minimum", "exclusiveMinimum", "required", "properties",
+                   "additionalProperties", "items", "minItems", "maxItems", "uniqueItems")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None), "number": (int, float), "integer": int}
+
+
+def _is(value, name: str) -> bool:
+    """JSON Schema's type test, except that an integer is written as one: 2.0 is not."""
+    return isinstance(value, _JSON_TYPES[name]) and isinstance(value, bool) == (name == "boolean")
+
+
+def _first_error(value, schema: dict, path: tuple = ()):
+    """(field path, message) of the first rule of ``schema``, a JSON Schema (draft 2020-12)
+    of SCHEMA_KEYWORDS only, that ``value`` breaks, in jsonschema's path order, or None.
+    Numbers must also be finite; that message names an array's element by its array."""
+    if isinstance(value, float) and not np.isfinite(value):  # json reads NaN, Infinity, 1e309
+        return tuple(p for p in path if isinstance(p, str)), \
+            f"invalid value {value}, numbers must be finite"
+    kind = next((t for t in _JSON_TYPES if _is(value, t)), None)  # an int is a "number"
+    props = schema.get("properties", {})
+    for key, rule in schema.items():
+        if key not in SCHEMA_KEYWORDS or key == "additionalProperties" and rule is not False:
+            raise ValueError(f"schema keyword {key}: {rule!r} is not implemented")
+        if key == "type" and not any(_is(value, t) for t in np.atleast_1d(rule)):
+            return path, f"{value!r} is not of type {rule!r}"
+        if key == "enum" and value not in rule:
+            return path, f"{value!r} is not one of {rule!r}"
+        if kind == "number" and key == "minimum" and value < rule:
+            return path, f"{value!r} is less than the minimum of {rule!r}"
+        if kind == "number" and key == "exclusiveMinimum" and value <= rule:
+            return path, f"{value!r} is less than or equal to the minimum of {rule!r}"
+        if kind == "object" and key == "required" and not value.keys() >= set(rule):
+            return path, f"{next(k for k in rule if k not in value)!r} is a required property"
+        if kind == "object" and key == "additionalProperties" and value.keys() - props:
+            return path, f"unexpected properties {[k for k in value if k not in props]}"
+        if kind == "array" and (key == "minItems" and len(value) < rule
+                                or key == "maxItems" and len(value) > rule):
+            return path, f"{value!r} has {len(value)} items, {key} is {rule}"
+        if kind == "array" and key == "uniqueItems" and rule and any(
+                a == b and isinstance(a, bool) == isinstance(b, bool)
+                for i, a in enumerate(value) for b in value[:i]):
+            return path, f"{value!r} has non-unique elements"
+    for k in sorted(value) if kind == "object" else range(len(value)) if kind == "array" else ():
+        subschema = props.get(k) if kind == "object" else schema.get("items")
+        if subschema is not None and (error := _first_error(value[k], subschema, (*path, k))):
+            return error
 
 
 def validate_config(config: dict, schema: dict):
-    """Reject non-finite numbers (json reads NaN, Infinity and 1e309), then
-    schema-validate; the raised message names the offending field path."""
-    for path, value in _numbers(config):
-        if not np.isfinite(value):
-            raise DomainError(f"config field {'/'.join(map(str, path)) or '(root)'}: "
-                              f"invalid value {value}, numbers must be finite")
-    import jsonschema
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "(root)"
-        raise DomainError(f"config field {path}: {err.message}")
+    """Check parsed JSON against ``schema``; the raised message names the field path."""
+    if error := _first_error(config, schema):
+        raise DomainError(f"config field {'/'.join(map(str, error[0])) or '(root)'}: {error[1]}")
 
 
 def _load_model_points(cfg: dict) -> ModelPoints:

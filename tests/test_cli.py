@@ -398,6 +398,24 @@ class TestSimulate:
         assert res.exit_code != 0
         assert "predictor/noise/sigma_x_px" in res.output
 
+    @pytest.mark.parametrize("field", ["n_trials", "iterations", "seed",
+                                       "model_points/count", "model_points/seed"])
+    def test_integral_float_at_integer_field_names_field(self, runner, tmp_path, field):
+        """JSON Schema's "integer" admits 2.0; the config must write integers as
+        integers, or NumPy fails later with a traceback."""
+        cfg = json.loads(self.write_config(tmp_path, n_trials=2, iterations=2).read_text())
+        *parents, name = field.split("/")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[name] = 2.0
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["simulate", "--config", str(tmp_path / "sim.json"),
+                                   "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert f"config field {field}: 2.0 is not of type 'integer'" in res.output
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestEvaluate:
     GT = {"quat_wxyz": [1, 0, 0, 0], "t_m": [0.1, -0.1, 1.5],
@@ -567,6 +585,20 @@ class TestNegativeSeed:
         res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
                                    str(tmp_path / "x.json")])
         self.check(res, name)
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999"])
+def test_malformed_source_date_epoch_is_named(runner, tmp_path, monkeypatch, epoch):
+    """Not an integer, or past what the platform's time functions take: an
+    error naming the variable, never a traceback, and no output file."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"kind": "uniform"}))
+    out = tmp_path / "x.jsonl"
+    res = runner.invoke(main, ["sample", str(dist), "-n", "2", "--out", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert f"Error: invalid SOURCE_DATE_EPOCH={epoch!r}" in res.output
+    assert not out.exists()
 
 
 class TestUnwritableOut:
@@ -805,8 +837,8 @@ print(json.dumps(seen))
 
 def test_no_command_needs_scipy(annotations, tmp_path):
     """With SciPy made unimportable, every command runs: evaluate, gradcheck,
-    both fit-dist kinds, sample from both distributions and simulate; only
-    simulate loads jsonschema."""
+    both fit-dist kinds, sample from both distributions and simulate; none
+    loads jsonschema, which only the tests use."""
     pairs = TestEvaluate()
     pairs.write_pairs(tmp_path, [pairs.header(), pairs.pair()])
     (tmp_path / "sim.json").write_text(json.dumps(
@@ -819,6 +851,6 @@ def test_no_command_needs_scipy(annotations, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.strip().splitlines()[-1])
-    assert seen == {"import": False, "score and datagen": False, "simulate": True}
+    assert seen == {"import": False, "score and datagen": False, "simulate": False}
     for kind in ("parametric", "nonparametric"):
         assert len((tmp_path / f"{kind}.jsonl").read_text().splitlines()) == 6
