@@ -16,6 +16,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cache
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -25,19 +28,13 @@ from . import __version__
 from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
-from .losses import GRAD_LABELS, gradient_check
 from .metrics import METRIC_FIELDS, EvalPair, aggregate, evaluate_pair
-from .sampling import (BinghamParams, Gaussian2DParams, NonparamDeltas,
-                       AnnotationRecord, UniformRanges, fit_bingham,
-                       fit_translation_focal, load_annotations,
-                       sample_pose_nonparametric, sample_pose_parametric,
-                       sample_pose_uniform, select_deltas_95pct)
-from .simulator import (UPDATE_RULES, ClampBounds, NoiseScales, OraclePredictor,
-                        run_experiment)
-from .update_rules import DeltaTheta, oracle_delta
+from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
+_CONTAINERS = (dict, list, tuple)  # what write_json lays out itself
+_READ_ERRORS = (OSError, KeyError, TypeError, ValueError, AttributeError)  # what _reading names
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +76,39 @@ def _writing(path):
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@cache
+def _flat_encoder(depth: int):
+    """json's C encoder with sorted keys, items split by a newline and ``depth`` indents, made
+    once per depth: JSONEncoder.encode makes one per call, as costly as encoding a short list."""
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                            None, ": ", ",\n" + "  " * depth, True, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) of a value ``depth`` levels deep, string keys:
+    one C encoder call per container of scalars, and per list of non-empty flat dicts, whose
+    record boundaries a replace re-pads (no encoded scalar holds a raw newline or ends in "}")."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _flat_encoder(0)(obj)
+    pad, inner, is_dict = "  " * depth, "  " * (depth + 1), isinstance(obj, dict)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        text = _flat_encoder(depth + 1)(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj) and not any(
+            map(isinstance, chain.from_iterable(map(dict.values, obj)), repeat(_CONTAINERS))):
+        text = _flat_encoder(depth + 2)(obj)[2:-2].replace(
+            f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
+        return f"[\n{inner}{{\n{inner}  {text}\n{inner}}}\n{pad}]"
+    parts = ([f"{encode_basestring_ascii(k)}: {_indented(obj[k], depth + 1)}" for k in sorted(obj)]
+             if is_dict else [_indented(v, depth + 1) for v in obj])
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
+
+
 def write_json(path, manifest: dict, payload: dict):
-    text = json.dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2)
+    """The manifest and payload as json.dumps(..., sort_keys=True, indent=2) writes them."""
+    text = _indented({"manifest": manifest, **payload})
     with _writing(path) as fh:
         fh.write(text + "\n")
 
@@ -145,17 +173,18 @@ def main():
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def fit_dist(annotations, kind, out):
     """Fit a pose/focal sampling distribution to a JSON-lines annotation file."""
+    from . import sampling
     try:
-        records = load_annotations(annotations)
+        records = sampling.load_annotations(annotations)
         if not records:
             raise DomainError(f"no annotation records in {annotations}")
         if kind == "parametric":
-            xy, zf = fit_translation_focal(records)
-            bingham = fit_bingham(np.stack([r.rotation.quat for r in records]))
+            xy, zf = sampling.fit_translation_focal(records)
+            bingham = sampling.fit_bingham(np.stack([r.rotation.quat for r in records]))
             doc = {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
                    "zf": zf.to_dict()}
         else:
-            doc = {"kind": kind, "deltas": select_deltas_95pct(records).to_dict(),
+            doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(records).to_dict(),
                    "records": [r.to_dict() for r in records]}
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -171,6 +200,7 @@ def fit_dist(annotations, kind, out):
 def _uniform_ranges(doc: dict, where: str = "") -> UniformRanges:
     """The ranges ``doc`` sets, the others at their defaults; an invalid one
     raises a DomainError naming ``where`` and the field."""
+    from .sampling import UniformRanges
     ranges = UniformRanges()
     for k in ("z_range", "f_range", "xy_box"):
         if k in doc:
@@ -180,18 +210,19 @@ def _uniform_ranges(doc: dict, where: str = "") -> UniformRanges:
 
 
 def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
+    from . import sampling
     kind = doc.get("kind")
     if kind == "parametric":
-        return sample_pose_parametric(
-            BinghamParams.from_dict(doc["bingham"]),
-            Gaussian2DParams.from_dict(doc["xy"]),
-            Gaussian2DParams.from_dict(doc["zf"]), n, seed)
+        return sampling.sample_pose_parametric(
+            sampling.BinghamParams.from_dict(doc["bingham"]),
+            sampling.Gaussian2DParams.from_dict(doc["xy"]),
+            sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
-        records = [AnnotationRecord.from_dict(r) for r in doc["records"]]
-        return sample_pose_nonparametric(
-            records, NonparamDeltas.from_dict(doc["deltas"]), n, seed)
+        records = [sampling.AnnotationRecord.from_dict(r) for r in doc["records"]]
+        return sampling.sample_pose_nonparametric(
+            records, sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
-        return sample_pose_uniform(_uniform_ranges(doc), n, seed)
+        return sampling.sample_pose_uniform(_uniform_ranges(doc), n, seed)
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 
@@ -351,19 +382,24 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
         with _reading(path), open(path) as fh:
             for i, line in enumerate(fh, start=1):
                 if line.strip():
-                    with _reading(f"{path} line {i}"):
+                    try:
                         doc = json.loads(line)
                         if "manifest" not in doc:
                             states.append(ParamState.from_dict(doc))
+                    except _READ_ERRORS as exc:  # as _load_pairs does
+                        with _reading(f"{path} line {i}"):
+                            raise exc
         if len(states) < n:
             raise DomainError(f"target file has {len(states)} poses, need {n}")
         return PoseBatch.from_states(states[:n])
+    from .sampling import sample_pose_uniform
     return sample_pose_uniform(_uniform_ranges(cfg, "config field targets/"), n,
                                np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def run_simulation(config: dict) -> dict:
     """Validated config in, campaign report out."""
+    from .simulator import ClampBounds, NoiseScales, OraclePredictor, run_experiment
     validate_config(config, SIMULATE_SCHEMA)
     seed = config.get("seed", 0)
     pred_cfg = config.get("predictor", {})
@@ -433,7 +469,7 @@ def _load_pairs(path) -> list[EvalPair]:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            with _reading(f"{path} line {i}"):
+            try:
                 doc = json.loads(line)
                 if "manifest" in doc:
                     continue
@@ -459,6 +495,9 @@ def _load_pairs(path) -> list[EvalPair]:
                     bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
                                if doc.get("bbox_pred") is not None else None),
                 ))
+            except _READ_ERRORS as exc:  # a _reading per line costs a tenth of the read
+                with _reading(f"{path} line {i}"):
+                    raise exc
     if not pairs:
         raise DomainError(f"no evaluation pairs in {path}")
     return pairs
@@ -518,6 +557,7 @@ def _random_gradcheck_case(rng: np.random.Generator):
 def run_gradcheck(seed: int, n: int, step: float) -> dict:
     """Gradient check on random configurations; non-smooth points are flagged
     and excluded from the pass/fail decision."""
+    from .losses import GRAD_LABELS, gradient_check
     rng = np.random.default_rng(seed)
     results = []
     for i in range(n):

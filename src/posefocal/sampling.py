@@ -297,9 +297,8 @@ class AnnotationRecord:
     img_wh: tuple[float, float]
     bbox: BBox
 
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.translation)) and np.isfinite(self.focal)):
-            raise DomainError("translation and focal length must be finite")
+    def __post_init__(self):  # ParamState's checks; depth is left to the samplers
+        ParamState(self.rotation, self.translation, self.focal)
 
     def to_dict(self) -> dict:
         return {

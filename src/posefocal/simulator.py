@@ -22,7 +22,8 @@ from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
                        quat_multiply, quats_from_axis_angle)
 from .metrics import (METRIC_FIELDS, GroundTruth, MetricRecord, aggregate,
                       lower_median)
-from .update_rules import DeltaBatch, apply_update_batch, init_state_batch, oracle_terms
+from .update_rules import (UPDATE_RULES, DeltaBatch, apply_update_batch, init_state_batch,
+                           oracle_terms)
 
 VZ_FLOOR = 1e-6  # depth-ratio clamp guarding against depth collapse
 
@@ -95,7 +96,6 @@ class OraclePredictor:
         return DeltaBatch.from_quat(vx, vy, vz, quat, vf)
 
 
-UPDATE_RULES = ("exact", "legacy")
 CONVERGED_TOL = 1e-6  # bound on e_rot, e_trans and e_focal of a converged trial
 
 

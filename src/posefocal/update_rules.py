@@ -20,6 +20,8 @@ from .geometry import (BBox, CameraIntrinsics, ParamState, PoseBatch, Rotation,
                        quat_conj, quat_multiply, quats_from_6d, quats_to_matrices,
                        rotation_from_6d, row_dot)
 
+UPDATE_RULES = ("exact", "legacy")  # the arms of an update-rule comparison
+
 
 @dataclass(frozen=True)
 class DeltaTheta:

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,8 @@ from click.testing import CliRunner
 
 import posefocal
 from posefocal import cli
-from posefocal.cli import WRITE_BLOCK, _draw_poses, _load_targets, main, write_jsonl
+from posefocal.cli import (WRITE_BLOCK, _draw_poses, _indented, _load_targets, main, write_json,
+                           write_jsonl)
 from posefocal.errors import DomainError
 from posefocal.geometry import BBox, PoseBatch, Rotation
 from posefocal.sampling import AnnotationRecord, UniformRanges, sample_pose_uniform
@@ -262,6 +264,85 @@ class TestWriteJsonl:
         with pytest.raises(DomainError, match="quaternions must be finite"):
             PoseBatch(np.array([[np.nan, 0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]),
                       np.array([600.0]))
+
+
+JSON_SCALARS = [0, 1, -7, 2**70, -(2**64), 0.5, -0.0, 5e-324, 1e22, math.nan, math.inf,
+                -math.inf, None, True, False, "", "}", "]", "a}", "},\n      {", "two\nlines",
+                'quote " and \\ backslash', "naïve – ✓ 日本", "\x00\t\r"]
+JSON_KEYS = ["a", "b", "e_rot", "", "}", "z\n}", "é", '"', "0"]
+
+
+def json_doc(rng, depth=0):
+    """A random JSON value with string keys: scalars from JSON_SCALARS or uniform
+    floats, empty containers, lists (or tuples) of non-empty flat dicts, and
+    dicts and lists of random values, so also lists of mixed items."""
+    def scalar():
+        return rng.choice(JSON_SCALARS) if rng.random() < 0.7 else rng.uniform(-1e3, 1e3)
+
+    kind = rng.random() if depth < 4 else 0.0
+    if kind < 0.35:
+        return scalar()
+    if kind < 0.45:
+        return rng.choice([{}, []])
+    if kind < 0.6:
+        return [{rng.choice(JSON_KEYS): scalar() for _ in range(rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 4))]
+    items = [json_doc(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+    if kind < 0.8:
+        return dict(zip(rng.sample(JSON_KEYS, len(items)), items))
+    return items if kind < 0.95 else tuple(items)
+
+
+def json_nodes(doc):
+    yield doc
+    for value in doc.values() if isinstance(doc, dict) else \
+            doc if isinstance(doc, (list, tuple)) else ():
+        yield from json_nodes(value)
+
+
+def is_record_list(node):
+    return isinstance(node, list) and node and all(
+        isinstance(d, dict) and d and not any(isinstance(v, (dict, list)) for v in d.values())
+        for d in node)
+
+
+class TestWriteJson:
+    """write_json lays out the text of json.dumps(..., sort_keys=True, indent=2)
+    itself; it must be the same for any document with string keys."""
+
+    def test_matches_json_dumps_on_random_documents(self, tmp_path):
+        rng, path, shapes = random.Random(0), tmp_path / "out.json", set()
+        for i in range(10_000):
+            doc = json_doc(rng)
+            assert _indented(doc) == json.dumps(doc, sort_keys=True, indent=2), i
+            write_json(path, doc, {})
+            assert path.read_bytes().decode() == json.dumps(
+                {"manifest": doc}, sort_keys=True, indent=2) + "\n", i
+            for node in json_nodes(doc):
+                shapes.add("records" if is_record_list(node) else
+                           "empty" if node in ({}, [], ()) else
+                           "list" if isinstance(node, (list, tuple)) else type(node).__name__)
+        assert shapes == {"records", "empty", "list", "dict", "float", "int", "bool", "str",
+                          "NoneType"}
+
+    def test_cli_outputs_re_dump_to_the_same_bytes(self, runner, annotations, tmp_path):
+        """Each JSON output of a CLI run is what json.dumps(indent=2) makes of it."""
+        evaluate = TestEvaluate()
+        pairs = evaluate.write_pairs(tmp_path, [
+            evaluate.header(), evaluate.pair(),
+            {**evaluate.pair(pred={**TestEvaluate.GT, "focal_px": 700.0}), "bbox_pred": None}])
+        config = TestSimulate().write_config(tmp_path, n_trials=2, keep_trajectories=True)
+        for out, argv in [
+                ("dist_parametric.json", ["fit-dist", str(annotations), "--kind", "parametric"]),
+                ("dist_nonparametric.json",
+                 ["fit-dist", str(annotations), "--kind", "nonparametric"]),
+                ("report.json", ["simulate", "--config", str(config)]),
+                ("eval.json", ["evaluate", str(pairs)]),
+                ("grad.json", ["gradcheck", "-n", "5"])]:
+            res = runner.invoke(main, [*argv, "--out", str(tmp_path / out)])
+            assert res.exit_code == 0, res.output
+            text = (tmp_path / out).read_bytes().decode()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", out
 
 
 class TestSimulate:
@@ -790,8 +871,14 @@ class TestMalformedJson:
         ({"quat_wxyz": ["a", 0, 0, 0]}, "parametric"),
         ({"t_m": [float("nan"), 0, 1]}, "parametric"),
         ({"t_m": [float("nan"), 0, 1]}, "nonparametric"),
+        ({"t_m": [0.1, 1.5]}, "parametric"),
+        ({"t_m": [0.1, 1.5]}, "nonparametric"),
+        ({"f_px": -600.0}, "parametric"),
+        ({"f_px": -600.0}, "nonparametric"),
     ], ids=["quat-not-number", "nan-translation-parametric",
-            "nan-translation-nonparametric"])
+            "nan-translation-nonparametric", "two-component-translation-parametric",
+            "two-component-translation-nonparametric", "negative-focal-parametric",
+            "negative-focal-nonparametric"])
     def test_fit_dist_annotation_fault(self, runner, annotations, tmp_path, field,
                                        kind):
         lines = annotations.read_text().splitlines()
@@ -835,6 +922,12 @@ print(json.dumps(seen))
 """
 
 
+def fresh_process_env():
+    src = os.path.dirname(os.path.dirname(posefocal.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_no_command_needs_scipy(annotations, tmp_path):
     """With SciPy made unimportable, every command runs: evaluate, gradcheck,
     both fit-dist kinds, sample from both distributions and simulate; none
@@ -844,13 +937,55 @@ def test_no_command_needs_scipy(annotations, tmp_path):
     (tmp_path / "sim.json").write_text(json.dumps(
         {"n_trials": 2, "iterations": 2, "targets": {"kind": "uniform"},
          "model_points": {"count": 8}}))
-    src = os.path.dirname(os.path.dirname(posefocal.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", IMPORT_SPLIT_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_process_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.strip().splitlines()[-1])
     assert seen == {"import": False, "score and datagen": False, "simulate": False}
     for kind in ("parametric", "nonparametric"):
         assert len((tmp_path / f"{kind}.jsonl").read_text().splitlines()) == 6
+
+
+COMMAND_MODULES_SCRIPT = r"""
+import json, sys
+import posefocal.cli
+if sys.argv[1:]:
+    posefocal.cli.main(sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("posefocal."))))
+"""
+
+
+def test_each_command_loads_only_its_modules(annotations, tmp_path):
+    """In a fresh process, import posefocal.cli loads only the modules every command
+    shares; simulate (file targets) loads neither sampling nor losses, evaluate and
+    gradcheck neither sampling nor the simulator, fit-dist and sample neither the
+    simulator nor losses."""
+    evaluate = TestEvaluate()
+    pairs = evaluate.write_pairs(tmp_path, [evaluate.header(), evaluate.pair()])
+    (tmp_path / "targets.jsonl").write_text(
+        json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, 1], "focal_px": 600.0}) + "\n")
+    (tmp_path / "sim.json").write_text(json.dumps(
+        {"n_trials": 1, "iterations": 2, "model_points": {"count": 8},
+         "targets": {"kind": "file", "path": str(tmp_path / "targets.jsonl")}}))
+    shared = {"cli", "errors", "geometry", "metrics", "update_rules"}
+    cases = [([], shared, {"sampling", "simulator", "losses"}),
+             (["simulate", "--config", str(tmp_path / "sim.json"), "--out",
+               str(tmp_path / "report.json")], {"simulator"}, {"sampling", "losses"}),
+             (["evaluate", str(pairs), "--out", str(tmp_path / "eval.json")], set(),
+              {"sampling", "simulator"}),
+             (["gradcheck", "-n", "2"], {"losses"}, {"sampling", "simulator"})]
+    for kind in ("parametric", "nonparametric"):
+        dist = str(tmp_path / f"{kind}.json")
+        cases += [(["fit-dist", str(annotations), "--kind", kind, "--out", dist],
+                   {"sampling"}, {"simulator", "losses"}),
+                  (["sample", dist, "-n", "3", "--out", str(tmp_path / f"{kind}.jsonl")],
+                   {"sampling"}, {"simulator", "losses"})]
+    for argv, needed, unneeded in cases:
+        done = subprocess.run([sys.executable, "-c", COMMAND_MODULES_SCRIPT, *argv],
+                              env=fresh_process_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = {m.removeprefix("posefocal.")
+                  for m in json.loads(done.stdout.strip().splitlines()[-1])}
+        assert loaded >= needed | shared and not loaded & unneeded, (argv[:1], loaded)

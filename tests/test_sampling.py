@@ -1,6 +1,9 @@
 """Sampling distributions: Bingham, Gaussians, uniform, nonparametric,
 refiner noise."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -535,7 +538,6 @@ class TestRefinerNoise:
 
 class TestAnnotationIO:
     def test_round_trip(self, tmp_path):
-        import json
         rng = np.random.default_rng(12)
         records = random_records(rng, 5)
         path = tmp_path / "ann.jsonl"
@@ -548,4 +550,26 @@ class TestAnnotationIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"quat_wxyz": [1,0,0,0]}\n{not json}\n')
         with pytest.raises(DomainError, match="line 1"):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("t, f, message", [
+        ([0.0, 1.0], 600.0, "translation must be a finite 3-vector"),
+        ([0.0, 0.0, 1.0, 2.0], 600.0, "translation must be a finite 3-vector"),
+        ([0.0, np.inf, 1.0], 600.0, "translation must be a finite 3-vector"),
+        ([0.0, 0.0, 1.0], -600.0, "focal length must be positive, got -600.0"),
+        ([0.0, 0.0, 1.0], 0.0, "focal length must be positive, got 0.0"),
+        ([0.0, 0.0, 1.0], np.nan, "focal length must be positive, got nan"),
+    ], ids=["t-two-components", "t-four-components", "t-infinite", "f-negative",
+            "f-zero", "f-nan"])
+    def test_bad_record_rejected(self, t, f, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make_record(Rotation.identity(), t, f)
+
+    def test_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, 1],
+                                    "f_px": -600.0, "img_wh": [640, 480],
+                                    "bbox": [0, 0, 60, 80]}) + "\n")
+        with pytest.raises(DomainError, match=f"^malformed annotation at {re.escape(str(path))} "
+                           "line 1: focal length must be positive"):
             load_annotations(path)
