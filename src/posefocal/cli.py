@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, read_jsonl, reading
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
 from .metrics import METRIC_FIELDS, EvalPair, aggregate, evaluate_pair
@@ -34,11 +34,10 @@ from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
 _CONTAINERS = (dict, list, tuple)  # what write_json lays out itself
-_READ_ERRORS = (OSError, KeyError, TypeError, ValueError, AttributeError)  # what _reading names
 
 
 # ---------------------------------------------------------------------------
-# Run manifest, output writers and input errors
+# Run manifest and output writers
 # ---------------------------------------------------------------------------
 
 def _manifest(command: str, config: dict, seed: int | None, input_paths=()) -> dict:
@@ -133,25 +132,6 @@ def write_csv(path, manifest: dict, header, rows):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-@contextmanager
-def _reading(where: str):
-    """Turns the errors that reading and building records from a malformed
-    input file raise into DomainErrors naming ``where``: the file, and the
-    line of a JSON-lines file."""
-    try:
-        yield
-    except DomainError as exc:
-        if str(exc).startswith(where):  # named by a nested _reading
-            raise
-        raise type(exc)(f"{where}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{where}: malformed JSON: {exc}") from exc
-    except KeyError as exc:
-        raise DomainError(f"{where}: missing field {exc}") from exc
-    except (OSError, TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"{where}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # CLI group
 # ---------------------------------------------------------------------------
@@ -175,22 +155,22 @@ def fit_dist(annotations, kind, out):
     """Fit a pose/focal sampling distribution to a JSON-lines annotation file."""
     from . import sampling
     try:
-        records = sampling.load_annotations(annotations)
-        if not records:
+        poses, img_wh, bbox = sampling.load_annotations(annotations)
+        if not len(poses):
             raise DomainError(f"no annotation records in {annotations}")
         if kind == "parametric":
-            xy, zf = sampling.fit_translation_focal(records)
-            bingham = sampling.fit_bingham(np.stack([r.rotation.quat for r in records]))
+            xy, zf = sampling.fit_translation_focal(poses)
+            bingham = sampling.fit_bingham(poses.quat)
             doc = {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
                    "zf": zf.to_dict()}
         else:
-            doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(records).to_dict(),
-                   "records": [r.to_dict() for r in records]}
+            doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(poses).to_dict(),
+                   "records": sampling.annotation_dicts(poses, img_wh, bbox)}
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
     write_json(out, _manifest("fit-dist", {"kind": kind}, seed=None,
                               input_paths=[annotations]), doc)
-    click.echo(f"fitted {kind} distribution from {len(records)} records -> {out}")
+    click.echo(f"fitted {kind} distribution from {len(poses)} records -> {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +184,7 @@ def _uniform_ranges(doc: dict, where: str = "") -> UniformRanges:
     ranges = UniformRanges()
     for k in ("z_range", "f_range", "xy_box"):
         if k in doc:
-            with _reading(where + k):
+            with reading(where + k):
                 ranges = replace(ranges, **{k: doc[k]})
     return ranges
 
@@ -218,9 +198,10 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
             sampling.Gaussian2DParams.from_dict(doc["xy"]),
             sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
-        records = [sampling.AnnotationRecord.from_dict(r) for r in doc["records"]]
+        with np.errstate(over="ignore"):  # as in read_jsonl: Rotation rejects the overflow
+            poses = sampling.annotation_columns(map(sampling.annotation_row, doc["records"]))[0]
         return sampling.sample_pose_nonparametric(
-            records, sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
+            poses, sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
         return sampling.sample_pose_uniform(_uniform_ranges(doc), n, seed)
     raise DomainError(f"unknown distribution kind {kind!r}")
@@ -234,8 +215,8 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
 def sample(distribution, num, seed, out):
     """Draw pose/focal samples from a fitted distribution file."""
     try:
-        with _reading(distribution):
-            poses = _draw_poses(json.loads(Path(distribution).read_text()), num, seed)
+        with reading(distribution):
+            poses = _draw_poses(json.loads(Path(distribution).read_text("utf-8")), num, seed)
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
     write_jsonl(out, _manifest("sample", {"n": num}, seed=seed,
@@ -364,7 +345,7 @@ def validate_config(config: dict, schema: dict):
 
 def _load_model_points(cfg: dict) -> ModelPoints:
     if "path" in cfg:
-        with _reading(cfg["path"]):
+        with reading(cfg["path"]):
             return ModelPoints.from_json(cfg["path"])
     rng = np.random.default_rng(cfg.get("seed", 0))
     extent = cfg.get("extent", 0.2)
@@ -378,19 +359,11 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
     if cfg["kind"] == "file":
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")
-        path, states = cfg["path"], []
-        with _reading(path), open(path) as fh:
-            for i, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        doc = json.loads(line)
-                        if "manifest" not in doc:
-                            states.append(ParamState.from_dict(doc))
-                    except _READ_ERRORS as exc:  # as _load_pairs does
-                        with _reading(f"{path} line {i}"):
-                            raise exc
+        path = cfg["path"]
+        states = read_jsonl(path, lambda doc: None if "manifest" in doc
+                            else ParamState.from_dict(doc))
         if len(states) < n:
-            raise DomainError(f"target file has {len(states)} poses, need {n}")
+            raise DomainError(f"{path}: target file has {len(states)} poses, need {n}")
         return PoseBatch.from_states(states[:n])
     from .sampling import sample_pose_uniform
     return sample_pose_uniform(_uniform_ranges(cfg, "config field targets/"), n,
@@ -435,8 +408,8 @@ def _report_csv_rows(report: dict):
 def simulate(config_path, out, fmt):
     """Run a paired refinement campaign described by a JSON config."""
     try:
-        with _reading(config_path):
-            config = json.loads(Path(config_path).read_text())
+        with reading(config_path):
+            config = json.loads(Path(config_path).read_text("utf-8"))
         report = run_simulation(config)
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -464,40 +437,33 @@ def _load_pairs(path) -> list[EvalPair]:
     point clouds; pair lines reference them by name or carry inline points.
     """
     point_sets: dict[str, ModelPoints] = {}
-    pairs = []
-    with open(path) as fh, np.errstate(over="ignore"):  # Rotation rejects the overflow
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if "manifest" in doc:
-                    continue
-                if "model_points" in doc and "pred" not in doc:
-                    for name, pts in doc["model_points"].items():
-                        point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
-                    continue
-                pts_field = doc["points"]
-                if isinstance(pts_field, str):
-                    if pts_field not in point_sets:
-                        raise DomainError(
-                            f"pair {len(pairs)}: unknown model-points reference "
-                            f"{pts_field!r}")
-                    points = point_sets[pts_field]
-                else:
-                    points = ModelPoints(np.asarray(pts_field, dtype=float))
-                pairs.append(EvalPair(
-                    pred=ParamState.from_dict(doc["pred"]),
-                    gt=ParamState.from_dict(doc["gt"]),
-                    points=points,
-                    bbox_gt=BBox(*[float(v) for v in doc["bbox_gt"]]),
-                    img_diag=float(doc["img_diag"]),
-                    bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
-                               if doc.get("bbox_pred") is not None else None),
-                ))
-            except _READ_ERRORS as exc:  # a _reading per line costs a tenth of the read
-                with _reading(f"{path} line {i}"):
-                    raise exc
+    index = count()  # of the next pair; a failed line ends the read
+
+    def pair(doc):
+        if "manifest" in doc:
+            return None
+        if "model_points" in doc and "pred" not in doc:
+            for name, pts in doc["model_points"].items():
+                point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
+            return None
+        k, pts_field = next(index), doc["points"]
+        if isinstance(pts_field, str):
+            if pts_field not in point_sets:
+                raise DomainError(f"pair {k}: unknown model-points reference {pts_field!r}")
+            points = point_sets[pts_field]
+        else:
+            points = ModelPoints(np.asarray(pts_field, dtype=float))
+        return EvalPair(
+            pred=ParamState.from_dict(doc["pred"]),
+            gt=ParamState.from_dict(doc["gt"]),
+            points=points,
+            bbox_gt=BBox(*[float(v) for v in doc["bbox_gt"]]),
+            img_diag=float(doc["img_diag"]),
+            bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
+                       if doc.get("bbox_pred") is not None else None),
+        )
+
+    pairs = read_jsonl(path, pair)
     if not pairs:
         raise DomainError(f"no evaluation pairs in {path}")
     return pairs

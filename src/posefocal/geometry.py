@@ -189,10 +189,8 @@ class ModelPoints:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ModelPoints":
-        """Load from a JSON array of [x, y, z] triples."""
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls(np.asarray(data, dtype=float))
+        """Load from a UTF-8 JSON array of [x, y, z] triples."""
+        return cls(np.asarray(json.loads(Path(path).read_text("utf-8")), dtype=float))
 
     @classmethod
     def from_obj(cls, path: str | Path) -> "ModelPoints":

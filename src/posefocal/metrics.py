@@ -10,6 +10,7 @@ predicted batch. Medians use the lower-median convention for even counts."""
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,8 @@ class EvalPair:
         if not (math.isfinite(self.img_diag) and self.img_diag > 0):
             raise DomainError(f"image diagonal must be finite and positive, got {self.img_diag}")
         t_hat = self.gt.translation
-        with np.errstate(over="ignore"):
-            norm = math.sqrt(t_hat.dot(t_hat))
+        with np.errstate(over="ignore") if math.hypot(*t_hat.tolist()) > 1e153 else nullcontext():
+            norm = math.sqrt(t_hat.dot(t_hat))  # errstate only where the dot may overflow
         if not 0 < norm < math.inf:
             raise DomainError(GT_NORM_ERROR)
         object.__setattr__(self, "gt_distance", norm)

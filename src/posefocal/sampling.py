@@ -13,14 +13,13 @@ Everything here, the Bingham fit and sampler included, is plain NumPy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DomainError, read_jsonl
 from .geometry import (BBox, ParamState, PoseBatch, Rotation, geodesic_angles,
                        quat_multiply, quat_unit, quats_from_axis_angle)
 
@@ -287,60 +286,44 @@ class Gaussian2DParams:
         return cls(np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float))
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One real-dataset annotation: pose, focal length, image size and bbox."""
-
-    rotation: Rotation
-    translation: np.ndarray
-    focal: float
-    img_wh: tuple[float, float]
-    bbox: BBox
-
-    def __post_init__(self):  # ParamState's checks; depth is left to the samplers
-        ParamState(self.rotation, self.translation, self.focal)
-
-    def to_dict(self) -> dict:
-        return {
-            "quat_wxyz": self.rotation.quat.tolist(),
-            "t_m": np.asarray(self.translation, dtype=float).tolist(),
-            "f_px": float(self.focal),
-            "img_wh": list(self.img_wh),
-            "bbox": self.bbox.as_list(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnnotationRecord":
-        return cls(
-            rotation=Rotation(np.asarray(d["quat_wxyz"], dtype=float)),
-            translation=np.asarray(d["t_m"], dtype=float),
-            focal=float(d["f_px"]),
-            img_wh=(float(d["img_wh"][0]), float(d["img_wh"][1])),
-            bbox=BBox(*[float(v) for v in d["bbox"]]),
-        )
+def annotation_row(d: dict) -> list:
+    """One real-dataset annotation (pose, focal length, image size and bbox) as its
+    14 numbers, checked by Rotation, BBox and ParamState; depth is left to the
+    samplers."""
+    rotation = Rotation(np.asarray(d["quat_wxyz"], dtype=float))
+    t, f, img_wh = np.asarray(d["t_m"], dtype=float), float(d["f_px"]), d["img_wh"]
+    if type(img_wh) is not list or len(img_wh) != 2 or {*map(type, img_wh)} - {int, float}:
+        raise DomainError(f"img_wh must be two numbers, got {img_wh!r}")
+    bbox = BBox(*[float(v) for v in d["bbox"]])
+    state = ParamState(rotation, t, f)
+    return [*state.rotation.quat.tolist(), *state.translation.tolist(), state.focal,
+            *map(float, img_wh), *bbox.as_list()]
 
 
-def load_annotations(path: str | Path) -> list[AnnotationRecord]:
-    """Read a JSON-lines annotation file; errors carry the line number."""
-    records = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(AnnotationRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"malformed annotation at {path} line {i}: {exc}") \
-                    from exc
-    return records
+def annotation_columns(rows) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
+    """Annotation rows as poses, image sizes (N, 2) and bboxes (N, 4)."""
+    a = np.array(list(rows), dtype=float).reshape(-1, 14)
+    return PoseBatch(a[:, :4], a[:, 4:7], a[:, 7]), a[:, 8:10], a[:, 10:]
 
 
-def fit_translation_focal(records) -> tuple[Gaussian2DParams, Gaussian2DParams]:
+def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> list[dict]:
+    """The annotations in these columns as the dicts :func:`annotation_row` reads."""
+    columns = (poses.quat, poses.translation, poses.focal, img_wh, bbox)
+    return [dict(zip(("quat_wxyz", "t_m", "f_px", "img_wh", "bbox"), row))
+            for row in zip(*(c.tolist() for c in columns))]
+
+
+def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
+    """Read a JSON-lines annotation file as :func:`annotation_columns`; errors
+    carry the line number."""
+    return annotation_columns(read_jsonl(path, annotation_row, "annotation"))
+
+
+def fit_translation_focal(poses: PoseBatch) -> tuple[Gaussian2DParams, Gaussian2DParams]:
     """Fit the (x, y) and (log z, log f) normals with unbiased covariance."""
-    if len(records) < 3:
+    if len(poses) < 3:
         raise DegenerateFitError("need at least 3 records")
-    t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
-    f = np.array([r.focal for r in records])
+    t, f = poses.translation, poses.focal
     if np.any(t[:, 2] <= 0) or np.any(f <= 0):
         raise DegenerateFitError("all depths and focal lengths must be positive")
     xy = t[:, :2]
@@ -475,24 +458,22 @@ def _nearest_other(points: np.ndarray, period: int) -> tuple[np.ndarray, np.ndar
     return np.sqrt(best[back]), row[arg[back]]
 
 
-def select_deltas_95pct(records) -> NonparamDeltas:
+def select_deltas_95pct(poses: PoseBatch) -> NonparamDeltas:
     """95th percentile of nearest-neighbor distances, per coordinate pair.
 
     The (x, y) and (z, f) planes each yield one Euclidean radius (a duplicate
     is at 0), shared by the pair's two axes; rotation uses the geodesic angle.
     """
-    if len(records) < 2:
+    n, t, f = len(poses), poses.translation, poses.focal
+    if n < 2:
         raise DegenerateFitError("need at least 2 records")
-    n = len(records)
-    t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
-    f = np.array([r.focal for r in records])
     d_xy = float(np.percentile(_nearest_other(t[:, :2], n)[0], 95.0))
     d_zf = float(np.percentile(_nearest_other(np.column_stack([t[:, 2], f]), n)[0], 95.0))
 
     # The chordal distance to the nearer of q' and -q' grows with the geodesic
     # angle; a duplicate ties with the point itself, so rows skip i by index.
     # With the sweep column of (c; -c) made non-negative, -c sorts before c.
-    q = np.stack([r.rotation.quat for r in records])
+    q = poses.quat
     c = np.where(q[:, [np.argmax(np.abs(q).max(axis=0))]] < 0.0, -q, q)
     nearest = _nearest_other(np.concatenate([c, -c]), n)[1]
     d_r = float(np.percentile(geodesic_angles(q, q[nearest]), 95.0))
@@ -517,24 +498,22 @@ def _sample_in_ellipse(rng: np.random.Generator, ax: float, ay: float,
     raise DomainError("ellipse sampling failed to accept a point")
 
 
-def sample_pose_nonparametric(records, deltas: NonparamDeltas, n: int,
+def sample_pose_nonparametric(poses: PoseBatch, deltas: NonparamDeltas, n: int,
                               seed) -> PoseBatch:
-    """Bootstrap a record and perturb rotation, (x, y), and (z, f).
+    """Bootstrap a pose of ``poses`` and perturb rotation, (x, y), and (z, f).
 
     Pending rows are drawn in rounds; a row with a non-positive depth or focal,
     or a (numerically) zero rotation axis, is drawn again in the next round.
     """
-    if not records:
+    if not len(poses):
         raise DomainError("no records to sample from")
     rng = _as_rng(seed)
-    rec_q = np.stack([r.rotation.quat for r in records])
-    rec_t = np.stack([np.asarray(r.translation, dtype=float) for r in records])
-    rec_f = np.array([r.focal for r in records], dtype=float)
+    rec_q, rec_t, rec_f = poses.quat, poses.translation, poses.focal
     quat, trans, focal = np.empty((n, 4)), np.empty((n, 3)), np.empty(n)
     pending = np.arange(n)
     for _ in range(_MAX_RETRIES):
         m = len(pending)
-        pick = rng.integers(len(records), size=m)
+        pick = rng.integers(len(poses), size=m)
         axis = rng.standard_normal((m, 3))
         angle = rng.uniform(0.0, deltas.delta_r, size=m)
         dxy = _sample_in_ellipse(rng, deltas.delta_x, deltas.delta_y, m)

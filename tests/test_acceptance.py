@@ -9,7 +9,7 @@ import scipy.linalg
 from click.testing import CliRunner
 
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
-                                ParamState, Rotation, project_point)
+                                ParamState, PoseBatch, Rotation, project_point)
 from posefocal.losses import (LossWeights, gradient_check, reprojection_loss,
                               total_loss)
 from posefocal.metrics import EvalPair, err_pose, err_rot, err_trans
@@ -20,7 +20,7 @@ from posefocal.simulator import (ClampBounds, NoiseScales, OraclePredictor,
                                  run_experiment)
 from posefocal.update_rules import (DeltaTheta, apply_update, oracle_delta)
 
-from test_sampling import make_record
+from test_sampling import annotation_line, make_record
 
 
 def report(name: str, passed: bool, detail: str):
@@ -221,7 +221,7 @@ def test_distribution_round_trips():
         zf = np.exp(mean_zf + chol_zf @ rng.standard_normal(2))
         records.append(make_record(Rotation(rng.standard_normal(4)),
                                    [xy[0], xy[1], zf[0]], zf[1]))
-    fit_xy, fit_zf = fit_translation_focal(records)
+    fit_xy, fit_zf = fit_translation_focal(PoseBatch.from_states(records))
     mean_rel = max(float(np.abs((fit_xy.mean - mean_xy) / mean_xy).max()),
                    float(np.abs((fit_zf.mean - mean_zf) / mean_zf).max()))
     cov_rel = max(float(np.abs((fit_xy.cov - cov_xy) / cov_xy).max()),
@@ -329,7 +329,7 @@ def test_cli_determinism(tmp_path, monkeypatch):
                 [rng.normal(0, 0.1), rng.normal(0, 0.1),
                  float(np.exp(rng.normal(0.3, 0.15)))],
                 float(np.exp(rng.normal(6.3, 0.2))))
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+            fh.write(annotation_line(rec) + "\n")
     sim_cfg = tmp_path / "sim.json"
     sim_cfg.write_text(json.dumps({
         "n_trials": 5, "iterations": 15, "seed": 3,

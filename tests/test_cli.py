@@ -20,8 +20,8 @@ from posefocal import cli
 from posefocal.cli import (WRITE_BLOCK, _draw_poses, _indented, _load_targets, main, write_json,
                            write_jsonl)
 from posefocal.errors import DomainError
-from posefocal.geometry import BBox, PoseBatch, Rotation
-from posefocal.sampling import AnnotationRecord, UniformRanges, sample_pose_uniform
+from posefocal.geometry import PoseBatch, Rotation
+from posefocal.sampling import UniformRanges, sample_pose_uniform
 
 
 @pytest.fixture
@@ -40,13 +40,13 @@ def annotations(tmp_path):
     path = tmp_path / "ann.jsonl"
     with open(path, "w") as fh:
         for _ in range(200):
-            rec = AnnotationRecord(
-                Rotation(rng.standard_normal(4) + np.array([2.0, 0, 0, 0])),
-                np.array([rng.normal(0, 0.1), rng.normal(0, 0.1),
-                          np.exp(rng.normal(0.3, 0.15))]),
-                float(np.exp(rng.normal(6.3, 0.2))),
-                (640.0, 480.0), BBox(0, 0, 100, 100))
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+            rec = {"quat_wxyz": Rotation(rng.standard_normal(4) + np.array([2.0, 0, 0, 0])
+                                         ).quat.tolist(),
+                   "t_m": [rng.normal(0, 0.1), rng.normal(0, 0.1),
+                           float(np.exp(rng.normal(0.3, 0.15)))],
+                   "f_px": float(np.exp(rng.normal(6.3, 0.2))),
+                   "img_wh": [640.0, 480.0], "bbox": [0, 0, 100, 100]}
+            fh.write(json.dumps(rec) + "\n")
     return path
 
 
@@ -422,6 +422,16 @@ class TestSimulate:
         for i in range(6):
             trial_stream = sample_pose_uniform(UniformRanges(), 6, 3 + i)
             assert not np.any(targets.quat == trial_stream.quat)
+
+    def test_short_target_file_names_itself(self, runner, tmp_path):
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text("".join(json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, z],
+                                               "focal_px": 600.0}) + "\n" for z in (1, 2)))
+        cfg = self.write_config(tmp_path, targets={"kind": "file", "path": str(targets)})
+        res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                   str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert f"{targets}: target file has 2 poses, need 5" in res.output
 
     @pytest.mark.parametrize("field, value", [("z_range", [2, 1]), ("f_range", [0, 5])])
     def test_invalid_uniform_range_names_field(self, runner, tmp_path, field, value):
@@ -875,10 +885,15 @@ class TestMalformedJson:
         ({"t_m": [0.1, 1.5]}, "nonparametric"),
         ({"f_px": -600.0}, "parametric"),
         ({"f_px": -600.0}, "nonparametric"),
+        ({"img_wh": [640, 480, 7]}, "nonparametric"),
+        ({"img_wh": "64"}, "nonparametric"),
+        ({"img_wh": [640, "480"]}, "parametric"),
+        ({"img_wh": [640, True]}, "parametric"),
     ], ids=["quat-not-number", "nan-translation-parametric",
             "nan-translation-nonparametric", "two-component-translation-parametric",
             "two-component-translation-nonparametric", "negative-focal-parametric",
-            "negative-focal-nonparametric"])
+            "negative-focal-nonparametric", "img-wh-three-numbers", "img-wh-string",
+            "img-wh-numeric-string", "img-wh-bool"])
     def test_fit_dist_annotation_fault(self, runner, annotations, tmp_path, field,
                                        kind):
         lines = annotations.read_text().splitlines()
@@ -887,6 +902,25 @@ class TestMalformedJson:
         res = runner.invoke(main, ["fit-dist", str(annotations), "--kind", kind,
                                    "--out", str(tmp_path / "x.json")])
         self.check_clean(res, "ann.jsonl line 5")
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit-dist", "simulate"])
+    def test_non_utf8_line_is_named(self, runner, annotations, tmp_path, command):
+        """Bytes that are not UTF-8 on line 2 of a JSON-lines input: an error naming
+        the line, not a UnicodeDecodeError."""
+        first = {"evaluate": json.dumps(TestEvaluate().header()),
+                 "fit-dist": annotations.read_text().splitlines()[0],
+                 "simulate": json.dumps(TestEvaluate.GT)}[command]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(first.encode() + b"\n\xff\xfe\n" + first.encode() + b"\n")
+        out = ["--out", str(tmp_path / "x.json")]
+        if command == "simulate":
+            (tmp_path / "sim.json").write_text(json.dumps(
+                {"n_trials": 1, "targets": {"kind": "file", "path": str(path)}}))
+            res = runner.invoke(main, ["simulate", "--config", str(tmp_path / "sim.json"), *out])
+        else:
+            res = runner.invoke(main, [command, str(path), *out])
+        self.check_clean(res, "input.jsonl line 2: 'utf-8' codec can't decode byte 0xff")
+        assert "UnicodeDecodeError" not in res.output
 
 
 IMPORT_SPLIT_SCRIPT = r"""

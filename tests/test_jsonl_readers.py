@@ -1,0 +1,420 @@
+"""The one JSON-lines reader (errors.read_jsonl) against the three per-file loops it
+replaced: on seeded corpora of mutated lines, each reader gives bit-identical arrays or
+the same error message. The references below are the former readers, kept verbatim."""
+
+import json
+import math
+import random
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from posefocal import cli, sampling
+from posefocal.errors import DomainError, reading
+from posefocal.geometry import BBox, ModelPoints, ParamState, PoseBatch, Rotation
+from posefocal.metrics import EvalPair
+from posefocal.sampling import load_annotations
+
+# ---------------------------------------------------------------------------
+# The former readers
+# ---------------------------------------------------------------------------
+
+OLD_READ_ERRORS = (OSError, KeyError, TypeError, ValueError, AttributeError)
+
+
+@contextmanager
+def old_reading(where: str):
+    try:
+        yield
+    except DomainError as exc:
+        if str(exc).startswith(where):  # named by a nested _reading
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{where}: malformed JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DomainError(f"{where}: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"{where}: {exc}") from exc
+
+
+def old_load_targets(path, n: int) -> PoseBatch:
+    states = []
+    with old_reading(path), open(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    doc = json.loads(line)
+                    if "manifest" not in doc:
+                        states.append(ParamState.from_dict(doc))
+                except OLD_READ_ERRORS as exc:
+                    with old_reading(f"{path} line {i}"):
+                        raise exc
+    if len(states) < n:
+        raise DomainError(f"target file has {len(states)} poses, need {n}")
+    return PoseBatch.from_states(states[:n])
+
+
+def old_load_pairs(path) -> list:
+    point_sets = {}
+    pairs = []
+    with open(path) as fh, np.errstate(over="ignore"):
+        for i, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                if "manifest" in doc:
+                    continue
+                if "model_points" in doc and "pred" not in doc:
+                    for name, pts in doc["model_points"].items():
+                        point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
+                    continue
+                pts_field = doc["points"]
+                if isinstance(pts_field, str):
+                    if pts_field not in point_sets:
+                        raise DomainError(
+                            f"pair {len(pairs)}: unknown model-points reference "
+                            f"{pts_field!r}")
+                    points = point_sets[pts_field]
+                else:
+                    points = ModelPoints(np.asarray(pts_field, dtype=float))
+                pairs.append(EvalPair(
+                    pred=ParamState.from_dict(doc["pred"]),
+                    gt=ParamState.from_dict(doc["gt"]),
+                    points=points,
+                    bbox_gt=BBox(*[float(v) for v in doc["bbox_gt"]]),
+                    img_diag=float(doc["img_diag"]),
+                    bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
+                               if doc.get("bbox_pred") is not None else None),
+                ))
+            except OLD_READ_ERRORS as exc:
+                with old_reading(f"{path} line {i}"):
+                    raise exc
+    if not pairs:
+        raise DomainError(f"no evaluation pairs in {path}")
+    return pairs
+
+
+@dataclass(frozen=True)
+class OldAnnotationRecord:
+    rotation: Rotation
+    translation: np.ndarray
+    focal: float
+    img_wh: tuple
+    bbox: BBox
+
+    def __post_init__(self):
+        ParamState(self.rotation, self.translation, self.focal)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "OldAnnotationRecord":
+        return cls(
+            rotation=Rotation(np.asarray(d["quat_wxyz"], dtype=float)),
+            translation=np.asarray(d["t_m"], dtype=float),
+            focal=float(d["f_px"]),
+            img_wh=(float(d["img_wh"][0]), float(d["img_wh"][1])),
+            bbox=BBox(*[float(v) for v in d["bbox"]]),
+        )
+
+
+def old_load_annotations(path) -> list:
+    records = []
+    with open(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(OldAnnotationRecord.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"malformed annotation at {path} line {i}: {exc}") \
+                    from exc
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Seeded corpora of mutated lines
+# ---------------------------------------------------------------------------
+
+ODD_VALUES = ["a", "1.5", "", None, True, False, {}, {"a": 1}, [], [1, "a"], [[1, 2]],
+              0, -1, 1, 1.5, -0.0, 1e-300, 1e200, -1e200, math.nan, math.inf, -math.inf,
+              [0, 0, 0, 0], [1e200, 0, 0, 0], [1e155, 1e155, 1e155, 1e155], [1e-200, 0, 0, 0],
+              [math.nan, 0, 0, 0], [1, 0, 0], [1, 0, 0, 0, 0], [0.1, 0.2], [0, 0, 1],
+              [0, 0, 60, 80], [60, 80, 0, 0], [640, 480], [640.0, 480, 7], "64", "cube",
+              "missing", {"manifest": {}}]
+ODD_LINES = ["", "   ", "\t", "5", "null", "true", '"manifest"', '"text"', "[1, 2]", "[]",
+             "{}", "{broken", '{"quat_wxyz": [1, 0, 0, 0],', '{"manifest": {"seed": 0}}',
+             '{"manifest": null}', "NaN", "Infinity"]
+
+
+def rand_quat(rng):
+    return [round(rng.gauss(0, 1), 6) for _ in range(4)]
+
+
+def rand_state(rng, focal_key):
+    return {"quat_wxyz": rand_quat(rng),
+            "t_m": [rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(0.5, 3.0)],
+            focal_key: rng.uniform(200.0, 1000.0)}
+
+
+def rand_box(rng):
+    x, y = rng.uniform(0, 300), rng.uniform(0, 200)
+    return [x, y, x + rng.uniform(1, 300), y + rng.uniform(1, 200)]
+
+
+def target_doc(rng):
+    return rand_state(rng, "focal_px")
+
+
+def annotation_doc(rng):
+    wh = rng.choice([[640, 480], [640.0, 480.0], [1280, 720.5]])
+    return {**rand_state(rng, "f_px"), "img_wh": wh, "bbox": rand_box(rng)}
+
+
+def pair_doc(rng):
+    doc = {"pred": target_doc(rng), "gt": target_doc(rng),
+           "points": rng.choice(["cube", [[0.1, 0, 0], [0, 0.1, 0]]]),
+           "bbox_gt": rand_box(rng), "img_diag": rng.uniform(100, 1000)}
+    choice = rng.random()
+    if choice < 0.4:
+        doc["bbox_pred"] = rand_box(rng)
+    elif choice < 0.6:
+        doc["bbox_pred"] = None
+    return doc
+
+
+def header_doc(rng):
+    return {"model_points": {"cube": [[rng.uniform(-0.1, 0.1) for _ in range(3)]
+                                      for _ in range(4)]}}
+
+
+def mutate(doc, rng):
+    """``doc`` with one random change at a random depth: a key dropped, a value replaced
+    by an odd one, a list cut short or grown, or a number made NaN or infinite."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = rng.choice(keys)
+        if isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.5:
+            node = node[key]
+            continue
+        op = rng.random()
+        if op < 0.2 and isinstance(node, dict):
+            del node[key]
+        elif op < 0.3 and isinstance(node[key], list):
+            node[key] = node[key][:rng.randrange(len(node[key]) + 1)]
+        elif op < 0.4 and isinstance(node[key], list):
+            node[key] = node[key] + [rng.choice([0, 1.5, "a"])]
+        elif op < 0.5:
+            node[key] = rng.choice([math.nan, math.inf, -math.inf])
+        else:
+            node[key] = rng.choice(ODD_VALUES)
+        return doc
+
+
+def corpus(make, n_cases: int, seed: int, header=None, manifests=0.3):
+    """Files of 1 to 4 valid lines with one odd line, or one line with one or two
+    mutations, among them; then the manifest (in a share ``manifests`` of the files)
+    and blank lines a file may hold."""
+    rng = random.Random(seed)
+    for case in range(n_cases):
+        lines = [json.dumps(make(rng)) for _ in range(rng.randint(1, 4))]
+        if header is not None and rng.random() < 0.9:
+            lines.insert(0, json.dumps(header(rng)))
+        spot = rng.randrange(len(lines) + 1)
+        if rng.random() < 0.15:
+            lines.insert(spot, rng.choice(ODD_LINES))
+        elif rng.random() < 0.85:
+            doc = mutate(header(rng) if header is not None and rng.random() < 0.2
+                         else make(rng), rng)
+            if rng.random() < 0.4 and isinstance(doc, dict) and doc:  # two faults at once
+                doc = mutate(doc, rng)
+            lines.insert(spot, json.dumps(doc))
+        if rng.random() < manifests:
+            lines.insert(0, json.dumps({"manifest": {"seed": case}}))
+        if rng.random() < 0.3:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  "]))
+        yield "\n".join(lines) + "\n"
+
+
+def outcome(read):
+    """("ok", what ``read()`` gave) or ("error", its message), or ("traceback", ...) for an
+    error the reader did not name."""
+    try:
+        return "ok", read()
+    except DomainError as exc:
+        return "error", str(exc)
+    except Exception as exc:
+        return "traceback", repr(exc)
+
+
+def old_outcome(read):
+    with warnings.catch_warnings():  # the former readers warned on an overflowing norm
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return outcome(read)
+
+
+def pose_bits(poses: PoseBatch) -> bytes:
+    n = len(poses)
+    return b"".join(np.asarray(a, dtype=float).reshape(n, -1).tobytes()
+                    for a in (poses.quat, poses.translation, poses.focal))
+
+
+def state_bits(s: ParamState) -> bytes:
+    return s.rotation.quat.tobytes() + s.translation.tobytes() + np.float64(s.focal).tobytes()
+
+
+def pairs_bits(pairs) -> bytes:
+    return b"".join(
+        state_bits(p.pred) + state_bits(p.gt) + p.points.points.tobytes()
+        + np.array(p.bbox_gt.as_list() + [p.img_diag, p.gt_distance]).tobytes()
+        + (b"none" if p.bbox_pred is None else np.array(p.bbox_pred.as_list()).tobytes())
+        for p in pairs)
+
+
+def annotation_bits(columns) -> bytes:
+    poses, img_wh, bbox = columns
+    return pose_bits(poses) + img_wh.tobytes() + bbox.tobytes()
+
+
+def old_columns(records) -> tuple:
+    return (PoseBatch(np.array([r.rotation.quat for r in records]).reshape(-1, 4),
+                      np.array([r.translation for r in records]).reshape(-1, 3),
+                      np.array([r.focal for r in records], dtype=float)),
+            np.array([r.img_wh for r in records]).reshape(-1, 2),
+            np.array([r.bbox.as_list() for r in records], dtype=float).reshape(-1, 4))
+
+
+def two_numbers(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(
+        type(v) in (int, float) for v in value)
+
+
+def img_wh_fault(text: str):
+    """The 1-based line of the first annotation whose img_wh is present but not two
+    numbers, or None."""
+    for i, line in enumerate(text.split("\n"), start=1):
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and "img_wh" in doc and not two_numbers(doc["img_wh"]):
+            return i
+    return None
+
+
+N_CASES = 1500
+
+
+def assert_both_outcomes(results):
+    kinds = {k for k, _ in results}
+    assert kinds == {"ok", "error"}, kinds  # the corpus holds both outcomes
+
+
+def test_targets_match_the_former_reader(tmp_path):
+    path, results = tmp_path / "targets.jsonl", []
+    for text in corpus(target_doc, N_CASES, seed=1):
+        path.write_text(text)
+        rows = sum(1 for line in text.splitlines() if line.strip())
+        n = max(rows - text.count('"manifest"'), 1)  # every target the file can hold
+        new = outcome(lambda: pose_bits(cli._load_targets({"kind": "file", "path": str(path)},
+                                                          n, 0)))
+        old = old_outcome(lambda: pose_bits(old_load_targets(str(path), n)))
+        if old[0] == "error" and old[1].startswith("target file has"):
+            assert new == ("error", f"{path}: {old[1]}"), text  # now names the file
+        else:
+            assert new == old, text
+        results.append(new)
+    assert_both_outcomes(results)
+
+
+def test_pairs_match_the_former_reader(tmp_path):
+    path, results = tmp_path / "pairs.jsonl", []
+    for text in corpus(pair_doc, N_CASES, seed=2, header=header_doc):
+        path.write_text(text)
+        new = outcome(lambda: pairs_bits(cli._load_pairs(path)))
+        assert new == old_outcome(lambda: pairs_bits(old_load_pairs(path))), text
+        results.append(new)
+    assert_both_outcomes(results)
+
+
+def test_annotations_match_the_former_reader(tmp_path):
+    """The one difference: an img_wh that is not exactly two numbers is an error,
+    where the former reader took e.g. [640, 480, 7] as [640.0, 480.0] and "64" as
+    [6.0, 4.0]."""
+    path, results, faults = tmp_path / "ann.jsonl", [], 0
+    for text in corpus(annotation_doc, N_CASES, seed=3, manifests=0.05):
+        path.write_text(text)
+        new = outcome(lambda: annotation_bits(load_annotations(path)))
+        old = old_outcome(lambda: annotation_bits(old_columns(old_load_annotations(path))))
+        line = img_wh_fault(text)
+        if line is not None and (new != old or old[0] == "ok"):
+            prefix = f"malformed annotation at {path} line {line}: img_wh must be two numbers"
+            assert new[0] == "error" and new[1].startswith(prefix), (text, new)
+            faults += 1
+        else:
+            assert new == old, text
+        results.append(new)
+    assert_both_outcomes(results)
+    assert faults > 20
+
+
+def test_sample_records_match_the_former_reader(tmp_path, monkeypatch):
+    """sample reads a nonparametric file's records with the same row function; here
+    the sampler hands back the poses it is given."""
+    monkeypatch.setattr(sampling, "sample_pose_nonparametric", lambda poses, *_: poses)
+    deltas = {"delta_r_rad": 0.1, "delta_x_m": 0.01, "delta_y_m": 0.01, "delta_z_m": 0.1,
+              "delta_f_px": 50.0}
+    where, results = str(tmp_path / "dist.json"), []
+    for text in corpus(annotation_doc, N_CASES // 3, seed=4, manifests=0.05):
+        records = []
+        for line in text.splitlines():
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                pass
+
+        def new_read():
+            with reading(where):
+                return pose_bits(cli._draw_poses(
+                    {"kind": "nonparametric", "records": records, "deltas": deltas}, 0, 0))
+
+        def old_read():
+            with old_reading(where):
+                return pose_bits(old_columns([OldAnnotationRecord.from_dict(r) for r in records])[0])
+
+        new, old = outcome(new_read), old_outcome(old_read)
+        if (new != old or old[0] == "ok") and any(
+                isinstance(r, dict) and "img_wh" in r and not two_numbers(r["img_wh"])
+                for r in records):
+            assert new[0] == "error" and "img_wh must be two numbers" in new[1], new
+        else:
+            assert new == old, text
+        results.append(new)
+    assert_both_outcomes(results)
+
+
+BIG = "9" * 400  # no float holds it
+
+
+@pytest.mark.parametrize("line", [
+    f'{{"points": [[0, 0, 0]], "pred": {{"quat_wxyz": [1, 0, 0, {BIG}]}}, '
+    f'"quat_wxyz": [1, 0, 0, {BIG}]}}',
+    "[" * 100_000 + "]" * 100_000],
+                         ids=["400-digit-integer", "nested-100000-deep"])
+def test_errors_the_former_readers_let_through_are_named(tmp_path, line):
+    """An integer too large for a float, and a line nested past the recursion
+    limit, were tracebacks in all three former readers."""
+    path = tmp_path / "in.jsonl"
+    path.write_text(line + "\n")
+    for read, where in ((lambda p: cli._load_targets({"kind": "file", "path": str(p)}, 1, 0),
+                         f"{path} line 1: "),
+                        (cli._load_pairs, f"{path} line 1: "),
+                        (load_annotations, f"malformed annotation at {path} line 1: ")):
+        with pytest.raises(DomainError) as caught:
+            read(path)
+        assert str(caught.value).startswith(where)

@@ -8,7 +8,7 @@ import pytest
 from posefocal.errors import DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation)
-from posefocal.metrics import (EvalPair, GroundTruth, aggregate, err_focal,
+from posefocal.metrics import (GT_NORM_ERROR, EvalPair, GroundTruth, aggregate, err_focal,
                                err_pose, err_proj, err_rot, err_trans,
                                evaluate_pair, lower_median)
 from posefocal.simulator import projected_bbox
@@ -51,6 +51,28 @@ class TestErrTrans:
         gt = ParamState(Rotation.identity(), np.zeros(3), 600.0)
         with pytest.raises(DomainError):
             err_trans(make_pair(make_state(), gt))
+
+    def test_ground_truth_distance_is_the_norm(self):
+        """gt_distance is sqrt(t.t) bit for bit, and a norm that overflows is rejected
+        without a RuntimeWarning (which the tests raise as an error), on magnitudes
+        from 1e-300 to past the overflow near 1.3e154."""
+        rng = np.random.default_rng(31)
+        scales = 10.0 ** rng.uniform(-300.0, 154.5, 3000)
+        ts = [*rng.standard_normal((3000, 3)) * scales[:, None],
+              [1e160, 0, 1], [1e154, 1e154, 1e154], [1.2e154, 0, 0], [0, -1.3e154, 0],
+              [0, 5e-324, 0]]
+        rejected = 0
+        for t in map(np.asarray, ts):
+            with np.errstate(over="ignore"):
+                want = math.sqrt(t.dot(t))
+            gt = ParamState(Rotation.identity(), t, 600.0)
+            if 0 < want < math.inf:
+                assert make_pair(make_state(), gt).gt_distance == want
+            else:
+                rejected += 1
+                with pytest.raises(DomainError, match=f"^{GT_NORM_ERROR}$"):
+                    make_pair(make_state(), gt)
+        assert rejected > 10
 
 
 class TestErrPose:

@@ -10,8 +10,8 @@ from scipy import integrate, optimize, special
 
 from posefocal import sampling
 from posefocal.errors import DegenerateFitError, DomainError
-from posefocal.geometry import BBox, Rotation, geodesic_distance
-from posefocal.sampling import (Z_CLAMP, AnnotationRecord, BinghamParams,
+from posefocal.geometry import PoseBatch, Rotation, geodesic_distance
+from posefocal.sampling import (Z_CLAMP, BinghamParams,
                                 Gaussian2DParams, NonparamDeltas,
                                 RefinerNoise, UniformRanges, _bingham_moments,
                                 _envelope_root, _ive012, _nearest_other,
@@ -25,8 +25,15 @@ from posefocal.update_rules import ParamState
 
 
 def make_record(rot, t, f):
-    return AnnotationRecord(rot, np.asarray(t, float), f, (640.0, 480.0),
-                            BBox(0, 0, 100, 100))
+    """One annotation's pose; PoseBatch.from_states stacks them as load_annotations reads
+    them. Depth is not checked, as the samplers are left to check it."""
+    return ParamState(rot, np.asarray(t, float), f)
+
+
+def annotation_line(rec) -> str:
+    return json.dumps({"quat_wxyz": rec.rotation.quat.tolist(), "t_m": rec.translation.tolist(),
+                       "f_px": float(rec.focal), "img_wh": [640.0, 480.0],
+                       "bbox": [0, 0, 100, 100]})
 
 
 def random_records(rng, n, spread=0.3):
@@ -309,7 +316,7 @@ class TestGaussianFits:
             zf = np.exp(mean_zf + chol_zf @ rng.standard_normal(2))
             records.append(make_record(Rotation(rng.standard_normal(4)),
                                        [xy[0], xy[1], zf[0]], zf[1]))
-        fit_xy, fit_zf = fit_translation_focal(records)
+        fit_xy, fit_zf = fit_translation_focal(PoseBatch.from_states(records))
         assert np.allclose(fit_xy.mean, mean_xy, atol=0.01)
         assert np.allclose(fit_zf.mean, mean_zf, atol=0.01 * np.abs(mean_zf))
         assert np.abs(fit_xy.cov - cov_xy).max() <= 0.05 * np.abs(cov_xy).max()
@@ -318,18 +325,17 @@ class TestGaussianFits:
     def test_identical_records_are_singular(self):
         rec = make_record(Rotation.identity(), [0.1, 0.2, 1.0], 600.0)
         with pytest.raises(DegenerateFitError):
-            fit_translation_focal([rec] * 5)
+            fit_translation_focal(PoseBatch.from_states([rec] * 5))
 
     def test_two_records_insufficient(self):
         rng = np.random.default_rng(6)
         with pytest.raises(DegenerateFitError):
-            fit_translation_focal(random_records(rng, 2))
+            fit_translation_focal(PoseBatch.from_states(random_records(rng, 2)))
 
     def test_parametric_samples_have_positive_depth_and_focal(self):
         rng = np.random.default_rng(7)
-        records = random_records(rng, 200)
-        quats = np.stack([r.rotation.quat for r in records])
-        bingham = fit_bingham(quats)
+        records = PoseBatch.from_states(random_records(rng, 200))
+        bingham = fit_bingham(records.quat)
         xy, zf = fit_translation_focal(records)
         poses = sample_pose_parametric(bingham, xy, zf, 500, seed=0)
         assert len(poses) == 500
@@ -377,7 +383,7 @@ class TestNonparametric:
         rb = Rotation.from_axis_angle([0, 0, 1], 0.5)
         records = [make_record(ra, [0.0, 0.0, 1.0], 600.0),
                    make_record(rb, [0.3, 0.4, 1.0], 600.0)]
-        deltas = select_deltas_95pct(records)
+        deltas = select_deltas_95pct(PoseBatch.from_states(records))
         assert deltas.delta_r == pytest.approx(0.5)
         assert deltas.delta_x == pytest.approx(0.5)  # hypot(0.3, 0.4)
         assert deltas.delta_x == deltas.delta_y
@@ -386,7 +392,7 @@ class TestNonparametric:
     def test_duplicated_dataset_gives_zero_deltas(self):
         rng = np.random.default_rng(9)
         records = random_records(rng, 20)
-        deltas = select_deltas_95pct(records + records)
+        deltas = select_deltas_95pct(PoseBatch.from_states(records + records))
         assert deltas.delta_r == pytest.approx(0.0, abs=1e-12)
         assert deltas.delta_x == pytest.approx(0.0, abs=1e-12)
         assert deltas.delta_f == pytest.approx(0.0, abs=1e-12)
@@ -416,7 +422,7 @@ class TestNonparametric:
             np.fill_diagonal(dist, np.inf)
             return np.percentile(dist.min(axis=1), 95.0)
 
-        deltas = select_deltas_95pct(records)
+        deltas = select_deltas_95pct(PoseBatch.from_states(records))
         assert deltas.delta_r == np.percentile(ang.min(axis=1), 95.0)
         assert deltas.delta_x == deltas.delta_y == nn95(t[:, :2])
         assert deltas.delta_z == deltas.delta_f == nn95(zf)
@@ -465,8 +471,8 @@ class TestNonparametric:
     def test_ordering_invariance(self):
         rng = np.random.default_rng(10)
         records = random_records(rng, 50)
-        a = select_deltas_95pct(records)
-        b = select_deltas_95pct(records[::-1])
+        a = select_deltas_95pct(PoseBatch.from_states(records))
+        b = select_deltas_95pct(PoseBatch.from_states(records[::-1]))
         for name in ("delta_r", "delta_x", "delta_y", "delta_z", "delta_f"):
             assert getattr(a, name) == pytest.approx(getattr(b, name),
                                                      abs=1e-12)
@@ -475,7 +481,7 @@ class TestNonparametric:
         rng = np.random.default_rng(11)
         records = random_records(rng, 10)
         deltas = NonparamDeltas(0.0, 0.0, 0.0, 0.0, 0.0)
-        poses = sample_pose_nonparametric(records, deltas, 50, seed=0)
+        poses = sample_pose_nonparametric(PoseBatch.from_states(records), deltas, 50, seed=0)
         originals = {tuple(np.round(r.translation, 12)) for r in records}
         for t in poses.translation:
             assert tuple(np.round(t, 12)) in originals
@@ -483,7 +489,8 @@ class TestNonparametric:
     def test_perturbations_stay_inside_ellipse(self):
         records = [make_record(Rotation.identity(), [0.0, 0.0, 1.0], 600.0)]
         deltas = NonparamDeltas(0.2, 0.05, 0.1, 0.2, 50.0)
-        poses = sample_pose_nonparametric(records, deltas, 2000, seed=1)
+        poses = sample_pose_nonparametric(PoseBatch.from_states(records), deltas, 2000,
+                                          seed=1)
         dx, dy = poses.translation[:, 0], poses.translation[:, 1]
         dz, df = poses.translation[:, 2] - 1.0, poses.focal - 600.0
         assert np.all((dx / 0.05) ** 2 + (dy / 0.1) ** 2 <= 1.0 + 1e-9)
@@ -495,7 +502,7 @@ class TestNonparametric:
         records = [make_record(Rotation.identity(), [0.0, 0.0, -1.0], 600.0)]
         deltas = NonparamDeltas(0.1, 0.0, 0.0, 0.5, 0.0)
         with pytest.raises(DomainError, match="retries exhausted"):
-            sample_pose_nonparametric(records, deltas, 5, seed=0)
+            sample_pose_nonparametric(PoseBatch.from_states(records), deltas, 5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +548,12 @@ class TestAnnotationIO:
         rng = np.random.default_rng(12)
         records = random_records(rng, 5)
         path = tmp_path / "ann.jsonl"
-        path.write_text("\n".join(json.dumps(r.to_dict()) for r in records))
-        back = load_annotations(path)
+        path.write_text("\n".join(map(annotation_line, records)))
+        back, img_wh, bbox = load_annotations(path)
         assert len(back) == 5
-        assert np.allclose(back[0].translation, records[0].translation)
+        assert np.allclose(back.translation[0], records[0].translation)
+        assert np.array_equal(back.focal, PoseBatch.from_states(records).focal)
+        assert img_wh.tolist() == [[640.0, 480.0]] * 5 and bbox.tolist() == [[0, 0, 100, 100]] * 5
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -561,9 +570,13 @@ class TestAnnotationIO:
         ([0.0, 0.0, 1.0], np.nan, "focal length must be positive, got nan"),
     ], ids=["t-two-components", "t-four-components", "t-infinite", "f-negative",
             "f-zero", "f-nan"])
-    def test_bad_record_rejected(self, t, f, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            make_record(Rotation.identity(), t, f)
+    def test_bad_record_rejected(self, tmp_path, t, f, message):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": t, "f_px": f,
+                                    "img_wh": [640, 480], "bbox": [0, 0, 60, 80]}) + "\n")
+        with pytest.raises(DomainError, match=f"^malformed annotation at {re.escape(str(path))} "
+                           f"line 1: {message}$"):
+            load_annotations(path)
 
     def test_bad_line_is_named(self, tmp_path):
         path = tmp_path / "ann.jsonl"
