@@ -28,7 +28,7 @@ from . import __version__
 from .errors import DomainError, read_jsonl, reading
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
-from .metrics import METRIC_FIELDS, EvalPair, aggregate, evaluate_pair
+from .metrics import METRIC_FIELDS, RECORD_FIELDS, EvalPair, aggregate, evaluate_pair
 from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
@@ -481,15 +481,14 @@ def evaluate(pairs_file, out, fmt):
         records = [evaluate_pair(p) for p in pairs]
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
-    summary = aggregate(records)
+    summary = aggregate({f: np.array([r[f] for r in records], dtype=float)
+                         for f in RECORD_FIELDS})  # a None IoU becomes NaN
     manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":
-        write_json(out, manifest, {"summary": summary,
-                                   "records": [r.to_dict() for r in records]})
+        write_json(out, manifest, {"summary": summary, "records": records})
     else:
-        rows = [[repr(getattr(r, f)) for f in METRIC_FIELDS]
-                + ["" if r.iou is None else repr(r.iou)] for r in records]
-        write_csv(out, manifest, [*METRIC_FIELDS, "iou"], rows)
+        rows = [["" if r[f] is None else repr(r[f]) for f in RECORD_FIELDS] for r in records]
+        write_csv(out, manifest, RECORD_FIELDS, rows)
     med = summary["medians"]
     click.echo("medians: " + " ".join(f"{f}={med[f]:.6g}" for f in METRIC_FIELDS))
 

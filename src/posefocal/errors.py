@@ -27,28 +27,27 @@ class DegenerateFitError(DomainError):
 
 
 @contextmanager
-def reading(where: str, labelled: bool = True):
+def reading(where: str):
     """Turns the errors that reading and building records from a malformed input file
     raise into DomainErrors naming ``where``: the file, and the line of a JSON-lines
-    file. JSON syntax errors and missing fields are labelled unless ``labelled`` is false."""
+    file. JSON syntax errors and missing fields are labelled as such."""
     try:
         yield
     except DomainError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DomainError(f"{where}: {'malformed JSON: ' * labelled}{exc}") from exc
+        raise DomainError(f"{where}: malformed JSON: {exc}") from exc
     except KeyError as exc:
-        raise DomainError(f"{where}: {'missing field ' * labelled}{exc}") from exc
+        raise DomainError(f"{where}: missing field {exc}") from exc
     except _READ_ERRORS as exc:
         raise DomainError(f"{where}: {exc}") from exc
 
 
-def read_jsonl(path, row, what: str | None = None) -> list:
+def read_jsonl(path, row) -> list:
     """``row`` of each parsed non-blank line of the UTF-8 JSON-lines file ``path``, but for
     the Nones. What decoding, parsing or ``row`` raises on line i becomes a DomainError
-    naming "<path> line <i>", or "malformed <what> at <path> line <i>" with the bare error.
-    Overflow does not warn: the constructors reject an overflowing norm themselves."""
-    where = str(path) if what is None else f"malformed {what} at {path}"
+    naming "<path> line <i>". Overflow does not warn: the constructors reject an
+    overflowing norm themselves."""
     rows = []
     with reading(str(path)):
         fh = open(path, encoding="utf-8", errors="surrogateescape")
@@ -60,6 +59,6 @@ def read_jsonl(path, row, what: str | None = None) -> list:
                 if line.strip() and (value := row(json.loads(line))) is not None:
                     rows.append(value)
             except _READ_ERRORS as exc:
-                with reading(f"{where} line {i}", labelled=what is None):
+                with reading(f"{path} line {i}"):
                     raise exc
     return rows

@@ -25,6 +25,7 @@ PROJ_ACC_THRESHOLD = 0.1
 IOU_ACC_THRESHOLD = 0.5
 
 METRIC_FIELDS = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
+RECORD_FIELDS = (*METRIC_FIELDS, "iou")  # the keys of one scored pair's record
 GT_NORM_ERROR = "ground-truth translation must be non-zero, with a norm that does not overflow"
 
 HISTOGRAM_EDGES = {
@@ -58,19 +59,6 @@ class EvalPair:
         if not 0 < norm < math.inf:
             raise DomainError(GT_NORM_ERROR)
         object.__setattr__(self, "gt_distance", norm)
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    e_rot: float
-    e_trans: float
-    e_pose: float
-    e_focal: float
-    e_proj: float
-    iou: float | None = None
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in (*METRIC_FIELDS, "iou")}
 
 
 def err_rot(pair: EvalPair) -> float:
@@ -135,13 +123,14 @@ def err_proj(pair: EvalPair, clouds=None) -> float:
     return _mean_distance(uv, uv_hat) / pair.bbox_gt.diagonal
 
 
-def evaluate_pair(pair: EvalPair) -> MetricRecord:
-    """All six errors for one pair; IoU is None without a predicted bbox.
-    Both camera-frame clouds are formed once and shared."""
+def evaluate_pair(pair: EvalPair) -> dict:
+    """All six errors for one pair, keyed by :data:`RECORD_FIELDS`; IoU is None
+    without a predicted bbox. Both camera-frame clouds are formed once and shared."""
     clouds = _clouds(pair)
-    return MetricRecord(err_rot(pair), err_trans(pair), err_pose(pair, clouds),
-                        err_focal(pair), err_proj(pair, clouds),
-                        bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)
+    return dict(zip(RECORD_FIELDS, (
+        err_rot(pair), err_trans(pair), err_pose(pair, clouds), err_focal(pair),
+        err_proj(pair, clouds),
+        bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)))
 
 
 def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
@@ -177,7 +166,7 @@ class GroundTruth:
         self._cam, self._acc, self._tmp = np.empty((n, 3, p)), np.empty((n, p)), np.empty((n, p))
 
     def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics, iou: bool = True) -> dict:
-        """The prediction half: an (N,) array per :class:`MetricRecord` field ("iou"
+        """The prediction half: an (N,) array per :data:`RECORD_FIELDS` key ("iou"
         if asked); e_proj inf and iou NaN where a predicted point has non-positive depth."""
         gt, box_gt = self.gt, self.bbox
         cam = camera_points(pred, self.points, self._cam)
@@ -213,45 +202,43 @@ class GroundTruth:
 
 
 def lower_median(values) -> float:
-    """Element at index ceil(n/2) - 1 of the sorted values."""
-    v = sorted(values)
-    if not v:
+    """Element at index ceil(n/2) - 1 of the sorted values, which hold no NaN or -0.0."""
+    v = np.asarray(values, dtype=float)
+    if not v.size:
         raise DomainError("median of empty sequence")
-    return float(v[(len(v) + 1) // 2 - 1])
+    k = (v.size + 1) // 2 - 1
+    return float(np.partition(v, k)[k])
 
 
-def aggregate(records) -> dict:
-    """Medians, accuracies, and fixed-bin histograms over metric records.
+def aggregate(columns: dict) -> dict:
+    """Medians, accuracies, and fixed-bin histograms over metric columns: an (N,)
+    float array per :data:`METRIC_FIELDS` key, and optionally "iou", NaN where a
+    row has no IoU.
 
     The detection accuracy uses strict inequality (IoU larger than the
-    threshold) and is only reported when predicted boxes are present.
+    threshold) and is only reported over the rows that have an IoU.
     """
-    records = list(records)
-    if not records:
+    n = len(columns["e_rot"])
+    if not n:
         raise DomainError("no metric records to aggregate")
-    n = len(records)
-    fields = METRIC_FIELDS
-    columns = {f: [getattr(r, f) for r in records] for f in fields}
-
     summary = {
         "count": n,
-        "medians": {f: lower_median(columns[f]) for f in fields},
+        "medians": {f: lower_median(columns[f]) for f in METRIC_FIELDS},
         "accuracies": {
-            "acc_rot_pi6": sum(v <= ROT_ACC_THRESHOLD for v in columns["e_rot"]) / n,
-            "acc_proj_0.1": sum(v <= PROJ_ACC_THRESHOLD for v in columns["e_proj"]) / n,
+            "acc_rot_pi6": int(np.count_nonzero(columns["e_rot"] <= ROT_ACC_THRESHOLD)) / n,
+            "acc_proj_0.1": int(np.count_nonzero(columns["e_proj"] <= PROJ_ACC_THRESHOLD)) / n,
         },
     }
-    ious = [r.iou for r in records if r.iou is not None]
-    if ious:
+    ious = columns.get("iou")
+    if ious is not None and (ious := ious[~np.isnan(ious)]).size:
         summary["accuracies"]["acc_det_0.5"] = \
-            sum(v > IOU_ACC_THRESHOLD for v in ious) / len(ious)
+            int(np.count_nonzero(ious > IOU_ACC_THRESHOLD)) / ious.size
 
     histograms = {}
-    for f in fields:
-        edges = HISTOGRAM_EDGES[f]
-        finite = [v for v in columns[f] if math.isfinite(v)]
-        counts, _ = np.histogram(finite, bins=edges)
+    for f in METRIC_FIELDS:
+        edges, column = HISTOGRAM_EDGES[f], columns[f]
+        counts, _ = np.histogram(column[np.isfinite(column)], bins=edges)
         histograms[f] = {"edges": edges.tolist(), "counts": counts.tolist(),
-                         "overflow": len(columns[f]) - int(counts.sum())}
+                         "overflow": n - int(counts.sum())}
     summary["histograms"] = histograms
     return summary

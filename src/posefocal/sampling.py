@@ -33,12 +33,6 @@ def _require_finite(**arrays):
             raise DomainError(f"{name} must be finite")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # Bingham distribution on S^3
 # ---------------------------------------------------------------------------
@@ -227,9 +221,7 @@ def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
 
     Returns (n, 4) unit quaternions; deterministic for a fixed seed.
     """
-    rng = _as_rng(seed)
-    if n == 0:
-        return np.zeros((0, 4))
+    rng = np.random.default_rng(seed)
     d = 4
     # B = -M Z M^T is PSD with smallest eigenvalue 0.
     beta = -params.z[::-1]  # descending z -> ascending beta, beta[0] = 0
@@ -316,7 +308,7 @@ def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> 
 def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
     """Read a JSON-lines annotation file as :func:`annotation_columns`; errors
     carry the line number."""
-    return annotation_columns(read_jsonl(path, annotation_row, "annotation"))
+    return annotation_columns(read_jsonl(path, annotation_row))
 
 
 def fit_translation_focal(poses: PoseBatch) -> tuple[Gaussian2DParams, Gaussian2DParams]:
@@ -343,7 +335,7 @@ def fit_translation_focal(poses: PoseBatch) -> tuple[Gaussian2DParams, Gaussian2
 def sample_pose_parametric(bingham: BinghamParams, xy: Gaussian2DParams,
                            zf: Gaussian2DParams, n: int, seed) -> PoseBatch:
     """Draw (rotation, translation, focal) triples from the fitted distributions."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     quats = sample_bingham(bingham, n, rng)
     xy_s = xy.sample(n, rng)
     with np.errstate(over="ignore", under="ignore"):
@@ -390,7 +382,7 @@ def sample_rotation_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_pose_uniform(ranges: UniformRanges, n: int, seed) -> PoseBatch:
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     quats = sample_rotation_uniform(n, rng)
     half = ranges.xy_box / 2.0
     xy = rng.uniform(-half, half, size=(n, 2))
@@ -507,7 +499,7 @@ def sample_pose_nonparametric(poses: PoseBatch, deltas: NonparamDeltas, n: int,
     """
     if not len(poses):
         raise DomainError("no records to sample from")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     rec_q, rec_t, rec_f = poses.quat, poses.translation, poses.focal
     quat, trans, focal = np.empty((n, 4)), np.empty((n, 3)), np.empty(n)
     pending = np.arange(n)
@@ -572,7 +564,7 @@ def _euler_xyz(rx: float, ry: float, rz: float) -> Rotation:
 def sample_refiner_noise(gt: ParamState, seed,
                          noise: RefinerNoise = RefinerNoise()) -> ParamState:
     """Perturbed copy of a ground-truth state; resamples if f or z go non-positive."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if noise.sigma_xy == 0 and noise.sigma_z == 0 and noise.focal_scale == 0 \
             and noise.euler_deg == 0:
         return gt

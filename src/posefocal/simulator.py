@@ -20,8 +20,7 @@ from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
                        PoseBatch, camera_points, image_boxes, quat_axis_angle,
                        quat_multiply, quats_from_axis_angle)
-from .metrics import (METRIC_FIELDS, GroundTruth, MetricRecord, aggregate,
-                      lower_median)
+from .metrics import METRIC_FIELDS, RECORD_FIELDS, GroundTruth, aggregate, lower_median
 from .update_rules import (UPDATE_RULES, DeltaBatch, apply_update_batch, init_state_batch,
                            oracle_terms)
 
@@ -111,7 +110,7 @@ def _check_settings(rules, iterations: int):
 
 @dataclass(frozen=True)
 class TrialResult:
-    trajectory: list[MetricRecord]  # length iterations + 1, initial state included
+    trajectory: list[dict]  # records by RECORD_FIELDS, iterations + 1, initial state included
     final_state: ParamState
     converged: bool
 
@@ -155,10 +154,11 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
     return trajectory, state
 
 
-def _records(metrics: dict, rows) -> list[MetricRecord]:
+def _records(metrics: dict, rows) -> list[dict]:
+    """The rows' metrics as one record each, keyed by RECORD_FIELDS; a NaN IoU is None."""
     columns = [metrics[f][rows].tolist() for f in METRIC_FIELDS]
     ious = [None if math.isnan(v) else v for v in metrics["iou"][rows].tolist()]
-    return [MetricRecord(*values) for values in zip(*columns, ious)]
+    return [dict(zip(RECORD_FIELDS, values)) for values in zip(*columns, ious)]
 
 
 def _converged(metrics: dict) -> np.ndarray:
@@ -215,17 +215,16 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
               "seed": seed, "variants": {}}
     for a, rule in enumerate(variants):
         arm = slice(a * n, (a + 1) * n)
-        per_iter = [dict(iteration=k, **{f"median_{f}": lower_median(m[f][arm].tolist())
+        per_iter = [dict(iteration=k, **{f"median_{f}": lower_median(m[f][arm])
                                          for f in METRIC_FIELDS})
                     for k, m in enumerate(trajectory)]
         entry = {
-            "summary": aggregate(_records(trajectory[-1], arm)),
+            "summary": aggregate({f: c[arm] for f, c in trajectory[-1].items()}),
             "per_iteration_medians": per_iter,
             "converged_fraction": int(converged[arm].sum()) / n,
         }
         if keep_trajectories:
             steps = [_records(m, arm) for m in trajectory]
-            entry["trajectories"] = [[rec.to_dict() for rec in trial]
-                                     for trial in zip(*steps)]
+            entry["trajectories"] = [list(trial) for trial in zip(*steps)]
         report["variants"][rule] = entry
     return report

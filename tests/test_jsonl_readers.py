@@ -1,6 +1,7 @@
 """The one JSON-lines reader (errors.read_jsonl) against the three per-file loops it
 replaced: on seeded corpora of mutated lines, each reader gives bit-identical arrays or
-the same error message. The references below are the former readers, kept verbatim."""
+the same error message. The references below are the former readers, kept verbatim but
+for the annotation reader's messages, which now take the form the other two give."""
 
 import json
 import math
@@ -130,8 +131,10 @@ def old_load_annotations(path) -> list:
             try:
                 records.append(OldAnnotationRecord.from_dict(json.loads(line)))
             except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"malformed annotation at {path} line {i}: {exc}") \
-                    from exc
+                raise DomainError(f"{path} line {i}: "
+                                  f"{'missing field ' * isinstance(exc, KeyError)}"
+                                  f"{'malformed JSON: ' * isinstance(exc, json.JSONDecodeError)}"
+                                  f"{exc}") from exc
     return records
 
 
@@ -353,7 +356,7 @@ def test_annotations_match_the_former_reader(tmp_path):
         old = old_outcome(lambda: annotation_bits(old_columns(old_load_annotations(path))))
         line = img_wh_fault(text)
         if line is not None and (new != old or old[0] == "ok"):
-            prefix = f"malformed annotation at {path} line {line}: img_wh must be two numbers"
+            prefix = f"{path} line {line}: img_wh must be two numbers"
             assert new[0] == "error" and new[1].startswith(prefix), (text, new)
             faults += 1
         else:
@@ -414,7 +417,7 @@ def test_errors_the_former_readers_let_through_are_named(tmp_path, line):
     for read, where in ((lambda p: cli._load_targets({"kind": "file", "path": str(p)}, 1, 0),
                          f"{path} line 1: "),
                         (cli._load_pairs, f"{path} line 1: "),
-                        (load_annotations, f"malformed annotation at {path} line 1: ")):
+                        (load_annotations, f"{path} line 1: ")):
         with pytest.raises(DomainError) as caught:
             read(path)
         assert str(caught.value).startswith(where)

@@ -1,6 +1,8 @@
 """Evaluation metrics and aggregation."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from posefocal.errors import DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation)
-from posefocal.metrics import (GT_NORM_ERROR, EvalPair, GroundTruth, aggregate, err_focal,
-                               err_pose, err_proj, err_rot, err_trans,
+from posefocal.metrics import (GT_NORM_ERROR, HISTOGRAM_EDGES, IOU_ACC_THRESHOLD,
+                               METRIC_FIELDS, PROJ_ACC_THRESHOLD, RECORD_FIELDS,
+                               ROT_ACC_THRESHOLD, EvalPair, GroundTruth, aggregate,
+                               err_focal, err_pose, err_proj, err_rot, err_trans,
                                evaluate_pair, lower_median)
 from posefocal.simulator import projected_bbox
 
@@ -25,6 +29,11 @@ def make_pair(pred, gt, points=CUBE, bbox=GT_BBOX, img_diag=800.0,
               bbox_pred=None):
     return EvalPair(pred=pred, gt=gt, points=points, bbox_gt=bbox,
                     img_diag=img_diag, bbox_pred=bbox_pred)
+
+
+def columns(records):
+    """The records' metric columns as the evaluate command builds them."""
+    return {f: np.array([r[f] for r in records], dtype=float) for f in RECORD_FIELDS}
 
 
 class TestErrRot:
@@ -164,7 +173,7 @@ class TestEvaluateBatch:
             except DomainError:
                 box_pred = None
             want = evaluate_pair(make_pair(pred, gt, bbox=box, bbox_pred=box_pred))
-            for key, value in want.to_dict().items():
+            for key, value in want.items():
                 if value is None:
                     behind += 1
                     assert math.isnan(got[key][i]) and got["e_proj"][i] == math.inf
@@ -235,14 +244,14 @@ class TestGroundTruth:
 class TestAggregate:
     def test_single_record_medians(self):
         rec = evaluate_pair(make_pair(make_state(z=1.1), make_state()))
-        summary = aggregate([rec])
-        assert summary["medians"]["e_trans"] == pytest.approx(rec.e_trans)
+        summary = aggregate(columns([rec]))
+        assert summary["medians"]["e_trans"] == pytest.approx(rec["e_trans"])
         assert summary["count"] == 1
 
     def test_perfect_predictions(self):
         recs = [evaluate_pair(make_pair(make_state(), make_state(),
                                         bbox_pred=GT_BBOX)) for _ in range(4)]
-        summary = aggregate(recs)
+        summary = aggregate(columns(recs))
         assert all(v == 0.0 for v in summary["medians"].values())
         assert summary["accuracies"]["acc_rot_pi6"] == 1.0
         assert summary["accuracies"]["acc_proj_0.1"] == 1.0
@@ -252,22 +261,31 @@ class TestAggregate:
         recs = [evaluate_pair(make_pair(make_state(z=1.0 + 1e-4 * k),
                                         make_state()))
                 for k in range(1001)]
-        summary = aggregate(recs)
-        expected = sorted(r.e_trans for r in recs)[500]
+        summary = aggregate(columns(recs))
+        expected = sorted(r["e_trans"] for r in recs)[500]
         assert summary["medians"]["e_trans"] == pytest.approx(expected)
 
     def test_lower_median_convention(self):
         assert lower_median([1.0, 2.0]) == 1.0
         assert lower_median([3.0, 1.0, 2.0]) == 2.0
         assert lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
+        # ties, inf rows and arrays
+        assert lower_median([2.0, 1.0, 2.0, 1.0]) == 1.0
+        assert lower_median(np.array([3.0, 3.0, 3.0])) == 3.0
+        assert lower_median([math.inf, 1.0]) == 1.0
+        assert lower_median([math.inf, 1.0, math.inf]) == math.inf
+        assert lower_median(np.array([math.inf])) == math.inf
+        for empty in ([], np.empty(0)):
+            with pytest.raises(DomainError, match="median of empty sequence"):
+                lower_median(empty)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         recs = [evaluate_pair(make_pair(
             make_state(rng.uniform(-0.1, 0.1), 0.0, rng.uniform(0.9, 1.5)),
             make_state())) for _ in range(10)]
-        a = aggregate(recs)
-        b = aggregate(recs[::-1])
+        a = aggregate(columns(recs))
+        b = aggregate(columns(recs[::-1]))
         assert a["medians"] == b["medians"]
         assert a["accuracies"] == b["accuracies"]
 
@@ -276,9 +294,105 @@ class TestAggregate:
         half = BBox(0, 0, 30, 80)  # half the gt area, contained: IoU = 0.5
         recs = [evaluate_pair(make_pair(make_state(), make_state(),
                                         bbox_pred=half))]
-        assert recs[0].iou == pytest.approx(0.5)
-        assert aggregate(recs)["accuracies"]["acc_det_0.5"] == 0.0
+        assert recs[0]["iou"] == pytest.approx(0.5)
+        assert aggregate(columns(recs))["accuracies"]["acc_det_0.5"] == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(DomainError):
-            aggregate([])
+            aggregate(columns([]))
+
+
+# ---------------------------------------------------------------------------
+# aggregate on columns against the former aggregate on per-row records
+# ---------------------------------------------------------------------------
+
+def old_lower_median(values) -> float:
+    v = sorted(values)
+    if not v:
+        raise DomainError("median of empty sequence")
+    return float(v[(len(v) + 1) // 2 - 1])
+
+
+def old_aggregate(records) -> dict:
+    """The records-based aggregate that the columns form replaced, kept verbatim."""
+    records = list(records)
+    if not records:
+        raise DomainError("no metric records to aggregate")
+    n = len(records)
+    fields = METRIC_FIELDS
+    columns = {f: [getattr(r, f) for r in records] for f in fields}
+
+    summary = {
+        "count": n,
+        "medians": {f: old_lower_median(columns[f]) for f in fields},
+        "accuracies": {
+            "acc_rot_pi6": sum(v <= ROT_ACC_THRESHOLD for v in columns["e_rot"]) / n,
+            "acc_proj_0.1": sum(v <= PROJ_ACC_THRESHOLD for v in columns["e_proj"]) / n,
+        },
+    }
+    ious = [r.iou for r in records if r.iou is not None]
+    if ious:
+        summary["accuracies"]["acc_det_0.5"] = \
+            sum(v > IOU_ACC_THRESHOLD for v in ious) / len(ious)
+
+    histograms = {}
+    for f in fields:
+        edges = HISTOGRAM_EDGES[f]
+        finite = [v for v in columns[f] if math.isfinite(v)]
+        counts, _ = np.histogram(finite, bins=edges)
+        histograms[f] = {"edges": edges.tolist(), "counts": counts.tolist(),
+                         "overflow": len(columns[f]) - int(counts.sum())}
+    summary["histograms"] = histograms
+    return summary
+
+
+def old_records(cols: dict) -> list:
+    """Per-row records of the columns, as the former MetricRecord held them."""
+    n = len(cols["e_rot"])
+    ious = cols["iou"].tolist() if "iou" in cols else [math.nan] * n
+    rows = zip(*(cols[f].tolist() for f in METRIC_FIELDS), ious)
+    return [SimpleNamespace(**dict(zip(METRIC_FIELDS, row[:-1])),
+                            iou=None if math.isnan(row[-1]) else row[-1]) for row in rows]
+
+
+THRESHOLDS = {"e_rot": ROT_ACC_THRESHOLD, "e_proj": PROJ_ACC_THRESHOLD}
+
+
+def random_columns(rng, n: int, iou: str, all_inf_proj: bool) -> dict:
+    """Non-negative metric columns with ties, threshold values, values past the
+    histogram edges and inf e_proj rows; "iou" absent, all NaN or mixed."""
+    cols = {}
+    for f in METRIC_FIELDS:
+        top = HISTOGRAM_EDGES[f][-1]
+        pool = np.concatenate([rng.uniform(0.0, 1.5 * top, 6), [0.0, top],
+                               [THRESHOLDS.get(f, 0.5 * top)]])
+        col = rng.choice(pool, n) if rng.random() < 0.5 else rng.uniform(0.0, 1.5 * top, n)
+        cols[f] = col
+    proj = cols["e_proj"]
+    proj[rng.random(n) < 0.2] = math.inf
+    if all_inf_proj:
+        proj[:] = math.inf
+    if iou != "absent":
+        ious = rng.choice([0.0, 0.25, IOU_ACC_THRESHOLD, 0.75, 1.0], n)
+        ious[rng.random(n) < 0.3] = math.nan
+        cols["iou"] = np.full(n, math.nan) if iou == "nan" else ious
+    return cols
+
+
+class TestAggregateMatchesRecords:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 200, 201])
+    @pytest.mark.parametrize("iou", ["absent", "nan", "mixed"])
+    def test_same_json_bytes(self, n, iou):
+        rng = np.random.default_rng(1000 * n + len(iou))
+        for case in range(20):
+            cols = random_columns(rng, n, iou, all_inf_proj=case % 5 == 0)
+            new = json.dumps(aggregate(cols), sort_keys=True)
+            assert new == json.dumps(old_aggregate(old_records(cols)), sort_keys=True)
+
+    def test_the_corpus_reaches_each_case(self):
+        rng = np.random.default_rng(7)
+        cols = [random_columns(rng, 11, "mixed", all_inf_proj=False) for _ in range(20)]
+        assert any(np.isinf(c["e_proj"]).any() for c in cols)
+        assert any(len(np.unique(c["e_rot"])) < 11 for c in cols)  # ties
+        assert any(np.isnan(c["iou"]).any() and not np.isnan(c["iou"]).all() for c in cols)
+        assert any("acc_det_0.5" in aggregate(c)["accuracies"] for c in cols)

@@ -243,7 +243,7 @@ class TestBitIdentity:
                    "e_pose": err_pose(pair), "e_focal": err_focal(pair),
                    "e_proj": err_proj(pair)}
             assert bits(*got.values()) == bits(*ref.values())
-            record = evaluate_pair(pair).to_dict()
+            record = evaluate_pair(pair)
             assert record.pop("iou") is None
             assert bits(*record.values()) == bits(*ref.values())
         assert kinds >= {(True, False), (False, True), (False, False)}

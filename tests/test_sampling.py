@@ -574,7 +574,7 @@ class TestAnnotationIO:
         path = tmp_path / "ann.jsonl"
         path.write_text(json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": t, "f_px": f,
                                     "img_wh": [640, 480], "bbox": [0, 0, 60, 80]}) + "\n")
-        with pytest.raises(DomainError, match=f"^malformed annotation at {re.escape(str(path))} "
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))} "
                            f"line 1: {message}$"):
             load_annotations(path)
 
@@ -583,6 +583,6 @@ class TestAnnotationIO:
         path.write_text(json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, 1],
                                     "f_px": -600.0, "img_wh": [640, 480],
                                     "bbox": [0, 0, 60, 80]}) + "\n")
-        with pytest.raises(DomainError, match=f"^malformed annotation at {re.escape(str(path))} "
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))} "
                            "line 1: focal length must be positive"):
             load_annotations(path)

@@ -56,9 +56,9 @@ class TestOraclePredictor:
             target = make_target(rng)
             result = run_one(target, iterations=1)
             final = result.trajectory[-1]
-            assert final.e_rot <= 1e-9
-            assert final.e_trans <= 1e-9
-            assert final.e_focal <= 1e-9
+            assert final["e_rot"] <= 1e-9
+            assert final["e_trans"] <= 1e-9
+            assert final["e_focal"] <= 1e-9
             assert result.converged
 
     def test_trajectory_length_is_iterations_plus_one(self):
@@ -71,7 +71,7 @@ class TestOraclePredictor:
         target = make_target(rng)
         noiseless = OraclePredictor(noise=NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0))
         result = run_one(target, iterations=1, predictor=noiseless)
-        assert result.trajectory[-1].e_trans <= 1e-9
+        assert result.trajectory[-1]["e_trans"] <= 1e-9
 
     def test_noisy_focal_component_std(self):
         rng = np.random.default_rng(4)
@@ -109,7 +109,7 @@ class TestOraclePredictor:
         for _ in range(5):
             target = make_target(rng)
             result = run_one(target, **settings)
-            e_pose = [rec.e_pose for rec in result.trajectory]
+            e_pose = [rec["e_pose"] for rec in result.trajectory]
             assert all(b <= a + 1e-12 for a, b in zip(e_pose, e_pose[1:]))
             assert e_pose[-1] <= 1e-6
 
@@ -223,7 +223,7 @@ class TestRunExperiment:
         single = run_refinement(targets.state(0), bbox, POINTS, INTR, IMG_DIAG,
                                 predictor=predictor, iterations=5, seed=3)
         assert report["variants"]["exact"]["summary"]["medians"]["e_trans"] \
-            == pytest.approx(single.trajectory[-1].e_trans)
+            == pytest.approx(single.trajectory[-1]["e_trans"])
 
     def test_paired_arms_share_randomness(self):
         targets = self.make_targets(10, 1)
@@ -323,7 +323,7 @@ def reference_trial(predictor, target, legacy, seed, iterations):
             bbox_pred = None
         return evaluate_pair(EvalPair(pred=state, gt=target, points=POINTS,
                                       bbox_gt=bbox, img_diag=IMG_DIAG,
-                                      bbox_pred=bbox_pred)).to_dict()
+                                      bbox_pred=bbox_pred))
 
     xc, yc = 0.5 * (bbox.x1 + bbox.x2), 0.5 * (bbox.y1 + bbox.y2)
     state = ParamState(Rotation.identity(), np.array([(xc - INTR.cx) / INTR.focal,
