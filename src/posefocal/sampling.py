@@ -529,30 +529,19 @@ def sample_pose_nonparametric(poses: PoseBatch, deltas: NonparamDeltas, n: int,
 
 @dataclass(frozen=True)
 class RefinerNoise:
-    """Noise scales applied to a ground-truth state to simulate refiner input.
-
-    ``as_std=True`` reads the focal and Euler figures as standard deviations
-    (the default); ``False`` reads them as variances.
-    """
+    """Noise scales applied to a ground-truth state to simulate refiner input: standard
+    deviations of x-y and z (m), of the focal length relative to it, and of each Euler
+    angle (degrees)."""
 
     sigma_xy: float = 0.01
     sigma_z: float = 0.05
     focal_scale: float = 0.15
     euler_deg: float = 15.0
-    as_std: bool = True
 
     def __post_init__(self):
         for name in ("sigma_xy", "sigma_z", "focal_scale", "euler_deg"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be finite and non-negative")
-
-    def focal_sigma(self, focal: float) -> float:
-        s = self.focal_scale * focal
-        return s if self.as_std else np.sqrt(s)
-
-    def euler_sigma_rad(self) -> float:
-        s = self.euler_deg if self.as_std else np.sqrt(self.euler_deg)
-        return np.deg2rad(s)
 
 
 def _euler_xyz(rx: float, ry: float, rz: float) -> Rotation:
@@ -568,9 +557,9 @@ def sample_refiner_noise(gt: ParamState, seed,
     if noise.sigma_xy == 0 and noise.sigma_z == 0 and noise.focal_scale == 0 \
             and noise.euler_deg == 0:
         return gt
-    se = noise.euler_sigma_rad()
+    se = np.deg2rad(noise.euler_deg)
     for _ in range(_MAX_RETRIES):
-        f = rng.normal(gt.focal, noise.focal_sigma(gt.focal))
+        f = rng.normal(gt.focal, noise.focal_scale * gt.focal)
         t = gt.translation + np.array([rng.normal(0, noise.sigma_xy),
                                        rng.normal(0, noise.sigma_xy),
                                        rng.normal(0, noise.sigma_z)])

@@ -529,10 +529,6 @@ class TestRefinerNoise:
         with pytest.raises(DomainError, match=f"^{field} must be finite and non-negative"):
             RefinerNoise(**{field: value})
 
-    def test_variance_reading_is_switchable(self):
-        noise = RefinerNoise(as_std=False)
-        assert noise.focal_sigma(600.0) == pytest.approx(np.sqrt(0.15 * 600.0))
-
     def test_depth_stays_positive(self):
         gt = ParamState(Rotation.identity(), np.array([0.0, 0.0, 0.02]), 600.0)
         for i in range(50):
