@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -28,7 +29,8 @@ from . import __version__
 from .errors import DomainError, read_jsonl, reading
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation)
-from .metrics import METRIC_FIELDS, RECORD_FIELDS, EvalPair, aggregate, evaluate_pair
+from .metrics import (GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair,
+                      to_records)
 from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
@@ -430,21 +432,22 @@ def simulate(config_path, out, fmt):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_pairs(path) -> list[EvalPair]:
-    """Read a JSON-lines pair file.
+def _load_pairs(path) -> dict:
+    """Read a JSON-lines pair file into the columns that :func:`evaluate_pair` scores.
 
     A leading {"model_points": {name: [[x,y,z], ...]}} line defines shared
     point clouds; pair lines reference them by name or carry inline points.
     """
-    point_sets: dict[str, ModelPoints] = {}
+    point_sets: dict[str, np.ndarray] = {}
     index = count()  # of the next pair; a failed line ends the read
+    no_box = [math.nan] * 4
 
     def pair(doc):
         if "manifest" in doc:
             return None
         if "model_points" in doc and "pred" not in doc:
             for name, pts in doc["model_points"].items():
-                point_sets[name] = ModelPoints(np.asarray(pts, dtype=float))
+                point_sets[name] = ModelPoints(np.asarray(pts, dtype=float)).points
             return None
         k, pts_field = next(index), doc["points"]
         if isinstance(pts_field, str):
@@ -452,21 +455,25 @@ def _load_pairs(path) -> list[EvalPair]:
                 raise DomainError(f"pair {k}: unknown model-points reference {pts_field!r}")
             points = point_sets[pts_field]
         else:
-            points = ModelPoints(np.asarray(pts_field, dtype=float))
-        return EvalPair(
-            pred=ParamState.from_dict(doc["pred"]),
-            gt=ParamState.from_dict(doc["gt"]),
-            points=points,
-            bbox_gt=BBox(*[float(v) for v in doc["bbox_gt"]]),
-            img_diag=float(doc["img_diag"]),
-            bbox_pred=(BBox(*[float(v) for v in doc["bbox_pred"]])
-                       if doc.get("bbox_pred") is not None else None),
-        )
+            points = ModelPoints(np.asarray(pts_field, dtype=float)).points
+        pred, gt = ParamState.from_dict(doc["pred"]), ParamState.from_dict(doc["gt"])
+        bbox_gt = BBox(*[float(v) for v in doc["bbox_gt"]]).as_list()
+        img_diag = float(doc["img_diag"])
+        bbox_pred = (BBox(*[float(v) for v in doc["bbox_pred"]]).as_list()
+                     if doc.get("bbox_pred") is not None else no_box)
+        if not (math.isfinite(img_diag) and img_diag > 0):
+            raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
+        if not 0 < gt.translation.dot(gt.translation) < math.inf:
+            raise DomainError(GT_NORM_ERROR)
+        return pred, gt, points, bbox_gt, img_diag, bbox_pred
 
-    pairs = read_jsonl(path, pair)
-    if not pairs:
+    rows = read_jsonl(path, pair)
+    if not rows:
         raise DomainError(f"no evaluation pairs in {path}")
-    return pairs
+    pred, gt, points, bbox_gt, img_diag, bbox_pred = zip(*rows)
+    return {"pred": PoseBatch.from_states(pred), "gt": PoseBatch.from_states(gt),
+            "points": points, "bbox_gt": np.array(bbox_gt), "img_diag": np.array(img_diag),
+            "bbox_pred": np.array(bbox_pred)}
 
 
 @main.command("evaluate")
@@ -477,12 +484,10 @@ def _load_pairs(path) -> list[EvalPair]:
 def evaluate(pairs_file, out, fmt):
     """Score prediction/ground-truth pairs and aggregate the metrics."""
     try:
-        pairs = _load_pairs(pairs_file)
-        records = [evaluate_pair(p) for p in pairs]
+        columns = evaluate_pair(_load_pairs(pairs_file))
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
-    summary = aggregate({f: np.array([r[f] for r in records], dtype=float)
-                         for f in RECORD_FIELDS})  # a None IoU becomes NaN
+    summary, records = aggregate(columns), to_records(columns)
     manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":
         write_json(out, manifest, {"summary": summary, "records": records})

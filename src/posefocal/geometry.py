@@ -133,14 +133,6 @@ class BBox:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise DomainError(f"degenerate bbox {(self.x1, self.y1, self.x2, self.y2)}")
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.hypot(self.x2 - self.x1, self.y2 - self.y1))
-
     def as_list(self) -> list:
         return [self.x1, self.y1, self.x2, self.y2]
 
@@ -275,16 +267,6 @@ def geodesic_distance(ra: Rotation, rb: Rotation) -> float:
     return float(2.0 * np.arctan2(np.linalg.norm(q_rel[1:]), abs(q_rel[0])))
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 def compute_crop(bbox: BBox, projected_center, aspect: float,
                  enlargement: float = 1.4) -> tuple[float, float]:
     """Crop size (w, h) around the projected object center.
@@ -397,12 +379,17 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat_unit(_quat_product(a, b))
 
 
-def geodesic_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`geodesic_distance` between unit quaternions (N, 4),
-    bit for bit: each norm is ``sqrt(q.q)``, as in :class:`Rotation`."""
+def relative_quats(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Row-wise ``(Rotation(qa).inverse() @ Rotation(qb)).quat`` of unit quaternions
+    (N, 4), bit for bit: each norm is ``sqrt(q.q)``, as in :class:`Rotation`."""
     inv = quat_conj(qa)
     rel = _quat_product(inv / np.sqrt(row_dot(inv, inv))[:, None], qb)
-    rel = rel / np.sqrt(row_dot(rel, rel))[:, None]
+    return rel / np.sqrt(row_dot(rel, rel))[:, None]
+
+
+def geodesic_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`geodesic_distance` between unit quaternions (N, 4), bit for bit."""
+    rel = relative_quats(qa, qb)
     return 2.0 * np.arctan2(np.sqrt(row_dot(rel[:, 1:], rel[:, 1:])), np.abs(rel[:, 0]))
 
 
@@ -498,9 +485,11 @@ def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def camera_points(poses: PoseBatch, points: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Model points (P, 3) in each pose's camera frame, shape (N, P, 3), laid out
-    (N, 3, P) in memory, in ``out`` if given: one contiguous row per coordinate."""
-    cam = np.matmul(quats_to_matrices(poses.quat), points.T, out=out).transpose(0, 2, 1)
+    """Model points, one cloud (P, 3) for every pose or one (N, P, 3) per pose, in each
+    pose's camera frame, shape (N, P, 3), laid out (N, 3, P) in memory, in ``out`` if
+    given: one contiguous row per coordinate."""
+    cam = np.matmul(quats_to_matrices(poses.quat), points.swapaxes(-1, -2),
+                    out=out).transpose(0, 2, 1)
     cam += poses.translation[:, None, :]
     return cam
 

@@ -1,24 +1,21 @@
 """Evaluation metrics and their median/accuracy aggregation.
 
-Six per-image errors: rotation geodesic angle, normalized translation,
-normalized point-matching, relative focal length, bbox-normalized
-reprojection, and detection IoU; ``evaluate_pair`` scores one pair, forming
-its two camera-frame clouds once. N rows are scored row-wise in two halves: a
-:class:`GroundTruth`, checked and formed once, and its ``score`` of each
-predicted batch. Medians use the lower-median convention for even counts."""
+Six per-image errors, each an (N,) column over N pairs: rotation geodesic angle,
+normalized translation, normalized point-matching, relative focal length,
+bbox-normalized reprojection, and detection IoU. Pairs are scored row-wise in two
+halves: a :class:`GroundTruth`, checked and formed once, and its ``score`` of each
+predicted batch; ``evaluate_pair`` scores a pair file's columns through it, block
+by block. Medians use the lower-median convention for even counts."""
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
-                       PoseBatch, bbox_iou, camera_points, dot3, image_boxes,
-                       quat_conj, quat_multiply)
+from .geometry import (CameraIntrinsics, PoseBatch, camera_points, image_boxes,
+                       relative_quats, row_dot)
 
 ROT_ACC_THRESHOLD = math.pi / 6.0
 PROJ_ACC_THRESHOLD = 0.1
@@ -27,6 +24,7 @@ IOU_ACC_THRESHOLD = 0.5
 METRIC_FIELDS = ("e_rot", "e_trans", "e_pose", "e_focal", "e_proj")
 RECORD_FIELDS = (*METRIC_FIELDS, "iou")  # the keys of one scored pair's record
 GT_NORM_ERROR = "ground-truth translation must be non-zero, with a norm that does not overflow"
+SCORE_BLOCK = 128  # rows evaluate_pair scores at a time, which bounds its buffers
 
 HISTOGRAM_EDGES = {
     "e_rot": np.linspace(0.0, math.pi, 19),
@@ -35,102 +33,6 @@ HISTOGRAM_EDGES = {
     "e_focal": np.linspace(0.0, 1.0, 21),
     "e_proj": np.linspace(0.0, 0.5, 21),
 }
-
-
-@dataclass(frozen=True)
-class EvalPair:
-    """A prediction/ground-truth pair plus the context metrics need;
-    ``gt_distance`` is the ground-truth translation's norm."""
-
-    pred: ParamState
-    gt: ParamState
-    points: ModelPoints
-    bbox_gt: BBox
-    img_diag: float
-    bbox_pred: BBox | None = None
-    gt_distance: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.img_diag) and self.img_diag > 0):
-            raise DomainError(f"image diagonal must be finite and positive, got {self.img_diag}")
-        t_hat = self.gt.translation
-        with np.errstate(over="ignore") if math.hypot(*t_hat.tolist()) > 1e153 else nullcontext():
-            norm = math.sqrt(t_hat.dot(t_hat))  # errstate only where the dot may overflow
-        if not 0 < norm < math.inf:
-            raise DomainError(GT_NORM_ERROR)
-        object.__setattr__(self, "gt_distance", norm)
-
-
-def err_rot(pair: EvalPair) -> float:
-    """Geodesic rotation angle between prediction and ground truth.
-
-    Computed as 2*arcsin(|v|) of the relative quaternion, off by up to about
-    4e-8 rad within about 1e-3 rad of pi, where :func:`geodesic_distance`'s
-    2*atan2(|v|, |w|) is exact. The benchmark's ``score`` checks expect this
-    known fault, so e_rot moves to :func:`geodesic_distance` with them.
-    """
-    v = (pair.pred.rotation.inverse() @ pair.gt.rotation).quat[1:]
-    return float(2.0 * np.arcsin(min(1.0, math.sqrt(v.dot(v)))))
-
-
-def _clouds(pair: EvalPair) -> tuple[np.ndarray, np.ndarray]:
-    """The model points in the predicted and in the ground-truth camera frame."""
-    pts = pair.points.points
-    return (pts @ pair.pred.rotation.as_matrix().T + pair.pred.translation,
-            pts @ pair.gt.rotation.as_matrix().T + pair.gt.translation)
-
-
-def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Euclidean distance between the rows of a and b, rounded as
-    ``np.linalg.norm(a - b, axis=1).mean()`` rounds it."""
-    d = a - b
-    return float(np.sqrt((d * d).sum(axis=1)).sum()) / len(d)
-
-
-def err_trans(pair: EvalPair) -> float:
-    """Translation error normalized by the ground-truth distance."""
-    d = pair.pred.translation - pair.gt.translation
-    return math.sqrt(d.dot(d)) / pair.gt_distance
-
-
-def err_pose(pair: EvalPair, clouds=None) -> float:
-    """Point-matching error, normalized and scaled by the relative object size;
-    ``clouds`` are the pair's two camera-frame clouds, if already formed."""
-    cam, cam_hat = clouds or _clouds(pair)
-    return pair.bbox_gt.diagonal / pair.img_diag * _mean_distance(cam, cam_hat) \
-        / pair.gt_distance
-
-
-def err_focal(pair: EvalPair) -> float:
-    """Relative focal length error."""
-    return abs(pair.gt.focal - pair.pred.focal) / pair.gt.focal
-
-
-def err_proj(pair: EvalPair, clouds=None) -> float:
-    """Average reprojection distance over the bbox diagonal.
-
-    A prediction that puts any model point behind the camera is maximally
-    penalized with +inf rather than dropped; a ground truth that does is
-    rejected. ``clouds`` as in :func:`err_pose`.
-    """
-    cam, cam_hat = clouds or _clouds(pair)
-    if (cam_hat[:, 2] <= 0).any():
-        raise DomainError("ground truth puts a model point behind the camera")
-    if (cam[:, 2] <= 0).any():
-        return math.inf
-    uv = pair.pred.focal * cam[:, :2] / cam[:, 2:3]
-    uv_hat = pair.gt.focal * cam_hat[:, :2] / cam_hat[:, 2:3]
-    return _mean_distance(uv, uv_hat) / pair.bbox_gt.diagonal
-
-
-def evaluate_pair(pair: EvalPair) -> dict:
-    """All six errors for one pair, keyed by :data:`RECORD_FIELDS`; IoU is None
-    without a predicted bbox. Both camera-frame clouds are formed once and shared."""
-    clouds = _clouds(pair)
-    return dict(zip(RECORD_FIELDS, (
-        err_rot(pair), err_trans(pair), err_pose(pair, clouds), err_focal(pair),
-        err_proj(pair, clouds),
-        bbox_iou(pair.bbox_gt, pair.bbox_pred) if pair.bbox_pred else None)))
 
 
 def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
@@ -143,53 +45,61 @@ def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarr
 
 
 class GroundTruth:
-    """The ground-truth half of row-wise :func:`evaluate_pair`: N ground-truth poses,
-    boxes (x1, y1, x2, y2) and image diagonal, checked and formed once for :meth:`score`,
-    which reuses one set of buffers."""
+    """The ground-truth half of the metrics: N ground-truth poses, their model points,
+    one cloud (P, 3) for all rows or one (N, P, 3) per row, boxes (x1, y1, x2, y2) and
+    image diagonals, one or (N,), checked and formed once for :meth:`score`, which
+    reuses one set of buffers. Norms are ``sqrt(a.a)`` of each row, as one pose's are."""
 
-    def __init__(self, gt: PoseBatch, points: ModelPoints, bbox_gt: np.ndarray,
-                 img_diag: float):
-        if not (math.isfinite(img_diag) and img_diag > 0):
-            raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
+    def __init__(self, gt: PoseBatch, points: np.ndarray, bbox_gt: np.ndarray, img_diag):
+        img_diag = np.asarray(img_diag, dtype=float)
+        if not np.all(ok := np.isfinite(img_diag) & (img_diag > 0)):
+            raise DomainError("image diagonal must be finite and positive, "
+                              f"got {img_diag[~ok][0]}")
         with np.errstate(over="ignore"):
-            self.t_norm = np.sqrt(dot3(gt.translation, gt.translation))
+            self.t_norm = np.sqrt(row_dot(gt.translation, gt.translation))
         if not np.all((self.t_norm > 0) & (self.t_norm < math.inf)):
             raise DomainError(GT_NORM_ERROR)
-        self.cam_hat = cam_hat = camera_points(gt, points.points)
+        self.cam_hat = cam_hat = camera_points(gt, points)
         if np.any(cam_hat[..., 2] <= 0):
             raise DomainError("ground truth puts a model point behind the camera")
         self.uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
-        self.gt, self.points, self.bbox, self.img_diag = gt, points.points, bbox_gt, img_diag
+        self.gt, self.points, self.bbox, self.img_diag = gt, points, bbox_gt, img_diag
         self.diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
         self.area = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
         n, p = cam_hat.shape[:2]
         self._cam, self._acc, self._tmp = np.empty((n, 3, p)), np.empty((n, p)), np.empty((n, p))
 
-    def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics, iou: bool = True) -> dict:
-        """The prediction half: an (N,) array per :data:`RECORD_FIELDS` key ("iou"
-        if asked); e_proj inf and iou NaN where a predicted point has non-positive depth."""
+    def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics | None = None,
+              bbox_pred: np.ndarray | None = None) -> dict:
+        """The prediction half: an (N,) array per :data:`RECORD_FIELDS` key, "iou" only
+        if there are predicted boxes: those of the predicted points under ``intrinsics``,
+        if given, or else ``bbox_pred`` (N, 4). e_proj is inf where a predicted point
+        has non-positive depth, and the IoU NaN where the predicted box is NaN."""
         gt, box_gt = self.gt, self.bbox
         cam = camera_points(pred, self.points, self._cam)
         behind = np.any(cam[..., 2] <= 0, axis=1)
         avg = _mean_distances(cam, self.cam_hat, self._acc, self._tmp)
-        if iou:  # before the projection below overwrites the cloud's x and y
-            box = image_boxes(cam, intrinsics)
+        # boxes before the projection below overwrites the cloud's x and y
+        box = bbox_pred if intrinsics is None else image_boxes(cam, intrinsics)
         uv = cam[..., :2]
         with np.errstate(divide="ignore", invalid="ignore"):  # rows behind the camera
             uv *= pred.focal[:, None, None]  # f x / z and f y / z, in place
             uv /= cam[..., 2:3]
             e_proj = _mean_distances(uv, self.uv_hat, self._acc, self._tmp) / self.diag
         e_proj[behind] = math.inf
-        rel = quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:]
+        v = relative_quats(pred.quat, gt.quat)[:, 1:]
         d = pred.translation - gt.translation
         out = {
-            "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dot3(rel, rel)))),  # as err_rot
-            "e_trans": np.sqrt(dot3(d, d)) / self.t_norm,
+            # 2 arcsin |v| is off by up to about 4e-8 rad within about 1e-3 rad of pi,
+            # where geodesic_distance's 2 atan2(|v|, |w|) is exact; the benchmark's
+            # score checks expect this known fault, so e_rot moves with them
+            "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(row_dot(v, v)))),
+            "e_trans": np.sqrt(row_dot(d, d)) / self.t_norm,
             "e_pose": self.diag / self.img_diag * avg / self.t_norm,
             "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
             "e_proj": e_proj,
         }
-        if iou:
+        if box is not None:
             iw = np.minimum(box_gt[:, 2], box[:, 2]) - np.maximum(box_gt[:, 0], box[:, 0])
             ih = np.minimum(box_gt[:, 3], box[:, 3]) - np.maximum(box_gt[:, 1], box[:, 1])
             inter = iw * ih
@@ -197,8 +107,36 @@ class GroundTruth:
             with np.errstate(invalid="ignore"):
                 out["iou"] = np.where((iw > 0) & (ih > 0),
                                       inter / (self.area + area - inter), 0.0)
-            out["iou"][behind] = np.nan
+            out["iou"][np.isnan(box[:, 0])] = np.nan
         return out
+
+
+def evaluate_pair(pairs: dict) -> dict:
+    """The metrics of N pairs, one (N,) column per :data:`RECORD_FIELDS` key in row
+    order, "iou" NaN where a pair has no predicted box. ``pairs`` holds the pairs as
+    columns: "pred" and "gt" PoseBatches, "points" N clouds (P_i, 3), "bbox_gt" and
+    "bbox_pred" (N, 4), a row NaN where no box is predicted, and "img_diag" (N,). Rows
+    with the same point count are scored together, SCORE_BLOCK at a time."""
+    sizes = np.array([len(p) for p in pairs["points"]])
+    out = {f: np.empty(len(sizes)) for f in RECORD_FIELDS}
+    for p in np.unique(sizes):
+        group = np.flatnonzero(sizes == p)
+        for rows in np.split(group, range(SCORE_BLOCK, len(group), SCORE_BLOCK)):
+            truth = GroundTruth(pairs["gt"].take(rows),
+                                np.stack([pairs["points"][i] for i in rows]),
+                                pairs["bbox_gt"][rows], pairs["img_diag"][rows])
+            scores = truth.score(pairs["pred"].take(rows), bbox_pred=pairs["bbox_pred"][rows])
+            for f in RECORD_FIELDS:
+                out[f][rows] = scores[f]
+    return out
+
+
+def to_records(columns: dict, rows=slice(None)) -> list[dict]:
+    """The rows of metric columns as one record each, keyed by RECORD_FIELDS, as
+    eval.json and a campaign's trajectories hold them; a NaN IoU is None."""
+    values = [columns[f][rows].tolist() for f in METRIC_FIELDS]
+    ious = [None if math.isnan(v) else v for v in columns["iou"][rows].tolist()]
+    return [dict(zip(RECORD_FIELDS, row)) for row in zip(*values, ious)]
 
 
 def lower_median(values) -> float:

@@ -20,7 +20,7 @@ from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
                        PoseBatch, camera_points, image_boxes, quat_axis_angle,
                        quat_multiply, quats_from_axis_angle)
-from .metrics import METRIC_FIELDS, RECORD_FIELDS, GroundTruth, aggregate, lower_median
+from .metrics import METRIC_FIELDS, GroundTruth, aggregate, lower_median, to_records
 from .update_rules import (UPDATE_RULES, DeltaBatch, apply_update_batch, init_state_batch,
                            oracle_terms)
 
@@ -141,8 +141,8 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
     check runs again. An invalid prediction aborts the loop with the iteration index.
     """
     state = init_state_batch(bbox_gt, intrinsics)
-    truth = GroundTruth(target, points, bbox_gt, img_diag)
-    trajectory = [truth.score(state, intrinsics, every_iou)]
+    truth = GroundTruth(target, points.points, bbox_gt, img_diag)
+    trajectory = [truth.score(state, intrinsics if every_iou else None)]
     for k in range(1, len(draws) + 1):
         try:
             delta = predictor(state, target, k, draws[k - 1])
@@ -150,15 +150,9 @@ def _refine(predictor, target: PoseBatch, bbox_gt: np.ndarray,
             state = apply_update_batch(state, delta, legacy)
         except DomainError as exc:
             raise DomainError(f"trial aborted at iteration {k}: {exc}") from exc
-        trajectory.append(truth.score(state, intrinsics, every_iou or k == len(draws)))
+        iou = every_iou or k == len(draws)
+        trajectory.append(truth.score(state, intrinsics if iou else None))
     return trajectory, state
-
-
-def _records(metrics: dict, rows) -> list[dict]:
-    """The rows' metrics as one record each, keyed by RECORD_FIELDS; a NaN IoU is None."""
-    columns = [metrics[f][rows].tolist() for f in METRIC_FIELDS]
-    ious = [None if math.isnan(v) else v for v in metrics["iou"][rows].tolist()]
-    return [dict(zip(RECORD_FIELDS, values)) for values in zip(*columns, ious)]
 
 
 def _converged(metrics: dict) -> np.ndarray:
@@ -179,7 +173,7 @@ def run_refinement(target: ParamState, bbox: BBox, points: ModelPoints,
         predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
         np.array([update_rule == "legacy"]), draws, points, intrinsics, img_diag,
         every_iou=True)
-    return TrialResult(trajectory=[_records(m, slice(None))[0] for m in trajectory],
+    return TrialResult(trajectory=[to_records(m)[0] for m in trajectory],
                        final_state=final.state(0),
                        converged=bool(_converged(trajectory[-1])[0]))
 
@@ -224,7 +218,7 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
             "converged_fraction": int(converged[arm].sum()) / n,
         }
         if keep_trajectories:
-            steps = [_records(m, arm) for m in trajectory]
+            steps = [to_records(m, arm) for m in trajectory]
             entry["trajectories"] = [list(trial) for trial in zip(*steps)]
         report["variants"][rule] = entry
     return report

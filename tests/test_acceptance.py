@@ -12,7 +12,7 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation, project_point)
 from posefocal.losses import (LossWeights, gradient_check, reprojection_loss,
                               total_loss)
-from posefocal.metrics import EvalPair, err_pose, err_rot, err_trans
+from posefocal.metrics import evaluate_pair, to_records
 from posefocal.sampling import (BinghamParams, UniformRanges, fit_bingham,
                                 fit_translation_focal, sample_bingham,
                                 sample_pose_uniform, sample_rotation_uniform)
@@ -285,32 +285,38 @@ def test_update_rule_ablation():
 
 
 def test_metric_oracle_equivalence():
-    """err_rot matches the matrix-log rotation distance within 1e-7 on 100
-    random pairs; with equal rotations err_pose equals
-    (d_bbox/d_img) * e_t to 1e-12 for arbitrary point clouds."""
+    """e_rot matches the matrix-log rotation distance within 1e-7 on 100
+    random pairs; with equal rotations e_pose equals
+    (d_bbox/d_img) * e_t to 1e-12 for arbitrary point clouds. All 200 pairs
+    are scored together by evaluate_pair; each pose is moved 2 m deeper than
+    drawn, so that every model point is in front of the ground truth's camera."""
     rng = np.random.default_rng(2030)
     bbox = BBox(0, 0, 60, 80)
-    worst_rot = 0.0
-    worst_pose = 0.0
+    deeper = np.array([0.0, 0.0, 2.0])
+    pairs, brute = [], []
     for _ in range(100):
         a, b = random_state(rng), random_state(rng)
-        pts = ModelPoints(rng.uniform(-1.0, 1.0, size=(rng.integers(1, 30), 3)))
-        pair = EvalPair(pred=a, gt=b, points=pts, bbox_gt=bbox, img_diag=800.0)
+        a, b = (ParamState(s.rotation, s.translation + deeper, s.focal) for s in (a, b))
+        pts = rng.uniform(-1.0, 1.0, size=(rng.integers(1, 30), 3))
         rel = a.rotation.as_matrix().T @ b.rotation.as_matrix()
-        brute = float(np.linalg.norm(scipy.linalg.logm(rel), "fro") / np.sqrt(2))
-        worst_rot = max(worst_rot, abs(err_rot(pair) - brute))
+        brute.append(float(np.linalg.norm(scipy.linalg.logm(rel), "fro") / np.sqrt(2)))
 
         shared = Rotation(rng.standard_normal(4))
         p = ParamState(shared, a.translation, a.focal)
         g = ParamState(shared, b.translation, b.focal)
-        pair_eq = EvalPair(pred=p, gt=g, points=pts, bbox_gt=bbox,
-                           img_diag=800.0)
-        expected = bbox.diagonal / 800.0 * err_trans(pair_eq)
-        worst_pose = max(worst_pose, abs(err_pose(pair_eq) - expected))
+        pairs += [(a, b, pts), (p, g, pts)]
+    pred, gt, points = zip(*pairs)
+    records = to_records(evaluate_pair({
+        "pred": PoseBatch.from_states(pred), "gt": PoseBatch.from_states(gt),
+        "points": points, "bbox_gt": np.tile(bbox.as_list(), (len(pairs), 1)),
+        "img_diag": np.full(len(pairs), 800.0), "bbox_pred": np.full((len(pairs), 4), np.nan)}))
+    worst_rot = max(abs(r["e_rot"] - want) for r, want in zip(records[::2], brute))
+    diagonal = float(np.hypot(bbox.x2 - bbox.x1, bbox.y2 - bbox.y1))
+    worst_pose = max(abs(r["e_pose"] - diagonal / 800.0 * r["e_trans"]) for r in records[1::2])
     report("metric oracle equivalence",
            worst_rot <= 1e-7 and worst_pose <= 1e-12,
-           f"err_rot vs matrix log {worst_rot:.3e} (tol 1e-7); "
-           f"err_pose identity residual {worst_pose:.3e} (tol 1e-12)")
+           f"e_rot vs matrix log {worst_rot:.3e} (tol 1e-7); "
+           f"e_pose identity residual {worst_pose:.3e} (tol 1e-12)")
 
 
 def test_cli_determinism(tmp_path, monkeypatch):

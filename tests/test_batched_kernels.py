@@ -6,10 +6,9 @@ comparison is bit for bit, NaN for NaN."""
 import numpy as np
 import pytest
 
-from posefocal.geometry import (CameraIntrinsics, ModelPoints, PoseBatch, camera_points,
-                                dot3, image_boxes, quat_axis_angle, quat_conj,
-                                quat_multiply, quat_unit, quats_from_6d,
-                                quats_from_axis_angle, quats_to_matrices)
+from posefocal.geometry import (CameraIntrinsics, PoseBatch, camera_points, dot3,
+                                image_boxes, quat_axis_angle, quat_conj, quat_unit,
+                                quats_from_6d, quats_from_axis_angle, quats_to_matrices)
 from posefocal.metrics import GroundTruth
 
 INTR = CameraIntrinsics(600.0, 4.0, -2.0)
@@ -73,9 +72,25 @@ def ref_camera_points(poses, points):
             + poses.translation[:, None, :])
 
 
+def ref_row_norms(a):
+    """Each row's norm as one pose's is rounded: np.linalg.norm of a 1-D row, sqrt(r.r)."""
+    return np.array([np.linalg.norm(r) for r in a])
+
+
+def ref_relative_quats(qa, qb):
+    """Each row's qa^-1 qb as ``Rotation.inverse() @`` rounds it, unit norms by rows."""
+    inv = quat_conj(qa)
+    w1, x1, y1, z1 = (inv / ref_row_norms(inv)[:, None]).T
+    w2, x2, y2, z2 = qb.T
+    q = np.stack([w1*w2 - x1*x2 - y1*y2 - z1*z2, w1*x2 + x1*w2 + y1*z2 - z1*y2,
+                  w1*y2 - x1*z2 + y1*w2 + z1*x2, w1*z2 + x1*y2 - y1*x2 + z1*w2], axis=1)
+    return q / ref_row_norms(q)[:, None]
+
+
 def ref_score(pred, gt, points, box_gt, img_diag, intrinsics, iou):
-    """``GroundTruth.score`` as first written, ground-truth half included."""
-    t_norm = np.linalg.norm(gt.translation, axis=1)
+    """``GroundTruth.score`` as first written, ground-truth half included, but for
+    its vector norms, which are rounded as the one-pose metrics round them."""
+    t_norm = ref_row_norms(gt.translation)
     cam_hat = ref_camera_points(gt, points)
     uv_hat = gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3]
     diag = np.hypot(box_gt[:, 2] - box_gt[:, 0], box_gt[:, 3] - box_gt[:, 1])
@@ -88,9 +103,9 @@ def ref_score(pred, gt, points, box_gt, img_diag, intrinsics, iou):
         e_proj = np.linalg.norm(uv - uv_hat, axis=2).mean(axis=1) / diag
     e_proj[behind] = np.inf
     out = {
-        "e_rot": 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(
-            quat_multiply(quat_conj(pred.quat), gt.quat)[:, 1:], axis=1))),
-        "e_trans": np.linalg.norm(pred.translation - gt.translation, axis=1) / t_norm,
+        "e_rot": 2.0 * np.arcsin(np.minimum(1.0, ref_row_norms(
+            ref_relative_quats(pred.quat, gt.quat)[:, 1:]))),
+        "e_trans": ref_row_norms(pred.translation - gt.translation) / t_norm,
         "e_pose": diag / img_diag * avg / t_norm,
         "e_focal": np.abs(gt.focal - pred.focal) / gt.focal,
         "e_proj": e_proj,
@@ -184,6 +199,12 @@ class TestCameraPoints:
         buf = np.full((n, 3, p), np.nan)
         got = camera_points(poses, points, buf)
         assert same(got, want) and np.shares_memory(got, buf)
+        # one cloud per pose: the shared cloud repeated, and n clouds of their own
+        assert same(camera_points(poses, np.broadcast_to(points, (n, p, 3))), want)
+        clouds = rng.uniform(-0.3, 0.3, (n, p, 3))
+        want = np.concatenate([ref_camera_points(poses.take([i]), c)
+                               for i, c in enumerate(clouds)])
+        assert same(camera_points(poses, clouds, buf), want)
 
 
 class TestGroundTruthScore:
@@ -194,11 +215,11 @@ class TestGroundTruthScore:
         points = rng.uniform(-0.1, 0.1, (p, 3))
         gt = random_poses(rng, n)
         box_gt = image_boxes(ref_camera_points(gt, points), INTR)
-        truth = GroundTruth(gt, ModelPoints(points), box_gt, 800.0)
+        truth = GroundTruth(gt, points, box_gt, 800.0)
         for step in range(3):  # the buffers are reused across calls
             pred = random_poses(rng, n, behind=behind if step != 1 else 0)
             for iou in (True, False):
-                got = truth.score(pred, INTR, iou)
+                got = truth.score(pred, INTR if iou else None)
                 want = ref_score(pred, gt, points, box_gt, 800.0, INTR, iou)
                 assert got.keys() == want.keys()
                 for key in want:

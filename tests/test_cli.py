@@ -588,6 +588,22 @@ class TestEvaluate:
         lines = out.read_text().splitlines()
         assert lines[1] == "e_rot,e_trans,e_pose,e_focal,e_proj,iou"
 
+    def test_scoring_failure_is_a_clean_error(self, runner, tmp_path, monkeypatch):
+        """evaluate scores the whole file through the name cli.evaluate_pair, called
+        once: a DomainError it raises is a clean exit 1 naming the fault, and no output."""
+        calls = []
+
+        def failing(pairs):
+            calls.append(pairs)
+            raise DomainError("x")
+
+        monkeypatch.setattr(cli, "evaluate_pair", failing)
+        path = self.write_pairs(tmp_path, [self.header(), self.pair(), self.pair()])
+        res = runner.invoke(main, ["evaluate", str(path), "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "x" in res.output and len(calls) == 1
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestGradcheck:
     def test_passes_with_report(self, runner, tmp_path):

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from posefocal.errors import DegenerateInputError, DepthError, DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
-                                ParamState, Rotation,
-                                adjust_intrinsics_for_crop, bbox_iou,
+                                ParamState, PoseBatch, Rotation,
+                                adjust_intrinsics_for_crop,
                                 compute_crop, geodesic_angles, geodesic_distance,
                                 project_point, project_points,
                                 quats_from_6d, quats_to_matrices,
                                 rotation_from_6d)
 from posefocal.losses import rotation_6d_jacobian
+from posefocal.metrics import GroundTruth
 
 F600 = CameraIntrinsics(600.0, 0.0, 0.0)
 IDENT = Rotation.identity()
@@ -219,6 +220,14 @@ class TestGeodesicDistance:
 # ---------------------------------------------------------------------------
 # Bounding boxes and crop
 # ---------------------------------------------------------------------------
+
+def bbox_iou(a: BBox, b: BBox) -> float:
+    """The IoU of predicted box b with ground-truth box a, as GroundTruth scores it."""
+    pose = PoseBatch(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]),
+                     np.array([600.0]))
+    truth = GroundTruth(pose, np.zeros((1, 3)), np.array([a.as_list()]), 800.0)
+    return float(truth.score(pose, bbox_pred=np.array([b.as_list()]))["iou"][0])
+
 
 class TestBBoxIoU:
     def test_identical(self):

@@ -15,9 +15,10 @@ import pytest
 
 from posefocal import cli, sampling
 from posefocal.errors import DomainError, reading
-from posefocal.geometry import BBox, ModelPoints, ParamState, PoseBatch, Rotation
-from posefocal.metrics import EvalPair
+from posefocal.geometry import BBox, ModelPoints, ParamState, PoseBatch, Rotation, row_dot
 from posefocal.sampling import load_annotations
+
+from test_metrics import EvalPair
 
 # ---------------------------------------------------------------------------
 # The former readers
@@ -279,6 +280,20 @@ def pairs_bits(pairs) -> bytes:
         for p in pairs)
 
 
+def columns_bits(pairs: dict) -> bytes:
+    """``pairs_bits`` of the pair reader's columns, row by row, with the ground-truth
+    distance computed as GroundTruth computes it: sqrt(t.t) of each row."""
+    pred, gt = pairs["pred"], pairs["gt"]
+    gt_distance = np.sqrt(row_dot(gt.translation, gt.translation))
+    return b"".join(
+        b"".join(np.asarray(a[i], dtype=float).tobytes() for p in (pred, gt)
+                 for a in (p.quat, p.translation, p.focal))
+        + pairs["points"][i].tobytes()
+        + np.array([*pairs["bbox_gt"][i], pairs["img_diag"][i], gt_distance[i]]).tobytes()
+        + (b"none" if np.isnan(pairs["bbox_pred"][i]).all() else pairs["bbox_pred"][i].tobytes())
+        for i in range(len(gt)))
+
+
 def annotation_bits(columns) -> bytes:
     poses, img_wh, bbox = columns
     return pose_bits(poses) + img_wh.tobytes() + bbox.tobytes()
@@ -339,7 +354,7 @@ def test_pairs_match_the_former_reader(tmp_path):
     path, results = tmp_path / "pairs.jsonl", []
     for text in corpus(pair_doc, N_CASES, seed=2, header=header_doc):
         path.write_text(text)
-        new = outcome(lambda: pairs_bits(cli._load_pairs(path)))
+        new = outcome(lambda: columns_bits(cli._load_pairs(path)))
         assert new == old_outcome(lambda: pairs_bits(old_load_pairs(path))), text
         results.append(new)
     assert_both_outcomes(results)

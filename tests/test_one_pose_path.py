@@ -1,15 +1,14 @@
-"""The one-pose path on Python floats rounds exactly as the NumPy formulas
-it replaced: each reference below is that NumPy formula, kept here, and
-every comparison is bit for bit."""
+"""The one-pose path on Python floats, and the metrics of each pair in a batch, round
+exactly as the one-pose NumPy formulas they replaced: each reference below is that
+NumPy formula, kept here, and every comparison is bit for bit."""
 
 import numpy as np
 import pytest
 
-from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
+from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                                 Rotation, project_point, project_points,
                                 rotation_from_6d)
-from posefocal.metrics import (EvalPair, err_focal, err_pose, err_proj, err_rot,
-                               err_trans, evaluate_pair)
+from posefocal.metrics import evaluate_pair
 from posefocal.update_rules import DeltaTheta, apply_update, oracle_delta
 
 N = 2000
@@ -113,13 +112,12 @@ def ref_oracle_delta(state, target):
             r_rel[:, 0], r_rel[:, 1], float(np.log(fh / f)))
 
 
-def ref_metrics(pair):
-    pred, gt, pts = pair.pred, pair.gt, pair.points.points
+def ref_metrics(pred, gt, pts, bbox_gt, img_diag):
     q_rel = ref_compose(ref_inverse(pred.rotation.quat), gt.rotation.quat)
     norm = np.linalg.norm(gt.translation)
     cam = pts @ ref_matrix(pred.rotation.quat).T + pred.translation
     cam_hat = pts @ ref_matrix(gt.rotation.quat).T + gt.translation
-    diag = pair.bbox_gt.diagonal
+    diag = float(np.hypot(bbox_gt[2] - bbox_gt[0], bbox_gt[3] - bbox_gt[1]))
     if np.any(cam[:, 2] <= 0):
         e_proj = np.inf
     else:
@@ -129,7 +127,7 @@ def ref_metrics(pair):
     return {
         "e_rot": float(2.0 * np.arcsin(min(1.0, np.linalg.norm(q_rel[1:])))),
         "e_trans": float(np.linalg.norm(pred.translation - gt.translation) / norm),
-        "e_pose": float(diag / pair.img_diag
+        "e_pose": float(diag / img_diag
                         * np.linalg.norm(cam - cam_hat, axis=1).mean() / norm),
         "e_focal": abs(gt.focal - pred.focal) / gt.focal,
         "e_proj": e_proj,
@@ -225,10 +223,11 @@ class TestBitIdentity:
                     == bits(ref(p[None]))
 
     def test_errors_and_evaluate_pair(self, rng):
+        """All N pairs scored at once by evaluate_pair, with no predicted box."""
         cloud = ModelPoints(rng.uniform(-0.1, 0.1, (30, 3)))
         half_turns = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.6, -0.8, 0.0]]
         qs = random_quats(rng, N)
-        kinds = set()
+        preds, gts = [], []
         for i, (q, qh) in enumerate(zip(qs, qs[::-1])):
             pred, gt = random_state(rng, q), random_state(rng, qh)
             if i % 10 == 0:  # an exact half-turn away from the ground truth
@@ -236,14 +235,17 @@ class TestBitIdentity:
                                   pred.focal)
             if i % 10 == 1:  # the prediction behind the camera
                 pred = ParamState(pred.rotation, pred.translation * [1, 1, -1], pred.focal)
-            pair = EvalPair(pred, gt, cloud, BBox(0, 0, 60 + i % 7, 80), 800.0)
-            ref = ref_metrics(pair)
+            preds.append(pred)
+            gts.append(gt)
+        boxes = [[0.0, 0.0, 60.0 + i % 7, 80.0] for i in range(N)]
+        got = evaluate_pair({"pred": PoseBatch.from_states(preds),
+                             "gt": PoseBatch.from_states(gts), "points": [cloud.points] * N,
+                             "bbox_gt": np.array(boxes), "img_diag": np.full(N, 800.0),
+                             "bbox_pred": np.full((N, 4), np.nan)})
+        assert np.isnan(got.pop("iou")).all()
+        kinds = set()
+        for i in range(N):
+            ref = ref_metrics(preds[i], gts[i], cloud.points, boxes[i], 800.0)
             kinds.add((ref["e_proj"] == np.inf, ref["e_rot"] > 3.14159))
-            got = {"e_rot": err_rot(pair), "e_trans": err_trans(pair),
-                   "e_pose": err_pose(pair), "e_focal": err_focal(pair),
-                   "e_proj": err_proj(pair)}
-            assert bits(*got.values()) == bits(*ref.values())
-            record = evaluate_pair(pair)
-            assert record.pop("iou") is None
-            assert bits(*record.values()) == bits(*ref.values())
+            assert bits(*(got[f][i] for f in ref)) == bits(*ref.values())
         assert kinds >= {(True, False), (False, True), (False, False)}

@@ -13,13 +13,14 @@ from posefocal.errors import DomainError
 from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
                                 PoseBatch, Rotation, geodesic_distance,
                                 project_point, rotation_from_6d)
-from posefocal.metrics import EvalPair, evaluate_pair
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
                                  OraclePredictor, projected_bbox,
                                  run_experiment, run_refinement)
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update,
                                     init_state, oracle_delta)
+
+from test_metrics import EvalPair, scalar_evaluate_pair
 
 POINTS = ModelPoints(np.random.default_rng(0).uniform(-0.1, 0.1, (50, 3)))
 INTR = CameraIntrinsics(600.0, 0.0, 0.0)
@@ -321,9 +322,9 @@ def reference_trial(predictor, target, legacy, seed, iterations):
             bbox_pred = projected_bbox(state, POINTS, INTR)
         except DomainError:
             bbox_pred = None
-        return evaluate_pair(EvalPair(pred=state, gt=target, points=POINTS,
-                                      bbox_gt=bbox, img_diag=IMG_DIAG,
-                                      bbox_pred=bbox_pred))
+        return scalar_evaluate_pair(EvalPair(pred=state, gt=target, points=POINTS,
+                                             bbox_gt=bbox, img_diag=IMG_DIAG,
+                                             bbox_pred=bbox_pred))
 
     xc, yc = 0.5 * (bbox.x1 + bbox.x2), 0.5 * (bbox.y1 + bbox.y2)
     state = ParamState(Rotation.identity(), np.array([(xc - INTR.cx) / INTR.focal,
