@@ -20,15 +20,16 @@ from datetime import datetime, timezone
 from functools import cache
 from itertools import chain, count, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, read_jsonl, reading
+from .errors import DomainError, by_columns, number_columns, read_columns, reading, require
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
-                       Rotation)
+                       Rotation, check_boxes, row_dot)
 from .metrics import (GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair,
                       to_records)
 from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
@@ -36,6 +37,7 @@ from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
 _CONTAINERS = (dict, list, tuple)  # what write_json lays out itself
+_POSE_FIELDS = itemgetter("quat_wxyz", "t_m", "focal_px")  # of ParamState.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +202,9 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
             sampling.Gaussian2DParams.from_dict(doc["xy"]),
             sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
-        with np.errstate(over="ignore"):  # as in read_jsonl: Rotation rejects the overflow
-            poses = sampling.annotation_columns(map(sampling.annotation_row, doc["records"]))[0]
+        records = doc["records"]
+        poses = by_columns(lambda: sampling.annotation_fields(records), lambda: (
+            sampling.annotation_columns(map(sampling.annotation_row, records))))[0]
         return sampling.sample_pose_nonparametric(
             poses, sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
@@ -362,11 +365,14 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")
         path = cfg["path"]
-        states = read_jsonl(path, lambda doc: None if "manifest" in doc
-                            else ParamState.from_dict(doc))
-        if len(states) < n:
-            raise DomainError(f"{path}: target file has {len(states)} poses, need {n}")
-        return PoseBatch.from_states(states[:n])
+        poses = read_columns(
+            path, lambda docs: PoseBatch.from_columns(*number_columns(map(
+                _POSE_FIELDS, (d for d in docs if "manifest" not in d)), (4,), (3,), ())),
+            lambda doc: None if "manifest" in doc else ParamState.from_dict(doc),
+            PoseBatch.from_states)
+        if len(poses) < n:
+            raise DomainError(f"{path}: target file has {len(poses)} poses, need {n}")
+        return poses.take(slice(n))
     from .sampling import sample_pose_uniform
     return sample_pose_uniform(_uniform_ranges(cfg, "config field targets/"), n,
                                np.random.SeedSequence(seed).spawn(1)[0])
@@ -432,17 +438,14 @@ def simulate(config_path, out, fmt):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_pairs(path) -> dict:
-    """Read a JSON-lines pair file into the columns that :func:`evaluate_pair` scores.
-
-    A leading {"model_points": {name: [[x,y,z], ...]}} line defines shared
-    point clouds; pair lines reference them by name or carry inline points.
-    """
+def _pair_clouds():
+    """A function of a pair file's values in file order: None for a manifest or a
+    {"model_points": {name: [[x,y,z], ...]}} line, whose shared clouds it keeps, and
+    otherwise the pair's cloud, named or inline."""
     point_sets: dict[str, np.ndarray] = {}
     index = count()  # of the next pair; a failed line ends the read
-    no_box = [math.nan] * 4
 
-    def pair(doc):
+    def cloud(doc):
         if "manifest" in doc:
             return None
         if "model_points" in doc and "pred" not in doc:
@@ -453,9 +456,25 @@ def _load_pairs(path) -> dict:
         if isinstance(pts_field, str):
             if pts_field not in point_sets:
                 raise DomainError(f"pair {k}: unknown model-points reference {pts_field!r}")
-            points = point_sets[pts_field]
-        else:
-            points = ModelPoints(np.asarray(pts_field, dtype=float)).points
+            return point_sets[pts_field]
+        return ModelPoints(np.asarray(pts_field, dtype=float)).points
+
+    return cloud
+
+
+def _load_pairs(path) -> dict:
+    """Read a JSON-lines pair file into the columns that :func:`evaluate_pair` scores.
+
+    A leading {"model_points": {name: [[x,y,z], ...]}} line defines shared
+    point clouds; pair lines reference them by name or carry inline points.
+    The file is read column-wise, and line by line where a line is malformed.
+    """
+    no_box = [math.nan] * 4
+    row_cloud = _pair_clouds()
+
+    def pair(doc):
+        if (points := row_cloud(doc)) is None:
+            return None
         pred, gt = ParamState.from_dict(doc["pred"]), ParamState.from_dict(doc["gt"])
         bbox_gt = BBox(*[float(v) for v in doc["bbox_gt"]]).as_list()
         img_diag = float(doc["img_diag"])
@@ -467,13 +486,35 @@ def _load_pairs(path) -> dict:
             raise DomainError(GT_NORM_ERROR)
         return pred, gt, points, bbox_gt, img_diag, bbox_pred
 
-    rows = read_jsonl(path, pair)
-    if not rows:
-        raise DomainError(f"no evaluation pairs in {path}")
-    pred, gt, points, bbox_gt, img_diag, bbox_pred = zip(*rows)
-    return {"pred": PoseBatch.from_states(pred), "gt": PoseBatch.from_states(gt),
-            "points": points, "bbox_gt": np.array(bbox_gt), "img_diag": np.array(img_diag),
-            "bbox_pred": np.array(bbox_pred)}
+    def columns(docs):
+        cloud = _pair_clouds()
+
+        def rows():
+            for doc in docs:
+                if (points := cloud(doc)) is not None:
+                    box = doc.get("bbox_pred")
+                    yield (points, *_POSE_FIELDS(doc["pred"]), *_POSE_FIELDS(doc["gt"]),
+                           doc["bbox_gt"], doc["img_diag"], no_box if box is None else box,
+                           box is not None)
+
+        points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred, given = number_columns(
+            rows(), None, (4,), (3,), (), (4,), (3,), (), (4,), (), (4,), None)
+        gt = PoseBatch.from_columns(gq, gt_t, gf)
+        norm2 = row_dot(gt.translation, gt.translation)
+        require(np.isfinite(img_diag) & (img_diag > 0) & (0 < norm2) & (norm2 < np.inf))
+        return {"pred": PoseBatch.from_columns(pq, pt, pf), "gt": gt, "points": tuple(points),
+                "img_diag": img_diag, "bbox_gt": check_boxes(bbox_gt),
+                "bbox_pred": check_boxes(bbox_pred, given)}
+
+    def assemble(rows):
+        if not rows:
+            raise DomainError(f"no evaluation pairs in {path}")
+        pred, gt, points, bbox_gt, img_diag, bbox_pred = zip(*rows)
+        return {"pred": PoseBatch.from_states(pred), "gt": PoseBatch.from_states(gt),
+                "points": points, "bbox_gt": np.array(bbox_gt), "img_diag": np.array(img_diag),
+                "bbox_pred": np.array(bbox_pred)}
+
+    return read_columns(path, columns, pair, assemble)
 
 
 @main.command("evaluate")

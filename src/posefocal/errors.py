@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and the readers that name the
-input a malformed file's error comes from."""
+"""Exception types shared across the package, the readers that name the input a
+malformed file's error comes from, and the column-wise reads that fall back to them."""
 
 import json
 from contextlib import contextmanager
+from itertools import chain, islice
 
 import numpy as np
 
 _READ_ERRORS = (OSError, LookupError, TypeError, ValueError, AttributeError, OverflowError,
                RecursionError)  # what malformed input makes parsing and the constructors raise
+READ_BLOCK = 1024  # rows that a column-wise read holds as Python values before making arrays
 
 
 class DomainError(ValueError):
@@ -41,6 +43,51 @@ def reading(where: str):
         raise DomainError(f"{where}: missing field {exc}") from exc
     except _READ_ERRORS as exc:
         raise DomainError(f"{where}: {exc}") from exc
+
+
+def number_columns(rows, *shapes) -> list:
+    """The columns of ``rows``, an iterator of tuples: for each shape, one float array
+    (N, *shape), for each None, a list of the values. A ValueError unless each shaped column
+    holds ints and floats of that shape (a string, an object, a ragged list or a block of
+    bools does not). Rows are gathered READ_BLOCK at a time, so that one block's Python
+    values at most are alive at once."""
+    parts = [[] for _ in shapes]
+    for block in iter(lambda: list(islice(rows, READ_BLOCK)), []):
+        for part, values, shape in zip(parts, zip(*block), shapes):
+            if shape is not None:
+                values = np.array(values)
+                if values.dtype.kind not in "fi" or values.shape != (len(block), *shape):
+                    raise ValueError("not a column of numbers")
+            part.append(values)
+    return [np.concatenate(part).astype(float, copy=False) if shape is not None
+            else list(chain.from_iterable(part)) for part, shape in zip(parts, shapes)]
+
+
+def require(ok):
+    if not np.all(ok):
+        raise ValueError("a row breaks a check")
+
+
+def by_columns(columns, rows):
+    """``columns()``, or ``rows()`` should that raise what malformed input raises. Built
+    column-wise, ``columns`` must reject all that the row-by-row read ``rows`` rejects and give
+    its bits on the rest, so that every accepted value and message is the row-by-row read's."""
+    with np.errstate(over="ignore"):  # as in read_jsonl
+        try:
+            return columns()
+        except _READ_ERRORS:
+            pass
+        return rows()
+
+
+def read_columns(path, columns, row, assemble):
+    """:func:`by_columns` of ``columns`` of the values of the UTF-8 JSON-lines file ``path``'s
+    non-blank lines, each parsed once, with ``assemble(read_jsonl(path, row))``, which names the
+    first bad line, as the row-by-row read."""
+    def parsed():
+        with open(path, encoding="utf-8") as fh:
+            return columns(json.loads(line) for line in fh if line.strip())
+    return by_columns(parsed, lambda: assemble(read_jsonl(path, row)))
 
 
 def read_jsonl(path, row) -> list:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DepthError, DomainError
+from .errors import DegenerateInputError, DepthError, DomainError, require
 
 _DEGENERATE_TOL = 1e-12
 _PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see gram_schmidt_6d
@@ -135,6 +135,13 @@ class BBox:
 
     def as_list(self) -> list:
         return [self.x1, self.y1, self.x2, self.y2]
+
+
+def check_boxes(box: np.ndarray, given=True) -> np.ndarray:
+    """Boxes (N, 4), checked as BBox checks its corners in the rows ``given``: a ValueError
+    where one is not a box."""
+    require((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]) | np.logical_not(given))
+    return box
 
 
 @dataclass(frozen=True)
@@ -329,6 +336,15 @@ class PoseBatch:
         return cls(np.array([s.rotation.quat for s in states]),
                    np.array([s.translation for s in states]),
                    np.array([s.focal for s in states], dtype=float))
+
+    @classmethod
+    def from_columns(cls, quat, translation, focal) -> "PoseBatch":
+        """The poses ParamState.from_dict reads, from the float columns (N, 4), (N, 3) and (N,)
+        of its fields, its checks made column-wise: a ValueError where a quaternion's norm is
+        not in [1e-12, inf). Rows are normalized as Rotation normalizes them, bit for bit."""
+        norm = np.sqrt(row_dot(quat, quat))
+        require((_DEGENERATE_TOL <= norm) & (norm < np.inf))
+        return cls(quat / norm[:, None], translation, focal)
 
     def __len__(self) -> int:
         return len(self.focal)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, DomainError, read_jsonl
-from .geometry import (BBox, ParamState, PoseBatch, Rotation, geodesic_angles,
+from .errors import DegenerateFitError, DomainError, number_columns, read_columns, require
+from .geometry import (BBox, ParamState, PoseBatch, Rotation, check_boxes, geodesic_angles,
                        quat_multiply, quat_unit, quats_from_axis_angle)
 
 Z_CLAMP = -900.0  # concentration floor; keeps the normalization constant finite
@@ -298,6 +299,15 @@ def annotation_columns(rows) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
     return PoseBatch(a[:, :4], a[:, 4:7], a[:, 7]), a[:, 8:10], a[:, 10:]
 
 
+def annotation_fields(docs) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
+    """:func:`annotation_columns` of annotation dicts' :func:`annotation_row`, built
+    column-wise: an error where a record is not one that annotation_row takes."""
+    quat, t, f, img_wh, bbox = number_columns(map(itemgetter(
+        "quat_wxyz", "t_m", "f_px", "img_wh", "bbox"), docs), (4,), (3,), (), (2,), (4,))
+    require((img_wh != 0) & (img_wh != 1))  # a bool reads as 0 or 1: left to annotation_row
+    return PoseBatch.from_columns(quat, t, f), img_wh, check_boxes(bbox)
+
+
 def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> list[dict]:
     """The annotations in these columns as the dicts :func:`annotation_row` reads."""
     columns = (poses.quat, poses.translation, poses.focal, img_wh, bbox)
@@ -308,7 +318,7 @@ def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> 
 def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
     """Read a JSON-lines annotation file as :func:`annotation_columns`; errors
     carry the line number."""
-    return annotation_columns(read_jsonl(path, annotation_row))
+    return read_columns(path, annotation_fields, annotation_row, annotation_columns)
 
 
 def fit_translation_focal(poses: PoseBatch) -> tuple[Gaussian2DParams, Gaussian2DParams]:

@@ -1,7 +1,10 @@
 """The one JSON-lines reader (errors.read_jsonl) against the three per-file loops it
 replaced: on seeded corpora of mutated lines, each reader gives bit-identical arrays or
 the same error message. The references below are the former readers, kept verbatim but
-for the annotation reader's messages, which now take the form the other two give."""
+for the annotation reader's messages, which now take the form the other two give.
+Then each reader's column-wise read against its row-by-row read (errors.read_jsonl
+with the row functions), on long files with one fault deep inside and on valid files
+of edge values, and a check that clean files do not fall back."""
 
 import json
 import math
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from posefocal import cli, sampling
+from posefocal import cli, errors, sampling
 from posefocal.errors import DomainError, reading
 from posefocal.geometry import BBox, ModelPoints, ParamState, PoseBatch, Rotation, row_dot
 from posefocal.sampling import load_annotations
@@ -436,3 +439,224 @@ def test_errors_the_former_readers_let_through_are_named(tmp_path, line):
         with pytest.raises(DomainError) as caught:
             read(path)
         assert str(caught.value).startswith(where)
+
+
+# ---------------------------------------------------------------------------
+# The column-wise reads against the row-by-row read they fall back to
+# ---------------------------------------------------------------------------
+
+DELTAS = {"delta_r_rad": 0.1, "delta_x_m": 0.01, "delta_y_m": 0.01, "delta_z_m": 0.1,
+          "delta_f_px": 50.0}
+
+
+def read_targets(path, lines):
+    # every target line but the one the test changed
+    n = max(sum(1 for line in lines if line.strip() and "manifest" not in line) - 1, 1)
+    return pose_bits(cli._load_targets({"kind": "file", "path": str(path)}, n, 0))
+
+
+def read_records(path, lines):
+    """sample's read of a nonparametric file's records, the file's parsable lines; the
+    sampler hands back the poses it is given (patched by the test)."""
+    records = []
+    for line in lines:
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            pass
+    with reading(str(path)):
+        return pose_bits(cli._draw_poses({"kind": "nonparametric", "records": records,
+                                          "deltas": DELTAS}, 0, 0))
+
+
+# reader: (line maker, header maker, read(path, lines) -> bits)
+READERS = {
+    "targets": (target_doc, None, read_targets),
+    "pairs": (pair_doc, header_doc, lambda path, _: columns_bits(cli._load_pairs(path))),
+    "annotations": (annotation_doc, None,
+                    lambda path, _: annotation_bits(load_annotations(path))),
+    "sample-records": (annotation_doc, None, read_records),
+}
+
+
+@pytest.fixture
+def both_reads(monkeypatch, tmp_path):
+    """read(reader, lines) -> (outcome of the reader on a file of ``lines``, outcome of its
+    row-by-row read alone: errors.by_columns with the column-wise read left out). Blocks of
+    7 rows, so that a file's columns are built from many blocks."""
+    monkeypatch.setattr(sampling, "sample_pose_nonparametric", lambda poses, *_: poses)
+    monkeypatch.setattr(errors, "READ_BLOCK", 7)
+    path = tmp_path / "in.jsonl"
+
+    def rows_only(columns, rows):
+        with np.errstate(over="ignore"):
+            return rows()
+
+    def read(reader, lines):
+        path.write_text("\n".join(lines) + "\n")
+        new = outcome(lambda: READERS[reader][2](path, lines))
+        with monkeypatch.context() as m:
+            m.setattr(errors, "by_columns", rows_only)
+            m.setattr(cli, "by_columns", rows_only)
+            return new, outcome(lambda: READERS[reader][2](path, lines))
+
+    read.path = path
+    return read
+
+
+def long_file(reader, rng):
+    """50 to 300 valid lines, after a header line for pairs, and a manifest line in half
+    the files."""
+    make, header, _ = READERS[reader]
+    lines = [json.dumps(make(rng)) for _ in range(rng.randint(50, 300))]
+    if header is not None:
+        lines.insert(0, json.dumps(header(rng)))
+    if reader in ("targets", "pairs") and rng.random() < 0.5:
+        lines.insert(0, json.dumps({"manifest": {"seed": 0}}))
+    return lines
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_deep_fault_is_named_at_its_line(both_reads, reader):
+    """Long valid files with one mutated or odd line in their second half: the column-wise
+    read gives the row-by-row read's outcome, and an error names the line."""
+    rng, named = random.Random(5), 0
+    for _ in range(40):
+        lines = long_file(reader, rng)
+        spot = rng.randrange(len(lines) // 2, len(lines))
+        lines[spot] = (rng.choice(ODD_LINES) if rng.random() < 0.2
+                       else json.dumps(mutate(READERS[reader][0](rng), rng)))
+        new, row_by_row = both_reads(reader, lines)
+        assert new == row_by_row, lines[spot]
+        if new[0] == "error" and reader != "sample-records":
+            assert new[1].startswith(f"{both_reads.path} line {spot + 1}: "), new
+            named += 1
+    assert named > 10 or reader == "sample-records"
+
+
+TINY = math.ulp(1e-12)
+EDGE_VALUES = [0, 1, -1, 7, 600, 2**53 + 1, -(2**53 + 1), 2**63 - 1, 2**63 + 1025, 2**64 + 1,
+               -(2**63) - 1, True, False, "600", "1.5", "-0.0", -0.0, 0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-12 - TINY, 1e-12, 1e-12 + TINY, 1e308]
+# quaternions whose norm is 1e-12 or one ulp either side of it, and one of a subnormal
+EDGE_QUATS = [[1e-12 - TINY, 0, 0, 0], [1e-12, 0, 0, 0], [1e-12 + TINY, 0, 0, 0],
+              [0, -(1e-12 - TINY), 0, 0], *([v] * 4 for v in (5e-13 - TINY / 2, 5e-13,
+                                                              5e-13 + TINY / 2)),
+              [5e-324, 0, 0, 0], [1, 0, 0, 0], [True, 0, 0, 0], [1e154, 1e154, 1e154, 1e154]]
+# translations whose t.t is zero, subnormal, or about to overflow or past it
+EDGE_TRANSLATIONS = [[0, 0, 0], [0.0, -0.0, 0.0], [5e-324, 0, 0], [1.5e-162, 0, 0],
+                     [1.3e154, 0, 0], [1.35e154, 0, 0], [1e154, 1e154, 1e154], [2**600, 0, 1]]
+# boxes that are all NaN, empty, one ulp wide, infinite or subnormal
+EDGE_BOXES = [[math.nan] * 4, [0, 0, 0, 0], [1, 2, 1.0000000000000002, 2.0000000000000004],
+              [-math.inf, -math.inf, math.inf, math.inf], [0, 0, 5e-324, 5e-324]]
+# one field of every line made one shorter or longer, or nested one level deeper
+RESHAPES = [lambda v: v[:-1] if isinstance(v, list) else [],
+            lambda v: v + [0] if isinstance(v, list) else [v, 0], lambda v: [v]]
+
+
+def numeric_paths(node, path=()):
+    """The paths to the numbers (not bools) in a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, value in items for p in numeric_paths(value, (*path, key))]
+    return [path] if type(node) in (int, float) else []
+
+
+def set_at(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def get_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def edge_file(reader, rng):
+    """A long file whose lines hold edge values: at up to three random numbers, as one
+    quaternion, translation and box in half the files each, at one field of every line
+    in a third of the files (an all-int or all-bool column, say), as one field of every line
+    reshaped in some, and as a 400-digit integer on line 200 in some."""
+    lines = [json.loads(line) for line in long_file(reader, rng)]
+    docs = [doc for doc in lines if "manifest" not in doc and "model_points" not in doc]
+    if rng.random() < 0.33:
+        column, value = rng.choice(numeric_paths(docs[-1])), rng.choice(EDGE_VALUES)
+        for doc in docs:
+            if column in numeric_paths(doc):
+                set_at(doc, column, value)
+    for _ in range(rng.randint(0, 3)):
+        doc = rng.choice(docs)
+        set_at(doc, rng.choice(numeric_paths(doc)), rng.choice(EDGE_VALUES))
+    if rng.random() < 0.2:
+        fields = {p[:-1] if isinstance(p[-1], int) else p for p in numeric_paths(docs[-1])}
+        field, reshape = rng.choice(sorted(fields, key=str)), rng.choice(RESHAPES)
+        for doc in docs:
+            if any(p[:len(field)] == field for p in numeric_paths(doc)):
+                set_at(doc, field, reshape(get_at(doc, field)))
+    for key, values in (("quat_wxyz", EDGE_QUATS), ("t_m", EDGE_TRANSLATIONS),
+                        ("bbox", EDGE_BOXES)):
+        doc = rng.choice(docs)
+        paths = [p[:-1] for p in numeric_paths(doc) if any(str(k).startswith(key) for k in p)]
+        if paths and rng.random() < 0.5:
+            set_at(doc, rng.choice(paths), rng.choice(values))
+    if len(lines) >= 200 and rng.random() < 0.2:
+        set_at(lines[199], rng.choice(numeric_paths(lines[199])), int(BIG))
+    return [json.dumps(doc) for doc in lines]
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_edge_values_match_the_row_by_row_read(both_reads, reader):
+    """Ints (past 2**53, 2**63 and 2**64 too), bools among floats and on their own, numeric
+    strings, -0.0, subnormals, quaternion norms one ulp either side of 1e-12 and
+    translations whose t.t is zero or overflows: each file gives the row-by-row read's bits
+    or message."""
+    rng, results, big_ints = random.Random(6), [], 0
+    for _ in range(50):
+        lines = edge_file(reader, rng)
+        new, row_by_row = both_reads(reader, lines)
+        assert new == row_by_row, lines
+        results.append(new[0])
+        big_ints += len(lines) >= 200 and BIG in lines[199]
+    assert {"ok", "error"} <= set(results)
+    assert results.count("ok") > 10 and big_ints > 0
+
+
+DEGENERATE = ([60, 80, 0, 0], "degenerate bbox (60.0, 80.0, 0.0, 0.0)")
+# reader: (field, bad value, the constructors' message); an all-NaN predicted box is not a
+# missing one
+BAD_LINES = {"targets": [("focal_px", -1.0, "focal length must be positive, got -1.0")],
+             "pairs": [("bbox_gt", *DEGENERATE), ("bbox_pred", [math.nan] * 4,
+                                                   "degenerate bbox (nan, nan, nan, nan)")],
+             "annotations": [("bbox", *DEGENERATE)], "sample-records": [("bbox", *DEGENERATE)]}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_clean_files_take_the_column_path(both_reads, monkeypatch, reader):
+    """With the row-by-row read's constructors made to raise, a clean file still gives its
+    bits; a file with one bad line still gives the constructors' message, naming the line."""
+    rng = random.Random(8)
+    lines = long_file(reader, rng)
+    lines.insert(len(lines) // 2, "")
+    expected = both_reads(reader, lines)
+    assert expected[0][0] == "ok"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row-by-row read ran")
+
+    with monkeypatch.context() as m:
+        for owner, name in ((ParamState, "from_dict"), (Rotation, "__post_init__"),
+                            (cli, "BBox"), (sampling, "annotation_row")):
+            m.setattr(owner, name, refuse)
+        both_reads.path.write_text("\n".join(lines) + "\n")
+        assert outcome(lambda: READERS[reader][2](both_reads.path, lines)) == expected[0]
+    for key, value, message in BAD_LINES[reader]:
+        bad = list(lines)
+        spot = rng.randrange(len(bad) // 2 + 1, len(bad))  # past the blank line
+        doc = json.loads(bad[spot])
+        bad[spot] = json.dumps({**doc, key: value})
+        new, row_by_row = both_reads(reader, bad)
+        where = (f"{both_reads.path}" if reader == "sample-records"
+                 else f"{both_reads.path} line {spot + 1}")
+        assert new == row_by_row == ("error", f"{where}: {message}")
