@@ -30,14 +30,13 @@ from . import __version__
 from .errors import DomainError, by_columns, number_columns, read_columns, reading, require
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation, check_boxes, row_dot)
-from .metrics import (GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair,
-                      to_records)
+from .metrics import GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair
 from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
-_CONTAINERS = (dict, list, tuple)  # what write_json lays out itself
 _POSE_FIELDS = itemgetter("quat_wxyz", "t_m", "focal_px")  # of ParamState.to_dict()
+_RECORD_KEYS = sorted(RECORD_FIELDS)  # as json.dumps(..., sort_keys=True) orders them
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +87,36 @@ def _flat_encoder(depth: int):
     return lambda obj: "".join(encode(obj, 0))
 
 
+class RecordColumns:
+    """Metric columns that write_json lays out as metrics.to_records' records, building none."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def indented(self, depth: int) -> str:
+        """_indented(to_records(self.columns), depth) by one %s template per record."""
+        table = np.column_stack([self.columns[k] for k in _RECORD_KEYS]).ravel()
+        values, inner = table.tolist(), "  " * (depth + 1)
+        for i in np.flatnonzero(~np.isfinite(table)).tolist():  # json's text, a NaN IoU null
+            nan_iou = _RECORD_KEYS[i % len(_RECORD_KEYS)] == "iou" and math.isnan(values[i])
+            values[i] = _flat_encoder(0)(None if nan_iou else values[i])
+        row = f",\n{inner}{{" + ",".join(
+            f"\n{inner}  {encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS) + f"\n{inner}}}"
+        text = row * (len(values) // len(_RECORD_KEYS)) % tuple(values)
+        return f"[{text[1:]}\n{'  ' * depth}]" if values else "[]"
+
+
+_CONTAINERS = (dict, list, tuple, RecordColumns)  # what write_json lays out itself
+
+
 def _indented(obj, depth: int = 0) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) of a value ``depth`` levels deep, string keys:
     one C encoder call per container of scalars, and per list of non-empty flat dicts, whose
     record boundaries a replace re-pads (no encoded scalar holds a raw newline or ends in "}")."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _flat_encoder(0)(obj)
+    if isinstance(obj, RecordColumns):
+        return obj.indented(depth)
     pad, inner, is_dict = "  " * depth, "  " * (depth + 1), isinstance(obj, dict)
     if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
         text = _flat_encoder(depth + 1)(obj)
@@ -528,13 +551,14 @@ def evaluate(pairs_file, out, fmt):
         columns = evaluate_pair(_load_pairs(pairs_file))
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
-    summary, records = aggregate(columns), to_records(columns)
+    summary = aggregate(columns)
     manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":
-        write_json(out, manifest, {"summary": summary, "records": records})
+        write_json(out, manifest, {"summary": summary, "records": RecordColumns(columns)})
     else:
-        rows = [["" if r[f] is None else repr(r[f]) for f in RECORD_FIELDS] for r in records]
-        write_csv(out, manifest, RECORD_FIELDS, rows)
+        ious = ["" if math.isnan(v) else repr(v) for v in columns["iou"].tolist()]
+        write_csv(out, manifest, RECORD_FIELDS, zip(
+            *[map(repr, columns[f].tolist()) for f in METRIC_FIELDS], ious))
     med = summary["medians"]
     click.echo("medians: " + " ".join(f"{f}={med[f]:.6g}" for f in METRIC_FIELDS))
 

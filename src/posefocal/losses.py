@@ -149,6 +149,13 @@ def point_matching_distance(a: ParamState, b: ParamState, points: ModelPoints) -
     return float(np.abs(diff).mean(axis=0).sum())
 
 
+def _finite(name: str, value: float) -> float:
+    """An oracle update component, checked as :class:`DeltaBatch` checks its own."""
+    if not np.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
+
+
 def _rotated_points(state: ParamState, delta: DeltaBatch, points: ModelPoints):
     """Per row, the model points under the updated rotation, pts @ (R_u R)^T
     (K, P, 3), and their derivatives with respect to (v_r1, v_r2), (K, 6, P, 3)."""
@@ -168,13 +175,16 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     grad = np.zeros((len(delta.vx), 10))
 
     # x-y term: only (vx, vy) predicted; the depth ratio is the oracle's.
-    t1 = translation_update_batch(t, f, replace(delta, vz=zh / z), f_hat)
+    vz = _finite("vz", zh / z)
+    if vz <= 0:
+        raise DomainError(f"depth ratio must be positive, got {vz}")
+    t1 = translation_update_batch(t, f, delta.vx, delta.vy, vz, f_hat)
     diff1 = t1 - gt.translation
     grad[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
 
     # depth term: only vz predicted; the centre shift is the oracle's.
-    t2 = translation_update_batch(t, f, replace(delta, vx=f_hat * xh / zh - f * x / z,
-                                                vy=f_hat * yh / zh - f * y / z), f_hat)
+    t2 = translation_update_batch(t, f, _finite("vx", f_hat * xh / zh - f * x / z),
+                                  _finite("vy", f_hat * yh / zh - f * y / z), delta.vz, f_hat)
     diff2 = t2 - gt.translation
     grad[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
 
@@ -217,8 +227,8 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     # with the ground-truth focal. That update is linear in vz, so its
     # vz-derivative is the update at vz = 1.
     t = state.translation[None]
-    t_pose = translation_update_batch(t, state.focal, delta, f_hat)
-    dt_dvz = translation_update_batch(t, state.focal, replace(delta, vz=np.ones(k)), f_hat)
+    t_pose = translation_update_batch(t, state.focal, delta.vx, delta.vy, delta.vz, f_hat)
+    dt_dvz = translation_update_batch(t, state.focal, delta.vx, delta.vy, np.ones(k), f_hat)
     cam = rotated[0] + t_pose[:, None, :]
     cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
     if np.any(cam[..., 2] <= 0) or np.any(cam_hat[:, 2] <= 0):

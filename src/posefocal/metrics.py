@@ -132,8 +132,8 @@ def evaluate_pair(pairs: dict) -> dict:
 
 
 def to_records(columns: dict, rows=slice(None)) -> list[dict]:
-    """The rows of metric columns as one record each, keyed by RECORD_FIELDS, as
-    eval.json and a campaign's trajectories hold them; a NaN IoU is None."""
+    """Metric columns' rows as records keyed by RECORD_FIELDS, a NaN IoU as None, for the
+    simulator's trajectories and run_refinement; eval.json's come from cli.RecordColumns."""
     values = [columns[f][rows].tolist() for f in METRIC_FIELDS]
     ious = [None if math.isnan(v) else v for v in columns["iou"][rows].tolist()]
     return [dict(zip(RECORD_FIELDS, row)) for row in zip(*values, ious)]

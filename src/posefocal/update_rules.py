@@ -177,24 +177,25 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
         raise DomainError(f"focal length must be positive, got {f.min()}")
     f_new = np.exp(delta.vf) * f
     quat = quat_multiply(delta.quat, state.quat)
-    return PoseBatch(quat, translation_update_batch(state.translation, f, delta, f_new,
-                                                    legacy), f_new)
+    return PoseBatch(quat, translation_update_batch(state.translation, f, delta.vx, delta.vy,
+                                                    delta.vz, f_new, legacy), f_new)
 
 
-def translation_update_batch(translation: np.ndarray, f, delta: DeltaBatch, f_new,
+def translation_update_batch(translation: np.ndarray, f, vx, vy, vz, f_new,
                              legacy=False) -> np.ndarray:
-    """Row-wise :func:`apply_translation_update` (the legacy rule where ``legacy``)
-    of translations (N, 3) at focals f; one row of any input fits N rows."""
+    """Row-wise :func:`apply_translation_update` of translations (N, 3) at focals f by unchecked
+    components, the legacy rule where ``legacy`` (not computed if False); one row fits N rows."""
     x, y, z = translation.T
     if np.any(z <= 0):
         raise DomainError(f"object depth must be positive, got {z.min()}")
     if np.any(f_new <= 0):
         raise DomainError(f"updated focal must be positive, got {np.min(f_new)}")
-    z_new = delta.vz * z
-    x_new = np.where(legacy, (delta.vx / f_new + x / z) * z_new,
-                     (delta.vx + f * x / z) * z_new / f_new)
-    y_new = np.where(legacy, (delta.vy / f_new + y / z) * z_new,
-                     (delta.vy + f * y / z) * z_new / f_new)
+    z_new = vz * z
+    x_new = (vx + f * x / z) * z_new / f_new
+    y_new = (vy + f * y / z) * z_new / f_new
+    if legacy is not False:
+        x_new = np.where(legacy, (vx / f_new + x / z) * z_new, x_new)
+        y_new = np.where(legacy, (vy / f_new + y / z) * z_new, y_new)
     return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
 
 

@@ -17,10 +17,11 @@ from click.testing import CliRunner
 
 import posefocal
 from posefocal import cli
-from posefocal.cli import (WRITE_BLOCK, _draw_poses, _indented, _load_targets, main, write_json,
-                           write_jsonl)
+from posefocal.cli import (WRITE_BLOCK, RecordColumns, _draw_poses, _indented, _load_pairs,
+                           _load_targets, main, write_json, write_jsonl)
 from posefocal.errors import DomainError
 from posefocal.geometry import PoseBatch, Rotation
+from posefocal.metrics import RECORD_FIELDS, aggregate, evaluate_pair, to_records
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 
 
@@ -325,6 +326,23 @@ class TestWriteJson:
         assert shapes == {"records", "empty", "list", "dict", "float", "int", "bool", "str",
                           "NoneType"}
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 2000])
+    def test_record_columns_are_their_records(self, n):
+        """RecordColumns is laid out as json.dumps lays out to_records of its columns,
+        at any depth: non-finite values as json writes them, a NaN IoU as null."""
+        rng = np.random.default_rng(n)
+        columns = {f: rng.uniform(0.0, 2.0, n) for f in RECORD_FIELDS}
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1.5e-7]
+        for f in RECORD_FIELDS:
+            rows = rng.random(n) < 0.3
+            columns[f][rows] = rng.choice(special, rows.sum())
+        if n:
+            columns["e_proj"][0], columns["iou"][-1] = math.inf, math.nan
+        for wrap in (lambda r: r, lambda r: {"records": r, "a": 1.0},
+                     lambda r: [{"x": [r]}, {"summary": {"b": [1]}, "y": r}]):
+            assert _indented(wrap(RecordColumns(columns))) == json.dumps(
+                wrap(to_records(columns)), sort_keys=True, indent=2)
+
     def test_cli_outputs_re_dump_to_the_same_bytes(self, runner, annotations, tmp_path):
         """Each JSON output of a CLI run is what json.dumps(indent=2) makes of it."""
         evaluate = TestEvaluate()
@@ -587,6 +605,30 @@ class TestEvaluate:
         assert res.exit_code == 0, res.output
         lines = out.read_text().splitlines()
         assert lines[1] == "e_rot,e_trans,e_pose,e_focal,e_proj,iou"
+
+    def test_outputs_are_the_records_of_the_columns(self, runner, tmp_path):
+        """eval.json is json.dumps of the manifest, to_records of the metric columns and
+        their summary, and the CSV holds the repr of each record value, "" for no IoU:
+        one prediction behind the camera (e_proj inf), one without a box, one plain."""
+        behind = dict(self.GT, t_m=[0.1, -0.1, -1.5])
+        path = self.write_pairs(tmp_path, [self.header(), self.pair(behind),
+                                           dict(self.pair(), bbox_pred=None), self.pair()])
+        columns = evaluate_pair(_load_pairs(path))
+        records = to_records(columns)
+        assert records[0]["e_proj"] == math.inf and records[1]["iou"] is None
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"eval.{fmt}"
+            res = runner.invoke(main, ["evaluate", str(path), "--out", str(out),
+                                       "--format", fmt])
+            assert res.exit_code == 0, res.output
+            text = out.read_bytes().decode()
+            if fmt == "json":
+                assert text == json.dumps({"manifest": json.loads(text)["manifest"],
+                                           "records": records, "summary": aggregate(columns)},
+                                          sort_keys=True, indent=2) + "\n"
+            else:
+                assert text.splitlines()[2:] == [",".join(
+                    "" if r[f] is None else repr(r[f]) for f in RECORD_FIELDS) for r in records]
 
     def test_scoring_failure_is_a_clean_error(self, runner, tmp_path, monkeypatch):
         """evaluate scores the whole file through the name cli.evaluate_pair, called

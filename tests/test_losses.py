@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from posefocal.errors import DomainError
+from posefocal.errors import DepthError, DomainError
 from posefocal.geometry import ModelPoints, ParamState, Rotation
 from posefocal.losses import (GRAD_LABELS, LossWeights, _evaluate,
                               disentangled_pose_loss,
@@ -374,3 +374,33 @@ class TestRowWiseEvaluation:
             numeric = gradient_check(state, delta, gt, pts, step=h)["numeric"]
             np.testing.assert_allclose([numeric[k] for k in GRAD_LABELS], expected,
                                        rtol=0, atol=1e-8)
+
+
+class TestDomainErrors:
+    """The messages of a loss pass outside the loss's domain. The x-y and depth terms
+    apply the oracle's depth ratio and centre shift, each checked as a DeltaBatch
+    component, in that order; the first case is a ground truth at non-positive depth
+    whose cloud still lies in front of the camera, which only those checks catch."""
+
+    FRONT = ModelPoints(np.random.default_rng(0).uniform([-0.1, -0.1, 0.1], [0.1, 0.1, 0.2],
+                                                         (8, 3)))
+
+    @pytest.mark.parametrize("state_t, gt_t, error, message", [
+        ((0, 0, 1), (0, 0, -0.05), DomainError, "depth ratio must be positive, got -0.05"),
+        ((0, 0, 1), (0, 0, 0.0), DomainError, "depth ratio must be positive, got 0.0"),
+        ((0, 0, 1), (0, 0, -0.0), DomainError, "depth ratio must be positive, got -0.0"),
+        ((0, 0, 3), (0, 0, -1e-300), DomainError,
+         "depth ratio must be positive, got -3.3333333333333334e-301"),
+        ((0, 0, 1e-10), (0, 0, 1e300), DomainError, "vz must be finite"),
+        ((0, 0, 1), (1e300, 0, 1e-10), DomainError, "vx must be finite"),
+        ((0, 0, 1), (0, -1e300, 1e-10), DomainError, "vy must be finite"),
+        ((0, 0, -1), (0, 0, 1), DomainError, "object depth must be positive, got -1.0"),
+        ((0, 0, 1), (0, 0, -0.5), DepthError,
+         "updated or ground-truth pose puts a model point behind the camera"),
+    ])
+    def test_message(self, state_t, gt_t, error, message):
+        state, gt = make_state(*state_t), make_state(*gt_t)
+        for loss in (total_loss, smoothness_margins, gradient_check):
+            with pytest.raises(DomainError) as exc:
+                loss(state, make_delta(), gt, self.FRONT)
+            assert (type(exc.value), str(exc.value)) == (error, message), loss.__name__

@@ -11,7 +11,8 @@ from posefocal.geometry import (BBox, CameraIntrinsics, ParamState, Rotation, pr
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
                                     apply_rotation_update,
                                     apply_translation_update, apply_update,
-                                    init_state, init_state_batch, oracle_delta)
+                                    init_state, init_state_batch, oracle_delta,
+                                    translation_update_batch)
 
 
 def make_state(x=0.1, y=-0.2, z=1.0, f=600.0, rot=None):
@@ -106,6 +107,32 @@ class TestTranslationUpdate:
     def test_non_positive_depth_ratio_rejected(self):
         with pytest.raises(DomainError):
             make_delta(vz=0.0)
+
+
+def both_rules_translation_update(translation, f, vx, vy, vz, f_new, legacy=False):
+    """The batched translation update computing both rules for every row and picking
+    one per row with np.where, the reference for translation_update_batch."""
+    x, y, z = translation.T
+    z_new = vz * z
+    x_new = np.where(legacy, (vx / f_new + x / z) * z_new, (vx + f * x / z) * z_new / f_new)
+    y_new = np.where(legacy, (vy / f_new + y / z) * z_new, (vy + f * y / z) * z_new / f_new)
+    return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_translation_update_batch_is_the_both_rules_form(n):
+    """Bit for bit, for N rows of every input and for the losses' one translation row
+    and scalar focals, with legacy False, True and a mixed mask."""
+    rng = np.random.default_rng(n)
+    t = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(0.3, 3.0, n)])
+    f, f_new = rng.uniform(200.0, 1000.0, (2, n))
+    vx, vy = rng.normal(0.0, 50.0, (2, n))
+    vz = np.exp(rng.normal(0.0, 0.3, n))
+    for args in [(t, f, vx, vy, vz, f_new), (t[:1], f[0], vx, vy, float(vz[0]), f_new[0])]:
+        for legacy in (False, True, rng.random(n) < 0.5):
+            got = translation_update_batch(*args, legacy=legacy)
+            want = both_rules_translation_update(*args, legacy=legacy)
+            assert got.shape == want.shape == (n, 3) and got.tobytes() == want.tobytes()
 
 
 class TestDeltaChecks:
