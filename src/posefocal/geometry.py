@@ -323,9 +323,9 @@ class PoseBatch:
     focal: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.quat)):
+        if not np.isfinite(self.quat).all():
             raise DomainError("quaternions must be finite")
-        if not np.all(np.isfinite(self.translation)):
+        if not np.isfinite(self.translation).all():
             raise DomainError("translation must be a finite 3-vector")
         bad = ~(np.isfinite(self.focal) & (self.focal > 0))
         if bad.any():
@@ -357,8 +357,8 @@ class PoseBatch:
 
 
 def quat_unit(q: np.ndarray) -> np.ndarray:
-    """Quaternions (N, 4) scaled to unit norm."""
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    """Quaternions (N, 4) scaled to unit norm, by ``np.linalg.norm``'s own formula."""
+    return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -382,12 +382,12 @@ def _quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton product a b of quaternions (N, 4), not normalized."""
     w1, x1, y1, z1 = a.T
     w2, x2, y2, z2 = b.T
-    return np.stack([
-        w1*w2 - x1*x2 - y1*y2 - z1*z2,
-        w1*x2 + x1*w2 + y1*z2 - z1*y2,
-        w1*y2 - x1*z2 + y1*w2 + z1*x2,
-        w1*z2 + x1*y2 - y1*x2 + z1*w2,
-    ], axis=1)
+    out = np.empty((max(len(a), len(b)), 4))
+    np.subtract(w1*w2 - x1*x2 - y1*y2, z1*z2, out=out[:, 0])
+    np.subtract(w1*x2 + x1*w2 + y1*z2, z1*y2, out=out[:, 1])
+    np.add(w1*y2 - x1*z2 + y1*w2, z1*x2, out=out[:, 2])
+    np.add(w1*z2 + x1*y2 - y1*x2, z1*w2, out=out[:, 3])
+    return out
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -481,10 +481,11 @@ def quats_from_6d(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 def quats_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Row-wise :meth:`Rotation.from_axis_angle` of axes (N, 3) and angles (N,)."""
     n = np.sqrt(dot3(axis, axis))[:, None]
-    if np.any(n < _DEGENERATE_TOL):
+    if (n < _DEGENERATE_TOL).any():
         raise DegenerateInputError("rotation axis is a zero vector")
     half = 0.5 * angle
-    return quat_unit(np.column_stack([np.cos(half), np.sin(half)[:, None] * (axis / n)]))
+    return quat_unit(np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * (axis / n)],
+                                    axis=1))
 
 
 def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,11 +493,11 @@ def quat_axis_angle(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the axis is (1, 0, 0) for a rotation by less than 1e-15."""
     w, vec = q[:, 0], q[:, 1:]
     norm = np.sqrt(dot3(vec, vec))
-    small = norm < 1e-15
-    sign = np.sign(np.where(w != 0, w, 1.0))
-    axis = np.where(small[:, None], np.array([1.0, 0.0, 0.0]),
-                    vec / np.where(small, 1.0, norm)[:, None] * sign[:, None])
-    return axis, np.where(small, 0.0, 2.0 * np.arctan2(norm, np.abs(w)))
+    angle, small = 2.0 * np.arctan2(norm, np.abs(w)), norm < 1e-15
+    norm[small] = 1.0  # rows set below; v / (|v| s) is v / |v| * s, bit for bit, for s = +-1
+    axis = vec / (norm * np.sign(np.where(w != 0, w, 1.0)))[:, None]
+    axis[small], angle[small] = (1.0, 0.0, 0.0), 0.0
+    return axis, angle
 
 
 def camera_points(poses: PoseBatch, points: np.ndarray,
@@ -514,7 +515,7 @@ def image_boxes(cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Boxes (N, 4) as x1, y1, x2, y2 around the projections of camera-frame
     points (N, P, 3), each side at least 1e-9 px; a row is NaN where a point
     has non-positive depth."""
-    behind = np.any(cam[..., 2] <= 0, axis=1)
+    behind = (cam[..., 2] <= 0).any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = intrinsics.focal * cam[..., :2] / cam[..., 2:3] \
             + np.array([intrinsics.cx, intrinsics.cy])

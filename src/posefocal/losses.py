@@ -174,17 +174,18 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     t = state.translation[None]
     grad = np.zeros((len(delta.vx), 10))
 
-    # x-y term: only (vx, vy) predicted; the depth ratio is the oracle's.
+    # the oracle's depth ratio and centre shift, checked before any term is formed
     vz = _finite("vz", zh / z)
     if vz <= 0:
         raise DomainError(f"depth ratio must be positive, got {vz}")
+    vx, vy = _finite("vx", f_hat * xh / zh - f * x / z), _finite("vy", f_hat * yh / zh - f * y / z)
+    # x-y term: only (vx, vy) predicted; the depth ratio is the oracle's.
     t1 = translation_update_batch(t, f, delta.vx, delta.vy, vz, f_hat)
     diff1 = t1 - gt.translation
     grad[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
 
     # depth term: only vz predicted; the centre shift is the oracle's.
-    t2 = translation_update_batch(t, f, _finite("vx", f_hat * xh / zh - f * x / z),
-                                  _finite("vy", f_hat * yh / zh - f * y / z), delta.vz, f_hat)
+    t2 = translation_update_batch(t, f, vx, vy, delta.vz, f_hat)
     diff2 = t2 - gt.translation
     grad[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
 
@@ -233,6 +234,8 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
     if np.any(cam[..., 2] <= 0) or np.any(cam_hat[:, 2] <= 0):
         raise DepthError("updated or ground-truth pose puts a model point behind the camera")
+    # Disentangled pose loss, whose domain checks come before the projections can overflow.
+    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, rotated)
     depth = cam[..., 2:]
     uv = f_hat * cam[..., :2] / depth
     uv_hat = f_hat * cam_hat[:, :2] / cam_hat[:, 2:3]
@@ -254,9 +257,6 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     grad_reproj[:, 9] = (np.sign(diff_b) * uv_f).sum(axis=(1, 2))
     reproj = 0.5 * (np.abs(diff_a).sum(axis=(1, 2)) + np.abs(diff_b).sum(axis=(1, 2)))
     grad_reproj *= 0.5
-
-    # Disentangled pose loss.
-    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, rotated)
 
     a, b = weights.alpha, weights.beta
     total = pose + a * (b * huber + reproj)

@@ -41,7 +41,7 @@ def _mean_distances(a: np.ndarray, b: np.ndarray, acc: np.ndarray, tmp: np.ndarr
     np.square(np.subtract(a[..., 0], b[..., 0], out=acc), out=acc)
     for i in range(1, a.shape[2]):
         acc += np.square(np.subtract(a[..., i], b[..., i], out=tmp), out=tmp)
-    return np.sqrt(acc, out=acc).mean(axis=1)
+    return np.add.reduce(np.sqrt(acc, out=acc), axis=1) / acc.shape[1]  # mean(axis=1)
 
 
 class GroundTruth:
@@ -77,7 +77,7 @@ class GroundTruth:
         has non-positive depth, and the IoU NaN where the predicted box is NaN."""
         gt, box_gt = self.gt, self.bbox
         cam = camera_points(pred, self.points, self._cam)
-        behind = np.any(cam[..., 2] <= 0, axis=1)
+        behind = (cam[..., 2] <= 0).any(axis=1)
         avg = _mean_distances(cam, self.cam_hat, self._acc, self._tmp)
         # boxes before the projection below overwrites the cloud's x and y
         box = bbox_pred if intrinsics is None else image_boxes(cam, intrinsics)
@@ -174,8 +174,10 @@ def aggregate(columns: dict) -> dict:
 
     histograms = {}
     for f in METRIC_FIELDS:
-        edges, column = HISTOGRAM_EDGES[f], columns[f]
-        counts, _ = np.histogram(column[np.isfinite(column)], bins=edges)
+        edges, ordered = HISTOGRAM_EDGES[f], np.sort(columns[f])  # NaN sorts after inf
+        # np.histogram's counts of the finite values: [e_i, e_i+1) bins, the last one closed
+        counts = np.diff(np.append(ordered.searchsorted(edges[:-1]),
+                                   ordered.searchsorted(edges[-1], "right")))
         histograms[f] = {"edges": edges.tolist(), "counts": counts.tolist(),
                          "overflow": n - int(counts.sum())}
     summary["histograms"] = histograms

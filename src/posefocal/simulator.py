@@ -20,7 +20,7 @@ from .errors import DepthError, DomainError
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState,
                        PoseBatch, camera_points, image_boxes, quat_axis_angle,
                        quat_multiply, quats_from_axis_angle)
-from .metrics import METRIC_FIELDS, GroundTruth, aggregate, lower_median, to_records
+from .metrics import METRIC_FIELDS, GroundTruth, aggregate, to_records
 from .update_rules import (UPDATE_RULES, DeltaBatch, apply_update_batch, init_state_batch,
                            oracle_terms)
 
@@ -89,7 +89,7 @@ class OraclePredictor:
         if (cl := self.clamp) is not None:
             axis, angle = quat_axis_angle(quat)
             quat = quats_from_axis_angle(axis, np.minimum(angle, np.deg2rad(cl.max_angle_deg)))
-            vx, vy = np.clip([vx, vy], -cl.max_px, cl.max_px)
+            vx, vy = np.clip(vx, -cl.max_px, cl.max_px), np.clip(vy, -cl.max_px, cl.max_px)
             vz = np.exp(np.clip(np.log(vz), -cl.max_log_depth, cl.max_log_depth))
             vf = np.clip(vf, -cl.max_log_focal, cl.max_log_focal)
         return DeltaBatch.from_quat(vx, vy, vz, quat, vf)
@@ -204,14 +204,18 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
     trajectory, _ = _refine(predictor, targets.take(rows), bbox[rows], legacy,
                             draws[:, rows], points, intrinsics, img_diag, keep_trajectories)
     converged = _converged(trajectory[-1])
+    # every arm's lower medians at once, from the (iterations + 1, fields, arms, n) columns
+    table = np.array([[m[f] for f in METRIC_FIELDS] for m in trajectory])
+    mid = (n + 1) // 2 - 1
+    medians = np.partition(table.reshape(*table.shape[:2], -1, n), mid)[..., mid].tolist()
 
     report = {"n_trials": n, "iterations": iterations,
               "seed": seed, "variants": {}}
     for a, rule in enumerate(variants):
         arm = slice(a * n, (a + 1) * n)
-        per_iter = [dict(iteration=k, **{f"median_{f}": lower_median(m[f][arm])
-                                         for f in METRIC_FIELDS})
-                    for k, m in enumerate(trajectory)]
+        per_iter = [dict(iteration=k, **{f"median_{f}": field[a]
+                                         for f, field in zip(METRIC_FIELDS, step)})
+                    for k, step in enumerate(medians)]
         entry = {
             "summary": aggregate({f: c[arm] for f, c in trajectory[-1].items()}),
             "per_iteration_medians": per_iter,

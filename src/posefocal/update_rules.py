@@ -21,6 +21,7 @@ from .geometry import (BBox, CameraIntrinsics, ParamState, PoseBatch, Rotation,
                        rotation_from_6d, row_dot)
 
 UPDATE_RULES = ("exact", "legacy")  # the arms of an update-rule comparison
+_ROW_SHAPES = {"v_r1": (3,), "v_r2": (3,), "quat": (4,)}  # of DeltaBatch's 2-D fields
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,12 @@ class DeltaBatch:
     def _check(self, **fields):
         for name, value in fields.items():
             v = vars(self)[name] = np.asarray(value, dtype=float)
-            cols = {"v_r1": (3,), "v_r2": (3,), "quat": (4,)}.get(name, v.shape[1:])
-            if v.shape[1:] != cols or not np.all(np.isfinite(v)):
+            cols = _ROW_SHAPES.get(name, v.shape[1:])
+            if v.shape[1:] != cols or not np.isfinite(v).all():
                 raise DomainError(f"{name} must be finite" + (f" (N, {cols[0]})" if cols else ""))
-        if "quat" in fields and np.any(np.abs(row_dot(self.quat, self.quat) - 1) > 1e-6):
+        if "quat" in fields and (np.abs(row_dot(self.quat, self.quat) - 1) > 1e-6).any():
             raise DomainError("quat: rows must be unit quaternions")
-        if np.any(self.vz <= 0):
+        if (self.vz <= 0).any():
             raise DomainError(f"depth ratio must be positive, got {self.vz.min()}")
         return self
 
@@ -173,7 +174,7 @@ def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
     """Row-wise :func:`apply_update`; ``legacy[i]`` selects the approximate
     translation rule for row i. Both rules are computed for every row."""
     f = state.focal
-    if np.any(f <= 0):
+    if (f <= 0).any():
         raise DomainError(f"focal length must be positive, got {f.min()}")
     f_new = np.exp(delta.vf) * f
     quat = quat_multiply(delta.quat, state.quat)
@@ -186,7 +187,7 @@ def translation_update_batch(translation: np.ndarray, f, vx, vy, vz, f_new,
     """Row-wise :func:`apply_translation_update` of translations (N, 3) at focals f by unchecked
     components, the legacy rule where ``legacy`` (not computed if False); one row fits N rows."""
     x, y, z = translation.T
-    if np.any(z <= 0):
+    if (z <= 0).any():
         raise DomainError(f"object depth must be positive, got {z.min()}")
     if np.any(f_new <= 0):
         raise DomainError(f"updated focal must be positive, got {np.min(f_new)}")
@@ -196,14 +197,16 @@ def translation_update_batch(translation: np.ndarray, f, vx, vy, vz, f_new,
     if legacy is not False:
         x_new = np.where(legacy, (vx / f_new + x / z) * z_new, x_new)
         y_new = np.where(legacy, (vy / f_new + y / z) * z_new, y_new)
-    return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
+    out = np.empty(np.broadcast(x_new, y_new).shape + (3,))
+    out[:, 0], out[:, 1], out[:, 2] = x_new, y_new, z_new
+    return out
 
 
 def oracle_terms(state: PoseBatch, target: PoseBatch) -> tuple:
     """Row-wise :func:`oracle_delta` as the unchecked arrays of :meth:`DeltaBatch.from_quat`."""
     x, y, z = state.translation.T
     xh, yh, zh = target.translation.T
-    if np.any(z <= 0) or np.any(zh <= 0):
+    if (z <= 0).any() or (zh <= 0).any():
         raise DomainError("both states must have positive depth")
     f, fh = state.focal, target.focal
     return (fh * xh / zh - f * x / z, fh * yh / zh - f * y / z, zh / z,

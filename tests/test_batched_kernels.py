@@ -3,13 +3,17 @@ replaced: each reference below is that formula (np.linalg.norm, np.sum,
 np.cross, np.stack and (N, P, 3) temporaries), kept here, and every
 comparison is bit for bit, NaN for NaN."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from posefocal.geometry import (CameraIntrinsics, PoseBatch, camera_points, dot3,
-                                image_boxes, quat_axis_angle, quat_conj, quat_unit,
-                                quats_from_6d, quats_from_axis_angle, quats_to_matrices)
-from posefocal.metrics import GroundTruth
+                                image_boxes, quat_axis_angle, quat_conj, quat_multiply,
+                                quat_unit, quats_from_6d, quats_from_axis_angle,
+                                quats_to_matrices, relative_quats, row_dot)
+from posefocal.metrics import HISTOGRAM_EDGES, METRIC_FIELDS, GroundTruth, aggregate
+from posefocal.update_rules import translation_update_batch
 
 INTR = CameraIntrinsics(600.0, 4.0, -2.0)
 
@@ -226,3 +230,167 @@ class TestGroundTruthScore:
                     assert same(got[key], want[key]), (step, iou, key)
             if behind and step != 1:  # the case covers rows behind the camera
                 assert np.isinf(got["e_proj"][:behind]).any()
+
+
+# ---------------------------------------------------------------------------
+# The kernels against their former forms, kept here verbatim: every element is
+# made by the same operations in the same order, so the bits agree, signed zeros
+# and results that overflow or underflow included
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def former_quat_unit(q):
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def former_quat_product(a, b):
+    w1, x1, y1, z1 = a.T
+    w2, x2, y2, z2 = b.T
+    return np.stack([
+        w1*w2 - x1*x2 - y1*y2 - z1*z2,
+        w1*x2 + x1*w2 + y1*z2 - z1*y2,
+        w1*y2 - x1*z2 + y1*w2 + z1*x2,
+        w1*z2 + x1*y2 - y1*x2 + z1*w2,
+    ], axis=1)
+
+
+def former_relative_quats(qa, qb):
+    inv = qa * np.array([1.0, -1.0, -1.0, -1.0])
+    rel = former_quat_product(inv / np.sqrt(row_dot(inv, inv))[:, None], qb)
+    return rel / np.sqrt(row_dot(rel, rel))[:, None]
+
+
+def former_quats_from_axis_angle(axis, angle):
+    n = np.sqrt(dot3(axis, axis))[:, None]
+    half = 0.5 * angle
+    return former_quat_unit(np.column_stack([np.cos(half), np.sin(half)[:, None] * (axis / n)]))
+
+
+def former_quat_axis_angle(q):
+    w, vec = q[:, 0], q[:, 1:]
+    norm = np.sqrt(dot3(vec, vec))
+    small = norm < 1e-15
+    sign = np.sign(np.where(w != 0, w, 1.0))
+    axis = np.where(small[:, None], np.array([1.0, 0.0, 0.0]),
+                    vec / np.where(small, 1.0, norm)[:, None] * sign[:, None])
+    return axis, np.where(small, 0.0, 2.0 * np.arctan2(norm, np.abs(w)))
+
+
+def former_translation_update_batch(translation, f, vx, vy, vz, f_new, legacy=False):
+    x, y, z = translation.T
+    z_new = vz * z
+    x_new = (vx + f * x / z) * z_new / f_new
+    y_new = (vy + f * y / z) * z_new / f_new
+    if legacy is not False:
+        x_new = np.where(legacy, (vx / f_new + x / z) * z_new, x_new)
+        y_new = np.where(legacy, (vy / f_new + y / z) * z_new, y_new)
+    return np.column_stack(np.broadcast_arrays(x_new, y_new, z_new))
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300]
+
+
+def quat_corpus(rng):
+    """Unit quaternions of every pivot, rows with w = +-0, rows whose vector part is
+    below 1e-15 (zero with either sign, subnormal, 1e-16), and unnormalized rows of
+    extreme or zero magnitude, whose norms overflow or underflow."""
+    q = np.concatenate([random_quats(rng, 400, p) for p in (None, 0, 1, 2, 3)])
+    q[:100:3, 0] = 0.0
+    q[1:100:3, 0] = -0.0
+    tiny = [[1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, -0.0], [1.0, 1e-16, 0.0, 0.0],
+            [-1.0, 0.0, 5e-324, 0.0], [0.0, 1e-16, -1e-16, 0.0], [-0.0, 0.0, 0.0, 0.0],
+            [1.0, 3e-16, -4e-16, 5e-16], [1.0, 1e-15, 0.0, 0.0]]
+    extreme = rng.choice(EXTREMES, (200, 4))
+    return np.concatenate([q, tiny, extreme, rng.standard_normal((50, 4)) * 1e200])
+
+
+class TestFormerForms:
+    def test_quat_unit_and_products(self):
+        rng = np.random.default_rng(11)
+        a, b = quat_corpus(rng), quat_corpus(rng)[::-1]
+        with np.errstate(all="ignore"):
+            assert bits(quat_unit(a)) == bits(former_quat_unit(a))
+            assert bits(quat_multiply(a, b)) == bits(former_quat_unit(former_quat_product(a, b)))
+            assert bits(relative_quats(a, b)) == bits(former_relative_quats(a, b))
+            # one row against N, either way round
+            assert bits(quat_multiply(a[:1], b)) == \
+                bits(former_quat_unit(former_quat_product(a[:1], b)))
+            assert bits(quat_multiply(a, b[:1])) == \
+                bits(former_quat_unit(former_quat_product(a, b[:1])))
+        unit = random_quats(rng, 120)  # no warning on unit rows
+        assert bits(quat_multiply(unit, unit[::-1])) == \
+            bits(former_quat_unit(former_quat_product(unit, unit[::-1])))
+
+    def test_quats_from_axis_angle(self):
+        rng = np.random.default_rng(12)
+        axis = rng.standard_normal((3000, 3)) * 10.0 ** rng.uniform(-6, 6, (3000, 1))
+        axis[::5, 1] = -0.0
+        angle = rng.uniform(-4.0, 4.0, 3000)
+        angle[:4] = 0.0, -0.0, np.pi, -2 * np.pi
+        assert bits(quats_from_axis_angle(axis, angle)) == \
+            bits(former_quats_from_axis_angle(axis, angle))
+        axis = rng.choice([1e-12, -1e-10, 1e150, -1e200, 1e300, 3.0], (500, 3))
+        angle = rng.choice([0.0, -0.0, 1e-300, 5e-324, 1e300, 7.0], 500)
+        with np.errstate(all="ignore"):
+            assert bits(quats_from_axis_angle(axis, angle)) == \
+                bits(former_quats_from_axis_angle(axis, angle))
+
+    def test_quat_axis_angle(self):
+        q = quat_corpus(np.random.default_rng(13))
+        with np.errstate(all="ignore"):
+            small = np.sqrt(dot3(q[:, 1:], q[:, 1:])) < 1e-15
+            got, want = quat_axis_angle(q), former_quat_axis_angle(q)
+        assert small.sum() > 7 and (q[:, 0] == 0).sum() > 60  # the cases are reached
+        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+        unit = q[:2000]  # none of it warns
+        for got, want in zip(quat_axis_angle(unit), former_quat_axis_angle(unit)):
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("k", [1, 6, 120])
+    def test_translation_update_batch(self, k):
+        """A (1, 3) or (K, 3) translation, each component a scalar or a (K,) array, and
+        legacy False, all True or a mixed mask, with signed zeros and extreme values."""
+        rng = np.random.default_rng(k)
+        t = np.column_stack([rng.uniform(-0.5, 0.5, (k, 2)), rng.uniform(0.3, 3.0, k)])
+        t[::2, 0] = -0.0
+        parts = {"f": rng.uniform(200.0, 1000.0, k), "vx": rng.normal(0.0, 50.0, k),
+                 "vy": rng.normal(0.0, 50.0, k), "vz": np.exp(rng.normal(0.0, 0.3, k)),
+                 "f_new": rng.uniform(200.0, 1000.0, k)}
+        parts["vx"][::3] = -0.0
+        masks = (False, True, np.ones(k, bool), np.arange(k) % 2 == 0)
+        for translation in (t, t[:1]):
+            for scalar in itertools.product((False, True), repeat=len(parts)):
+                args = [float(v[0]) if s else v for s, v in zip(scalar, parts.values())]
+                for legacy in masks:
+                    got = translation_update_batch(translation, *args, legacy=legacy)
+                    want = former_translation_update_batch(translation, *args, legacy=legacy)
+                    assert bits(got) == bits(want), (len(translation), scalar, legacy)
+        extreme = [rng.choice(EXTREMES, k) for _ in parts]
+        extreme[0], extreme[4] = np.abs(extreme[0]) + 1e-300, np.abs(extreme[4]) + 1e-300
+        t = np.column_stack([rng.choice(EXTREMES, (k, 2)), rng.choice([1e-300, 1e300, 2.0], k)])
+        with np.errstate(all="ignore"):
+            for legacy in masks:
+                assert bits(translation_update_batch(t, *extreme, legacy=legacy)) == \
+                    bits(former_translation_update_batch(t, *extreme, legacy=legacy))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_aggregate_histograms(self, n):
+        """The counts are np.histogram's of the finite values: every edge hit exactly,
+        values below the first and past the last edge, +-inf and NaN."""
+        rng = np.random.default_rng(n)
+        columns = {}
+        for f in METRIC_FIELDS:
+            edges = HISTOGRAM_EDGES[f]
+            pool = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf), [-1.0, -0.0, 0.0, 5.0],
+                                   [np.inf, -np.inf, np.nan], rng.uniform(0, edges[-1], 20)])
+            columns[f] = rng.choice(pool, n)
+        for f, hist in aggregate(columns)["histograms"].items():
+            column = columns[f]
+            counts = np.histogram(column[np.isfinite(column)], bins=HISTOGRAM_EDGES[f])[0]
+            assert hist["counts"] == counts.tolist()
+            assert hist["overflow"] == n - int(counts.sum())

@@ -397,6 +397,8 @@ class TestDomainErrors:
         ((0, 0, -1), (0, 0, 1), DomainError, "object depth must be positive, got -1.0"),
         ((0, 0, 1), (0, 0, -0.5), DepthError,
          "updated or ground-truth pose puts a model point behind the camera"),
+        # a ground truth whose projection overflows: the oracle's check, not the overflow
+        ((0, 0, 1), (1e306, 0, 1.5), DomainError, "vx must be finite"),
     ])
     def test_message(self, state_t, gt_t, error, message):
         state, gt = make_state(*state_t), make_state(*gt_t)

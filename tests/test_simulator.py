@@ -2,6 +2,7 @@
 predictors."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from posefocal.errors import DomainError
 from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
                                 PoseBatch, Rotation, geodesic_distance,
                                 project_point, rotation_from_6d)
+from posefocal.metrics import METRIC_FIELDS, lower_median
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
                                  OraclePredictor, projected_bbox,
@@ -239,6 +241,30 @@ class TestRunExperiment:
             for re_, rl in zip(te, tl):
                 assert re_["e_focal"] == rl["e_focal"]
                 assert re_["e_rot"] == rl["e_rot"]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    def test_per_iteration_medians_are_each_arms_lower_medians(self, n):
+        """Each per-iteration median is lower_median of its arm's column, taken here one
+        column at a time. The cloud reaches 1.5 m behind its origin, so it starts behind
+        the camera of the initial state at 1 m depth: e_proj is inf on rows, then on some."""
+        deep = ModelPoints(np.random.default_rng(n).uniform([-0.1, -0.1, -1.5],
+                                                            [0.1, 0.1, 0.1], (30, 3)))
+        ranges = UniformRanges(z_range=(1.8, 2.4), f_range=(400.0, 900.0), xy_box=0.3)
+        report = run_experiment(sample_pose_uniform(ranges, n, n), deep, INTR, IMG_DIAG,
+                                predictor=OraclePredictor(NoiseScales(), ClampBounds()),
+                                iterations=8, seed=n, keep_trajectories=True)
+        inf_proj = []
+        for entry in report["variants"].values():
+            for k, medians in enumerate(entry["per_iteration_medians"]):
+                assert medians["iteration"] == k
+                for f in METRIC_FIELDS:
+                    column = [trial[k][f] for trial in entry["trajectories"]]
+                    assert len(column) == n
+                    want = lower_median(column)
+                    assert type(medians[f"median_{f}"]) is float
+                    assert medians[f"median_{f}"] == want, (k, f)
+                    inf_proj += [math.isinf(v) for v in column] if f == "e_proj" else []
+        assert any(inf_proj) and not all(inf_proj)
 
     def test_report_is_deterministic(self):
         targets = self.make_targets(5, 2)
