@@ -515,10 +515,10 @@ def _load_pairs(path) -> dict:
         def rows():
             for doc in docs:
                 if (points := cloud(doc)) is not None:
-                    box = doc.get("bbox_pred")
-                    yield (points, *_POSE_FIELDS(doc["pred"]), *_POSE_FIELDS(doc["gt"]),
-                           doc["bbox_gt"], doc["img_diag"], no_box if box is None else box,
-                           box is not None)
+                    pred, gt, box = doc["pred"], doc["gt"], doc.get("bbox_pred")
+                    yield (points, pred["quat_wxyz"], pred["t_m"], pred["focal_px"],
+                           gt["quat_wxyz"], gt["t_m"], gt["focal_px"], doc["bbox_gt"],
+                           doc["img_diag"], no_box if box is None else box, box is not None)
 
         points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred, given = number_columns(
             rows(), None, (4,), (3,), (), (4,), (3,), (), (4,), (), (4,), None)

@@ -10,6 +10,7 @@ import numpy as np
 _READ_ERRORS = (OSError, LookupError, TypeError, ValueError, AttributeError, OverflowError,
                RecursionError)  # what malformed input makes parsing and the constructors raise
 READ_BLOCK = 1024  # rows that a column-wise read holds as Python values before making arrays
+_SCAN = json.JSONDecoder().scan_once  # the C scanner inside json.loads
 
 
 class DomainError(ValueError):
@@ -45,19 +46,35 @@ def reading(where: str):
         raise DomainError(f"{where}: {exc}") from exc
 
 
+def _parsed(line: str):
+    """``json.loads(line)``, its value taken straight from the scanner where the value spans
+    the line up to one final newline; any other line, json.loads' own value or error."""
+    try:
+        value, end = _SCAN(line, 0)
+        if end == len(line) or end == len(line) - 1 and line[end] == "\n":
+            return value
+    except (StopIteration, *_READ_ERRORS):
+        pass
+    return json.loads(line)
+
+
 def number_columns(rows, *shapes) -> list:
-    """The columns of ``rows``, an iterator of tuples: for each shape, one float array
-    (N, *shape), for each None, a list of the values. A ValueError unless each shaped column
-    holds ints and floats of that shape (a string, an object, a ragged list or a block of
-    bools does not). Rows are gathered READ_BLOCK at a time, so that one block's Python
-    values at most are alive at once."""
+    """The columns of ``rows``, an iterator of tuples: for each shape, () or (k,), one float
+    array (N, *shape), for each None, a list of the values. A ValueError unless each shaped
+    column holds ints and floats, as lists of k for (k,) (a string, an object, a ragged list
+    or a block of bools does not). Rows are gathered READ_BLOCK at a time, so that one
+    block's Python values at most are alive at once; a (k,) column's values are flattened
+    into one list, which NumPy converts faster than nested lists, with the same bits."""
     parts = [[] for _ in shapes]
     for block in iter(lambda: list(islice(rows, READ_BLOCK)), []):
         for part, values, shape in zip(parts, zip(*block), shapes):
             if shape is not None:
-                values = np.array(values)
-                if values.dtype.kind not in "fi" or values.shape != (len(block), *shape):
+                flat = list(chain.from_iterable(values)) if shape else values
+                array = np.array(flat)
+                if (array.dtype.kind not in "fi" or array.shape != (len(flat),)
+                        or shape and {*map(len, values)} != {shape[0]}):
                     raise ValueError("not a column of numbers")
+                values = array.reshape(len(block), *shape)
             part.append(values)
     return [np.concatenate(part).astype(float, copy=False) if shape is not None
             else list(chain.from_iterable(part)) for part, shape in zip(parts, shapes)]
@@ -86,7 +103,7 @@ def read_columns(path, columns, row, assemble):
     first bad line, as the row-by-row read."""
     def parsed():
         with open(path, encoding="utf-8") as fh:
-            return columns(json.loads(line) for line in fh if line.strip())
+            return columns(map(_parsed, filter(str.strip, fh)))
     return by_columns(parsed, lambda: assemble(read_jsonl(path, row)))
 
 
@@ -103,7 +120,7 @@ def read_jsonl(path, row) -> list:
             try:
                 if not line.isascii():  # an undecodable byte came in as a lone surrogate
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                if line.strip() and (value := row(json.loads(line))) is not None:
+                if line.strip() and (value := row(_parsed(line))) is not None:
                     rows.append(value)
             except _READ_ERRORS as exc:
                 with reading(f"{path} line {i}"):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DepthError, DomainError, require
+from .errors import DegenerateInputError, DepthError, DomainError, reading, require
 
 _DEGENERATE_TOL = 1e-12
 _PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see gram_schmidt_6d
@@ -193,13 +193,16 @@ class ModelPoints:
 
     @classmethod
     def from_obj(cls, path: str | Path) -> "ModelPoints":
-        """Load the vertex (``v``) records of an OBJ file; all else is ignored."""
+        """Load the vertex (``v``) records of a UTF-8 OBJ file; all else is ignored. A line
+        that is not UTF-8 or a vertex that is not three numbers raises a DomainError naming
+        "<path> line <i>"."""
         verts = []
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) >= 4 and parts[0] == "v":
-                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for i, line in enumerate(fh, start=1):
+                with reading(f"{path} line {i}"):
+                    parts = line.encode("utf-8", "surrogateescape").decode("utf-8").split()
+                    if len(parts) >= 4 and parts[0] == "v":
+                        verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
         if not verts:
             raise DomainError(f"no vertex records found in {path}")
         return cls(np.asarray(verts))

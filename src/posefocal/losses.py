@@ -171,21 +171,22 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     terms the ground-truth rotation cancels."""
     (x, y, z), (xh, yh, zh) = state.translation.tolist(), gt.translation.tolist()
     f, f_hat = state.focal, gt.focal
-    t = state.translation[None]
-    grad = np.zeros((len(delta.vx), 10))
+    k = len(delta.vx)
+    grad = np.zeros((k, 10))
 
     # the oracle's depth ratio and centre shift, checked before any term is formed
     vz = _finite("vz", zh / z)
     if vz <= 0:
         raise DomainError(f"depth ratio must be positive, got {vz}")
     vx, vy = _finite("vx", f_hat * xh / zh - f * x / z), _finite("vy", f_hat * yh / zh - f * y / z)
-    # x-y term: only (vx, vy) predicted; the depth ratio is the oracle's.
-    t1 = translation_update_batch(t, f, delta.vx, delta.vy, vz, f_hat)
+    # x-y term (t1): only (vx, vy) predicted, the depth ratio the oracle's; depth term
+    # (t2): only vz predicted, the centre shift the oracle's. Both in one update.
+    t1, t2 = translation_update_batch(
+        state.translation[None], f, np.concatenate((delta.vx, np.full(k, vx))),
+        np.concatenate((delta.vy, np.full(k, vy))), np.concatenate((np.full(k, vz), delta.vz)),
+        f_hat).reshape(2, k, 3)
     diff1 = t1 - gt.translation
     grad[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
-
-    # depth term: only vz predicted; the centre shift is the oracle's.
-    t2 = translation_update_batch(t, f, vx, vy, delta.vz, f_hat)
     diff2 = t2 - gt.translation
     grad[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
 
@@ -226,10 +227,11 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
 
     # Reprojection, pose part: predicted rotation and a translation updated
     # with the ground-truth focal. That update is linear in vz, so its
-    # vz-derivative is the update at vz = 1.
-    t = state.translation[None]
-    t_pose = translation_update_batch(t, state.focal, delta.vx, delta.vy, delta.vz, f_hat)
-    dt_dvz = translation_update_batch(t, state.focal, delta.vx, delta.vy, np.ones(k), f_hat)
+    # vz-derivative is the update at vz = 1; both in one update.
+    t_pose, dt_dvz = translation_update_batch(
+        state.translation[None], state.focal, np.concatenate((delta.vx, delta.vx)),
+        np.concatenate((delta.vy, delta.vy)), np.concatenate((delta.vz, np.ones(k))),
+        f_hat).reshape(2, k, 3)
     cam = rotated[0] + t_pose[:, None, :]
     cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
     if np.any(cam[..., 2] <= 0) or np.any(cam_hat[:, 2] <= 0):

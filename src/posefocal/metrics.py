@@ -116,15 +116,17 @@ def evaluate_pair(pairs: dict) -> dict:
     order, "iou" NaN where a pair has no predicted box. ``pairs`` holds the pairs as
     columns: "pred" and "gt" PoseBatches, "points" N clouds (P_i, 3), "bbox_gt" and
     "bbox_pred" (N, 4), a row NaN where no box is predicted, and "img_diag" (N,). Rows
-    with the same point count are scored together, SCORE_BLOCK at a time."""
+    with the same point count are scored together, SCORE_BLOCK at a time, against their one
+    cloud where every row of the block holds the same array (a named cloud)."""
     sizes = np.array([len(p) for p in pairs["points"]])
     out = {f: np.empty(len(sizes)) for f in RECORD_FIELDS}
     for p in np.unique(sizes):
         group = np.flatnonzero(sizes == p)
         for rows in np.split(group, range(SCORE_BLOCK, len(group), SCORE_BLOCK)):
-            truth = GroundTruth(pairs["gt"].take(rows),
-                                np.stack([pairs["points"][i] for i in rows]),
-                                pairs["bbox_gt"][rows], pairs["img_diag"][rows])
+            clouds = [pairs["points"][i] for i in rows]
+            cloud = clouds[0] if len({*map(id, clouds)}) == 1 else np.stack(clouds)
+            truth = GroundTruth(pairs["gt"].take(rows), cloud, pairs["bbox_gt"][rows],
+                                pairs["img_diag"][rows])
             scores = truth.score(pairs["pred"].take(rows), bbox_pred=pairs["bbox_pred"][rows])
             for f in RECORD_FIELDS:
                 out[f][rows] = scores[f]

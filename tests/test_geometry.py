@@ -316,6 +316,16 @@ class TestModelPoints:
         pts = ModelPoints.from_obj(path)
         assert np.allclose(pts.points, [[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("last, message", [
+        (b"v 1 x 2\n", "could not convert string to float: 'x'"),
+        (b"# \xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")])
+    def test_from_obj_names_the_malformed_line(self, tmp_path, last, message):
+        path = tmp_path / "m.obj"
+        path.write_bytes("# modèle\nv 0 0 0\n".encode("utf-8") + last)
+        with pytest.raises(DomainError) as exc:
+            ModelPoints.from_obj(path)
+        assert str(exc.value) == f"{path} line 3: {message}"
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ModelPoints(np.zeros((0, 3)))

@@ -146,15 +146,41 @@ def old_load_annotations(path) -> list:
 # Seeded corpora of mutated lines
 # ---------------------------------------------------------------------------
 
+HUGE = "<1e400>"  # written as the JSON number 1e400, which reads as inf (see dumps)
 ODD_VALUES = ["a", "1.5", "", None, True, False, {}, {"a": 1}, [], [1, "a"], [[1, 2]],
               0, -1, 1, 1.5, -0.0, 1e-300, 1e200, -1e200, math.nan, math.inf, -math.inf,
               [0, 0, 0, 0], [1e200, 0, 0, 0], [1e155, 1e155, 1e155, 1e155], [1e-200, 0, 0, 0],
               [math.nan, 0, 0, 0], [1, 0, 0], [1, 0, 0, 0, 0], [0.1, 0.2], [0, 0, 1],
               [0, 0, 60, 80], [60, 80, 0, 0], [640, 480], [640.0, 480, 7], "64", "cube",
-              "missing", {"manifest": {}}]
+              "missing", {"manifest": {}}, 2**70, HUGE, [0.5, 2**70, 0, 0], [0, 0, 2**70],
+              [HUGE, 0, 0, 0], [0.1, HUGE, 2], [0, math.inf, 1], [0.5, True, 0, 0],
+              [0.1, 0.2, False], {"0": 1, "1": 0, "2": 0, "3": 0}, {"x": 0, "y": 0, "z": 1}]
 ODD_LINES = ["", "   ", "\t", "5", "null", "true", '"manifest"', '"text"', "[1, 2]", "[]",
              "{}", "{broken", '{"quat_wxyz": [1, 0, 0, 0],', '{"manifest": {"seed": 0}}',
-             '{"manifest": null}', "NaN", "Infinity"]
+             '{"manifest": null}', "NaN", "Infinity", "5 6", "[1, 2]]", '{"manifest": {}}x',
+             '{"manifest": {}} ', ' {"manifest": {}}', '\ufeff{"manifest": {}}']
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc).replace(f'"{HUGE}"', "1e400")
+
+
+def file_text(lines, rng) -> str:
+    """``lines`` as a file, in 40 % of files in a form whose lines the JSON scanner leaves
+    to json.loads: CRLF endings, spaces or tabs after a line, a space before one, a BOM
+    on line 1, two values on one line, or no newline after the last line."""
+    form = rng.randrange(1, 7) if rng.random() < 0.4 else 0
+    i = rng.randrange(len(lines))
+    if form == 1:
+        lines[i] += rng.choice([" ", "\t", " \t "])
+    elif form == 2:
+        lines[i] = " " + lines[i]
+    elif form == 3:
+        lines[0] = "\ufeff" + lines[0]
+    elif form == 4:
+        lines[i] += rng.choice(["", " "]) + lines[rng.randrange(len(lines))]
+    end = "\r\n" if form == 5 else "\n"
+    return end.join(lines) + ("" if form == 6 else end)
 
 
 def rand_quat(rng):
@@ -226,7 +252,7 @@ def mutate(doc, rng):
 def corpus(make, n_cases: int, seed: int, header=None, manifests=0.3):
     """Files of 1 to 4 valid lines with one odd line, or one line with one or two
     mutations, among them; then the manifest (in a share ``manifests`` of the files)
-    and blank lines a file may hold."""
+    and blank lines a file may hold; written in one of ``file_text``'s forms."""
     rng = random.Random(seed)
     for case in range(n_cases):
         lines = [json.dumps(make(rng)) for _ in range(rng.randint(1, 4))]
@@ -240,12 +266,12 @@ def corpus(make, n_cases: int, seed: int, header=None, manifests=0.3):
                          else make(rng), rng)
             if rng.random() < 0.4 and isinstance(doc, dict) and doc:  # two faults at once
                 doc = mutate(doc, rng)
-            lines.insert(spot, json.dumps(doc))
+            lines.insert(spot, dumps(doc))
         if rng.random() < manifests:
             lines.insert(0, json.dumps({"manifest": {"seed": case}}))
         if rng.random() < 0.3:
             lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  "]))
-        yield "\n".join(lines) + "\n"
+        yield file_text(lines, rng)
 
 
 def outcome(read):
@@ -538,6 +564,8 @@ TINY = math.ulp(1e-12)
 EDGE_VALUES = [0, 1, -1, 7, 600, 2**53 + 1, -(2**53 + 1), 2**63 - 1, 2**63 + 1025, 2**64 + 1,
                -(2**63) - 1, True, False, "600", "1.5", "-0.0", -0.0, 0.0, 5e-324, -5e-324,
                2.2250738585072014e-308, 1e-12 - TINY, 1e-12, 1e-12 + TINY, 1e308]
+# numbers that overflow a float or int64, or are not finite: one per file in some files
+EDGE_TOKENS = [2**70, -(2**70), HUGE, math.nan, math.inf, -math.inf]
 # quaternions whose norm is 1e-12 or one ulp either side of it, and one of a subnormal
 EDGE_QUATS = [[1e-12 - TINY, 0, 0, 0], [1e-12, 0, 0, 0], [1e-12 + TINY, 0, 0, 0],
               [0, -(1e-12 - TINY), 0, 0], *([v] * 4 for v in (5e-13 - TINY / 2, 5e-13,
@@ -549,9 +577,10 @@ EDGE_TRANSLATIONS = [[0, 0, 0], [0.0, -0.0, 0.0], [5e-324, 0, 0], [1.5e-162, 0, 
 # boxes that are all NaN, empty, one ulp wide, infinite or subnormal
 EDGE_BOXES = [[math.nan] * 4, [0, 0, 0, 0], [1, 2, 1.0000000000000002, 2.0000000000000004],
               [-math.inf, -math.inf, math.inf, math.inf], [0, 0, 5e-324, 5e-324]]
-# one field of every line made one shorter or longer, or nested one level deeper
+# one field of every line made one shorter or longer, nested one level deeper, or a dict
 RESHAPES = [lambda v: v[:-1] if isinstance(v, list) else [],
-            lambda v: v + [0] if isinstance(v, list) else [v, 0], lambda v: [v]]
+            lambda v: v + [0] if isinstance(v, list) else [v, 0], lambda v: [v],
+            lambda v: dict(zip("0123", v)) if isinstance(v, list) else {"0": v}]
 
 
 def numeric_paths(node, path=()):
@@ -578,7 +607,8 @@ def edge_file(reader, rng):
     """A long file whose lines hold edge values: at up to three random numbers, as one
     quaternion, translation and box in half the files each, at one field of every line
     in a third of the files (an all-int or all-bool column, say), as one field of every line
-    reshaped in some, and as a 400-digit integer on line 200 in some."""
+    reshaped in some, as one of EDGE_TOKENS in some, and as a 400-digit integer on line
+    200 in some."""
     lines = [json.loads(line) for line in long_file(reader, rng)]
     docs = [doc for doc in lines if "manifest" not in doc and "model_points" not in doc]
     if rng.random() < 0.33:
@@ -601,19 +631,22 @@ def edge_file(reader, rng):
         paths = [p[:-1] for p in numeric_paths(doc) if any(str(k).startswith(key) for k in p)]
         if paths and rng.random() < 0.5:
             set_at(doc, rng.choice(paths), rng.choice(values))
+    if rng.random() < 0.2:
+        doc = rng.choice(docs)
+        set_at(doc, rng.choice(numeric_paths(doc)), rng.choice(EDGE_TOKENS))
     if len(lines) >= 200 and rng.random() < 0.2:
         set_at(lines[199], rng.choice(numeric_paths(lines[199])), int(BIG))
-    return [json.dumps(doc) for doc in lines]
+    return [dumps(doc) for doc in lines]
 
 
 @pytest.mark.parametrize("reader", READERS)
 def test_edge_values_match_the_row_by_row_read(both_reads, reader):
-    """Ints (past 2**53, 2**63 and 2**64 too), bools among floats and on their own, numeric
-    strings, -0.0, subnormals, quaternion norms one ulp either side of 1e-12 and
-    translations whose t.t is zero or overflows: each file gives the row-by-row read's bits
-    or message."""
+    """Ints (past 2**53, 2**63, 2**64 and 2**70 too), 1e400, NaN and Infinity, bools among
+    floats and on their own, numeric strings, dicts where lists belong, -0.0, subnormals,
+    quaternion norms one ulp either side of 1e-12 and translations whose t.t is zero or
+    overflows: each file gives the row-by-row read's bits or message."""
     rng, results, big_ints = random.Random(6), [], 0
-    for _ in range(50):
+    for _ in range(60):
         lines = edge_file(reader, rng)
         new, row_by_row = both_reads(reader, lines)
         assert new == row_by_row, lines

@@ -6,15 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from posefocal import losses
 from posefocal.errors import DepthError, DomainError
-from posefocal.geometry import ModelPoints, ParamState, Rotation
+from posefocal.geometry import ModelPoints, ParamState, Rotation, row_dot
 from posefocal.losses import (GRAD_LABELS, LossWeights, _evaluate,
                               disentangled_pose_loss,
                               disentangled_reprojection_loss, gradient_check,
                               huber_log_focal, point_matching_distance,
                               reprojection_loss, rotation_6d_jacobian,
                               smoothness_margins, total_loss)
-from posefocal.update_rules import DeltaBatch, DeltaTheta, apply_update, oracle_delta
+from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update, oracle_delta,
+                                    translation_update_batch)
 
 ORIGIN_POINT = ModelPoints(np.zeros((1, 3)))
 
@@ -374,6 +376,79 @@ class TestRowWiseEvaluation:
             numeric = gradient_check(state, delta, gt, pts, step=h)["numeric"]
             np.testing.assert_allclose([numeric[k] for k in GRAD_LABELS], expected,
                                        rtol=0, atol=1e-8)
+
+
+def four_update_evaluate(state, delta, gt, points, weights):
+    """The loss pass as it was with one translation update per term: the reprojection
+    pose half's update and its vz-derivative, then the x-y and the depth term's."""
+    pts, f_hat, k = points.points, gt.focal, len(delta.vx)
+    rotated = losses._rotated_points(state, delta, points)
+    r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
+    huber, dh = losses._huber(r, weights.huber_delta)
+    grad_huber = np.zeros((k, 10))
+    grad_huber[:, 9] = dh
+    t = state.translation[None]
+    t_pose = translation_update_batch(t, state.focal, delta.vx, delta.vy, delta.vz, f_hat)
+    dt_dvz = translation_update_batch(t, state.focal, delta.vx, delta.vy, np.ones(k), f_hat)
+    cam = rotated[0] + t_pose[:, None, :]
+    cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
+
+    (x, y, z), (xh, yh, zh) = state.translation.tolist(), gt.translation.tolist()
+    f = state.focal
+    grad_pose = np.zeros((k, 10))
+    vz, vx, vy = zh / z, f_hat * xh / zh - f * x / z, f_hat * yh / zh - f * y / z
+    t1 = translation_update_batch(t, f, delta.vx, delta.vy, vz, f_hat)
+    diff1 = t1 - gt.translation
+    grad_pose[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
+    t2 = translation_update_batch(t, f, vx, vy, delta.vz, f_hat)
+    diff2 = t2 - gt.translation
+    grad_pose[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
+    diff3 = rotated[0] - pts @ gt.rotation.as_matrix().T
+    grad_pose[:, 3:9] = np.einsum("kni,kjni->kj", np.sign(diff3), rotated[1]) / len(points)
+    pose = np.abs(diff1).sum(axis=1) + np.abs(diff2).sum(axis=1) \
+        + np.abs(diff3).mean(axis=1).sum(axis=1)
+
+    depth = cam[..., 2:]
+    uv = f_hat * cam[..., :2] / depth
+    uv_hat = f_hat * cam_hat[:, :2] / cam_hat[:, 2:3]
+    diff_a = uv - uv_hat
+    sgn = np.sign(diff_a)
+    gq = np.concatenate([sgn * f_hat / depth, -(sgn * uv).sum(axis=2, keepdims=True) / depth],
+                        axis=2)
+    grad_reproj = np.zeros((k, 10))
+    gq_sum = gq.sum(axis=1)
+    grad_reproj[:, :2] = gq_sum[:, :2] * t_pose[:, 2:] / f_hat
+    grad_reproj[:, 2] = row_dot(gq_sum, dt_dvz)
+    grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, rotated[1])
+    f_new = np.exp(delta.vf) * state.focal
+    uv_f = f_new[:, None, None] * cam_hat[:, :2] / cam_hat[:, 2:3]
+    diff_b = uv_f - uv_hat
+    grad_reproj[:, 9] = (np.sign(diff_b) * uv_f).sum(axis=(1, 2))
+    reproj = 0.5 * (np.abs(diff_a).sum(axis=(1, 2)) + np.abs(diff_b).sum(axis=(1, 2)))
+    grad_reproj *= 0.5
+    a, b = weights.alpha, weights.beta
+    return (pose + a * (b * huber + reproj), pose, huber, reproj,
+            grad_pose + a * (b * grad_huber + grad_reproj), grad_pose, grad_huber,
+            grad_reproj), (diff_a, f_new - f_hat, (diff1, diff2, diff3), r)
+
+
+def test_one_update_per_pass_matches_the_four_update_form():
+    """The 21-row pass that gradient_check makes, with its translation updates stacked
+    into two calls, against the former four calls: every field and residual, bit for bit."""
+    rng = np.random.default_rng(27)
+    steps = np.zeros((21, 10))
+    steps[1::2], steps[2::2] = 1e-6 * np.eye(10), -1e-6 * np.eye(10)
+    for _ in range(10):
+        state, delta, gt, pts = random_case(rng)
+        rows = losses._rows(delta, steps)
+        weights = LossWeights(alpha=rng.uniform(0, 1), beta=rng.uniform(0, 2))
+        breakdown, residuals = _evaluate(state, rows, gt, pts, weights)
+        former, former_residuals = four_update_evaluate(state, rows, gt, pts, weights)
+        for new, old in zip((*vars(breakdown).values(), *residuals[:2], *residuals[2],
+                             residuals[3]),
+                            (*former, *former_residuals[:2], *former_residuals[2],
+                             former_residuals[3])):
+            assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
 
 class TestDomainErrors:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from posefocal import cli
+from posefocal import cli, metrics
 from posefocal.errors import DomainError
 from posefocal.geometry import (BBox, CameraIntrinsics, ModelPoints,
                                 ParamState, PoseBatch, Rotation)
@@ -378,6 +378,34 @@ class TestEvaluatePairBitIdentity:
         if n > 1:
             assert {k[1:] for k in kinds} >= {(True, False, False), (False, True, False),
                                               (False, False, True)}
+
+    def test_shared_cloud_gives_the_columns_of_its_copies(self, tmp_path, monkeypatch):
+        """One pair file written three ways: each line naming the header's 50-point cloud,
+        each holding that cloud inline, and the two mixed within one block. The first is
+        scored against the one cloud, the others stacked; all give the same columns, bit
+        for bit."""
+        rng = np.random.default_rng(27)
+        cloud = rng.uniform(-0.1, 0.1, (50, 3)).tolist()
+        docs = [pair_file_doc(rng, i) for i in range(1, 2 * SCORE_BLOCK + 20)]
+        ways = {"named": ["c"] * len(docs), "inline": [cloud] * len(docs),
+                "mixed": ["c"] * SCORE_BLOCK + [cloud] + ["c"] * (len(docs) - SCORE_BLOCK - 1)}
+        ndims = []
+
+        class Spy(GroundTruth):
+            def __init__(self, gt, points, *args):
+                ndims.append(points.ndim)
+                super().__init__(gt, points, *args)
+
+        monkeypatch.setattr(metrics, "GroundTruth", Spy)
+        got = {}
+        for way, points in ways.items():
+            lines = [{"model_points": {"c": cloud}}, *({**d, "points": p}
+                                                       for d, p in zip(docs, points))]
+            path = tmp_path / f"{way}.jsonl"
+            path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            got[way] = b"".join(c.tobytes() for c in evaluate_pair(cli._load_pairs(path)).values())
+        assert ndims == [2, 2, 2, 3, 3, 3, 2, 3, 2]  # three blocks each way
+        assert got["named"] == got["inline"] == got["mixed"]
 
 
 class TestGroundTruth:
