@@ -53,12 +53,9 @@ def _manifest(command: str, config: dict, seed: int | None, input_paths=()) -> d
         raise click.ClickException(f"invalid SOURCE_DATE_EPOCH={epoch!r}: {exc}") from exc
     return {"command": command, "config": config, "seed": seed,
             "version": __version__,
-            "inputs": {str(p): _sha256(p) for p in input_paths},
+            "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                       for p in input_paths},
             "timestamp": stamp}
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _dump(obj) -> str:

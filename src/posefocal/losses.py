@@ -121,8 +121,8 @@ def _huber(r, delta: float):
 
 def huber_log_focal(f: float, f_hat: float, huber_delta: float = 1.0) -> float:
     """Huber penalty of log(f) - log(f_hat)."""
-    if f <= 0 or f_hat <= 0:
-        raise DomainError("focal lengths must be positive")
+    if not (0 < f < np.inf and 0 < f_hat < np.inf):  # NaN fails both comparisons
+        raise DomainError("focal lengths must be finite and positive")
     return float(_huber(float(np.log(f) - np.log(f_hat)), huber_delta)[0])
 
 
@@ -309,15 +309,20 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
     """Central-difference check of the analytic total-loss gradient.
 
     One 21-row evaluation: row 0 is ``delta``, rows 2i+1 and 2i+2 move its
-    component i by +step and -step. A point too close to an L1 or Huber kink
-    is flagged ``smooth: False`` (diagnostic, not a failure); relative
-    errors are still reported.
+    component i by +step and -step; a step either leaves unchanged is a DomainError.
+    A point too close to an L1 or Huber kink is flagged ``smooth: False``
+    (diagnostic, not a failure); relative errors are still reported.
     """
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step}")
     steps = np.zeros((21, 10))
     steps[1::2], steps[2::2] = step * np.eye(10), -step * np.eye(10)
-    breakdown, residuals = _evaluate(state, _rows(delta, steps), gt, points, weights)
+    rows = _rows(delta, steps)
+    c = np.column_stack([rows.vx, rows.vy, rows.vz, rows.v_r1, rows.v_r2, rows.vf])
+    if (stuck := np.flatnonzero((c[1::2].diagonal() == c[0]) | (c[2::2].diagonal() == c[0]))).size:
+        raise DomainError(f"finite-difference step {step} leaves {GRAD_LABELS[stuck[0]]} = "
+                          f"{float(c[0, stuck[0]])!r} unchanged")
+    breakdown, residuals = _evaluate(state, rows, gt, points, weights)
     # A kink only invalidates central differences when a residual crosses
     # zero within +-step times its sensitivity; thresholds scale with the
     # step and leave an order of magnitude of safety.

@@ -67,7 +67,7 @@ class GroundTruth:
         self.diag = np.hypot(bbox_gt[:, 2] - bbox_gt[:, 0], bbox_gt[:, 3] - bbox_gt[:, 1])
         self.area = (bbox_gt[:, 2] - bbox_gt[:, 0]) * (bbox_gt[:, 3] - bbox_gt[:, 1])
         n, p = cam_hat.shape[:2]
-        self._cam, self._acc, self._tmp = np.empty((n, 3, p)), np.empty((n, p)), np.empty((n, p))
+        self._cam, self._acc, self._tmp = np.empty((3, n, p)), np.empty((n, p)), np.empty((n, p))
 
     def score(self, pred: PoseBatch, intrinsics: CameraIntrinsics | None = None,
               bbox_pred: np.ndarray | None = None) -> dict:

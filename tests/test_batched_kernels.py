@@ -192,6 +192,11 @@ class TestRotationKernels:
         assert same(np.sqrt(dot3(axis, axis)), np.linalg.norm(axis, axis=1))
 
 
+def component_major(cam):
+    """Whether each coordinate cam[..., c] of a cloud (N, P, 3) is one C-contiguous block."""
+    return all(cam[..., c].flags.c_contiguous for c in range(3))
+
+
 class TestCameraPoints:
     @pytest.mark.parametrize("n, p", [(1, 1), (7, 100), (120, 100), (33, 257)])
     def test_matches_reference(self, n, p):
@@ -199,16 +204,18 @@ class TestCameraPoints:
         poses = random_poses(rng, n)
         points = rng.uniform(-0.3, 0.3, (p, 3))
         want = ref_camera_points(poses, points)
-        assert same(camera_points(poses, points), want)
-        buf = np.full((n, 3, p), np.nan)
+        assert same(got := camera_points(poses, points), want) and component_major(got)
+        buf = np.full((3, n, p), np.nan)
         got = camera_points(poses, points, buf)
-        assert same(got, want) and np.shares_memory(got, buf)
+        assert same(got, want) and np.shares_memory(got, buf) and component_major(got)
         # one cloud per pose: the shared cloud repeated, and n clouds of their own
         assert same(camera_points(poses, np.broadcast_to(points, (n, p, 3))), want)
         clouds = rng.uniform(-0.3, 0.3, (n, p, 3))
         want = np.concatenate([ref_camera_points(poses.take([i]), c)
                                for i, c in enumerate(clouds)])
-        assert same(camera_points(poses, clouds, buf), want)
+        assert same(got := camera_points(poses, clouds), want) and component_major(got)
+        got = camera_points(poses, clouds, buf)
+        assert same(got, want) and np.shares_memory(got, buf) and component_major(got)
 
 
 class TestGroundTruthScore:

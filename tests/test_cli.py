@@ -669,6 +669,7 @@ class TestGradcheck:
         (["-n", "2", "--step", "nan"], "--step"),
         (["-n", "0"], "-n"),
         (["-n", "2", "--step", "10"], "--step"),
+        (["-n", "3", "--step", "1e-300"], "--step"),  # leaves every component unchanged
     ])
     def test_rejects_step_and_count_it_cannot_check(self, runner, args, option):
         res = runner.invoke(main, ["gradcheck", *args])

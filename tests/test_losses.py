@@ -1,6 +1,7 @@
 """Losses: Huber focal term, reprojection terms, disentangled pose loss,
 analytic gradients."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,12 @@ class TestHuberLogFocal:
     def test_symmetry_in_log_space(self):
         assert huber_log_focal(300.0, 600.0) == pytest.approx(
             huber_log_focal(1200.0, 600.0))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["f", "f_hat"])
+    def test_rejects_focal_that_is_not_finite_and_positive(self, bad, which):
+        with pytest.raises(DomainError, match="finite and positive"):
+            huber_log_focal(**{"f": 600.0, "f_hat": 600.0, which: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +337,15 @@ class TestGradients:
         delta = make_delta(vf=LossWeights().huber_delta)
         rep = gradient_check(state, delta, gt, ORIGIN_POINT)
         assert not rep["smooth"]
+
+    @pytest.mark.parametrize("step, vf, message", [
+        (1e-300, 0.0, "step 1e-300 leaves v_x = 5.0 unchanged"),  # moves 0.0, not 5.0
+        (1e-6, 1e300, "step 1e-06 leaves v_f = 1e+300 unchanged"),  # moves 5.0, not 1e300
+    ])
+    def test_rejects_step_that_leaves_a_component_unchanged(self, step, vf, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            gradient_check(make_state(f=600.0), make_delta(vx=5.0, vf=vf),
+                           make_state(f=660.0), ORIGIN_POINT, step=step)
 
     def test_grad_labels_cover_ten_components(self):
         assert len(GRAD_LABELS) == 10
