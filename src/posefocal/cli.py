@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, by_columns, number_columns, read_columns, reading, require
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
-                       Rotation, check_boxes, row_dot)
+                       Rotation, check_boxes, pose_columns, row_dot)
 from .metrics import GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair
 from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 
@@ -223,10 +223,10 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
             sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
         records = doc["records"]
-        poses = by_columns(lambda: sampling.annotation_fields(records), lambda: (
-            sampling.annotation_columns(map(sampling.annotation_row, records))))[0]
+        quat, t, f, _, _ = by_columns(lambda: sampling.annotation_fields(records), lambda: (
+            number_columns(map(sampling.annotation_row, records), *sampling.ANNOTATION_SHAPES)))
         return sampling.sample_pose_nonparametric(
-            poses, sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
+            PoseBatch(quat, t, f), sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
         return sampling.sample_pose_uniform(_uniform_ranges(doc), n, seed)
     raise DomainError(f"unknown distribution kind {kind!r}")
@@ -385,11 +385,15 @@ def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")
         path = cfg["path"]
-        poses = read_columns(
-            path, lambda docs: PoseBatch.from_columns(*number_columns(map(
-                _POSE_FIELDS, (d for d in docs if "manifest" not in d)), (4,), (3,), ())),
-            lambda doc: None if "manifest" in doc else ParamState.from_dict(doc),
-            PoseBatch.from_states)
+
+        def row(doc):
+            if "manifest" not in doc:
+                state = ParamState.from_dict(doc)
+                return state.rotation.quat, state.translation, state.focal
+
+        poses = PoseBatch(*read_columns(path, lambda docs: pose_columns(*number_columns(map(
+            _POSE_FIELDS, (d for d in docs if "manifest" not in d)), (4,), (3,), ())),
+            row, (4,), (3,), ()))
         if len(poses) < n:
             raise DomainError(f"{path}: target file has {len(poses)} poses, need {n}")
         return poses.take(slice(n))
@@ -458,28 +462,24 @@ def simulate(config_path, out, fmt):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _pair_clouds():
-    """A function of a pair file's values in file order: None for a manifest or a
-    {"model_points": {name: [[x,y,z], ...]}} line, whose shared clouds it keeps, and
-    otherwise the pair's cloud, named or inline."""
-    point_sets: dict[str, np.ndarray] = {}
-    index = count()  # of the next pair; a failed line ends the read
-
-    def cloud(doc):
-        if "manifest" in doc:
-            return None
-        if "model_points" in doc and "pred" not in doc:
-            for name, pts in doc["model_points"].items():
-                point_sets[name] = ModelPoints(np.asarray(pts, dtype=float)).points
-            return None
-        k, pts_field = next(index), doc["points"]
-        if isinstance(pts_field, str):
-            if pts_field not in point_sets:
-                raise DomainError(f"pair {k}: unknown model-points reference {pts_field!r}")
-            return point_sets[pts_field]
-        return ModelPoints(np.asarray(pts_field, dtype=float)).points
-
-    return cloud
+def _pair_cloud(doc, state):
+    """None for a manifest or a {"model_points": {name: [[x,y,z], ...]}} line, whose clouds
+    it names in ``state``, and otherwise the pair's cloud, named or inline. ``state`` is [the
+    clouds named, the index of the next pair] of a pair file's lines before ``doc``."""
+    if "manifest" in doc:
+        return None
+    named = state[0]
+    if "model_points" in doc and "pred" not in doc:
+        for name, pts in doc["model_points"].items():
+            named[name] = ModelPoints(np.asarray(pts, dtype=float)).points
+        return None
+    k, pts_field = state[1], doc["points"]
+    state[1] = k + 1
+    if isinstance(pts_field, str):
+        if pts_field not in named:
+            raise DomainError(f"pair {k}: unknown model-points reference {pts_field!r}")
+        return named[pts_field]
+    return ModelPoints(np.asarray(pts_field, dtype=float)).points
 
 
 def _load_pairs(path) -> dict:
@@ -487,13 +487,15 @@ def _load_pairs(path) -> dict:
 
     A leading {"model_points": {name: [[x,y,z], ...]}} line defines shared
     point clouds; pair lines reference them by name or carry inline points.
-    The file is read column-wise, and line by line where a line is malformed.
+    The file is read column-wise in blocks of lines, and line by line in a block with a
+    malformed line; a column-wise block's clouds and pairs count once its checks pass.
     """
     no_box = [math.nan] * 4
-    row_cloud = _pair_clouds()
+    state = [{}, 0]  # the clouds named and the index of the next pair, as of the blocks read
+    shapes = (None, (4,), (3,), (), (4,), (3,), (), (4,), (), (4,))
 
     def pair(doc):
-        if (points := row_cloud(doc)) is None:
+        if (points := _pair_cloud(doc, state)) is None:
             return None
         pred, gt = ParamState.from_dict(doc["pred"]), ParamState.from_dict(doc["gt"])
         bbox_gt = BBox(*[float(v) for v in doc["bbox_gt"]]).as_list()
@@ -504,37 +506,36 @@ def _load_pairs(path) -> dict:
             raise DomainError(f"image diagonal must be finite and positive, got {img_diag}")
         if not 0 < gt.translation.dot(gt.translation) < math.inf:
             raise DomainError(GT_NORM_ERROR)
-        return pred, gt, points, bbox_gt, img_diag, bbox_pred
+        return (points, pred.rotation.quat, pred.translation, pred.focal, gt.rotation.quat,
+                gt.translation, gt.focal, bbox_gt, img_diag, bbox_pred)
 
     def columns(docs):
-        cloud = _pair_clouds()
+        trial = [dict(state[0]), state[1]]
 
         def rows():
             for doc in docs:
-                if (points := cloud(doc)) is not None:
+                if (points := _pair_cloud(doc, trial)) is not None:
                     pred, gt, box = doc["pred"], doc["gt"], doc.get("bbox_pred")
                     yield (points, pred["quat_wxyz"], pred["t_m"], pred["focal_px"],
                            gt["quat_wxyz"], gt["t_m"], gt["focal_px"], doc["bbox_gt"],
                            doc["img_diag"], no_box if box is None else box, box is not None)
 
         points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred, given = number_columns(
-            rows(), None, (4,), (3,), (), (4,), (3,), (), (4,), (), (4,), None)
-        gt = PoseBatch.from_columns(gq, gt_t, gf)
-        norm2 = row_dot(gt.translation, gt.translation)
+            rows(), *shapes, None)
+        (pq, pt, pf), (gq, gt_t, gf) = pose_columns(pq, pt, pf), pose_columns(gq, gt_t, gf)
+        norm2 = row_dot(gt_t, gt_t)
         require(np.isfinite(img_diag) & (img_diag > 0) & (0 < norm2) & (norm2 < np.inf))
-        return {"pred": PoseBatch.from_columns(pq, pt, pf), "gt": gt, "points": tuple(points),
-                "img_diag": img_diag, "bbox_gt": check_boxes(bbox_gt),
-                "bbox_pred": check_boxes(bbox_pred, given)}
+        check_boxes(bbox_gt)
+        check_boxes(bbox_pred, given)
+        state[:] = trial
+        return points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred
 
-    def assemble(rows):
-        if not rows:
-            raise DomainError(f"no evaluation pairs in {path}")
-        pred, gt, points, bbox_gt, img_diag, bbox_pred = zip(*rows)
-        return {"pred": PoseBatch.from_states(pred), "gt": PoseBatch.from_states(gt),
-                "points": points, "bbox_gt": np.array(bbox_gt), "img_diag": np.array(img_diag),
-                "bbox_pred": np.array(bbox_pred)}
-
-    return read_columns(path, columns, pair, assemble)
+    points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred = read_columns(
+        path, columns, pair, *shapes)
+    if not points:
+        raise DomainError(f"no evaluation pairs in {path}")
+    return {"pred": PoseBatch(pq, pt, pf), "gt": PoseBatch(gq, gt_t, gf), "points": tuple(points),
+            "img_diag": img_diag, "bbox_gt": bbox_gt, "bbox_pred": bbox_pred}
 
 
 @main.command("evaluate")

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the readers that name the input a
-malformed file's error comes from, and the column-wise reads that fall back to them."""
+"""Exception types shared across the package, the reader that names the input a
+malformed file's error comes from, and the one JSON-lines read: column-wise a block of
+lines at a time, and row by row in a block that the column-wise read rejects."""
 
 import json
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ import numpy as np
 
 _READ_ERRORS = (OSError, LookupError, TypeError, ValueError, AttributeError, OverflowError,
                RecursionError)  # what malformed input makes parsing and the constructors raise
-READ_BLOCK = 1024  # rows that a column-wise read holds as Python values before making arrays
+READ_BLOCK = 1024  # non-blank lines that a read holds at once and builds into one block of columns
 _SCAN = json.JSONDecoder().scan_once  # the C scanner inside json.loads
 
 
@@ -48,7 +49,10 @@ def reading(where: str):
 
 def _parsed(line: str):
     """``json.loads(line)``, its value taken straight from the scanner where the value spans
-    the line up to one final newline; any other line, json.loads' own value or error."""
+    the line up to one final newline; any other line, json.loads' own value or error. A
+    line that is not UTF-8 raises its UnicodeDecodeError."""
+    if not line.isascii():  # an undecodable byte came in as a lone surrogate
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
     try:
         value, end = _SCAN(line, 0)
         if end == len(line) or end == len(line) - 1 and line[end] == "\n":
@@ -59,25 +63,22 @@ def _parsed(line: str):
 
 
 def number_columns(rows, *shapes) -> list:
-    """The columns of ``rows``, an iterator of tuples: for each shape, () or (k,), one float
+    """The columns of ``rows``, an iterable of tuples: for each shape, () or (k,), one float
     array (N, *shape), for each None, a list of the values. A ValueError unless each shaped
     column holds ints and floats, as lists of k for (k,) (a string, an object, a ragged list
-    or a block of bools does not). Rows are gathered READ_BLOCK at a time, so that one
-    block's Python values at most are alive at once; a (k,) column's values are flattened
-    into one list, which NumPy converts faster than nested lists, with the same bits."""
-    parts = [[] for _ in shapes]
-    for block in iter(lambda: list(islice(rows, READ_BLOCK)), []):
-        for part, values, shape in zip(parts, zip(*block), shapes):
-            if shape is not None:
-                flat = list(chain.from_iterable(values)) if shape else values
-                array = np.array(flat)
-                if (array.dtype.kind not in "fi" or array.shape != (len(flat),)
-                        or shape and {*map(len, values)} != {shape[0]}):
-                    raise ValueError("not a column of numbers")
-                values = array.reshape(len(block), *shape)
-            part.append(values)
-    return [np.concatenate(part).astype(float, copy=False) if shape is not None
-            else list(chain.from_iterable(part)) for part, shape in zip(parts, shapes)]
+    or a block of bools does not). A (k,) column's values are flattened into one list, which
+    NumPy converts faster than nested lists, with the same bits."""
+    columns = []
+    for values, shape in zip([*zip(*rows)] or [()] * len(shapes), shapes):
+        if shape is not None:
+            flat = list(chain.from_iterable(values)) if shape else values
+            array = np.array(flat)
+            if (array.dtype.kind not in "fi" or array.shape != (len(flat),)
+                    or shape and {*map(len, values)} - {shape[0]}):
+                raise ValueError("not a column of numbers")
+            values = array.reshape(len(values), *shape).astype(float, copy=False)
+        columns.append(values)
+    return columns
 
 
 def require(ok):
@@ -88,8 +89,9 @@ def require(ok):
 def by_columns(columns, rows):
     """``columns()``, or ``rows()`` should that raise what malformed input raises. Built
     column-wise, ``columns`` must reject all that the row-by-row read ``rows`` rejects and give
-    its bits on the rest, so that every accepted value and message is the row-by-row read's."""
-    with np.errstate(over="ignore"):  # as in read_jsonl
+    its bits on the rest, so that every accepted value and message is the row-by-row read's.
+    Overflow does not warn: the constructors reject an overflowing norm themselves."""
+    with np.errstate(over="ignore"):
         try:
             return columns()
         except _READ_ERRORS:
@@ -97,32 +99,27 @@ def by_columns(columns, rows):
         return rows()
 
 
-def read_columns(path, columns, row, assemble):
-    """:func:`by_columns` of ``columns`` of the values of the UTF-8 JSON-lines file ``path``'s
-    non-blank lines, each parsed once, with ``assemble(read_jsonl(path, row))``, which names the
-    first bad line, as the row-by-row read."""
-    def parsed():
-        with open(path, encoding="utf-8") as fh:
-            return columns(map(_parsed, filter(str.strip, fh)))
-    return by_columns(parsed, lambda: assemble(read_jsonl(path, row)))
+def read_columns(path, columns, row, *shapes) -> list:
+    """The columns, one per shape as :func:`number_columns` gives them, of the UTF-8
+    JSON-lines file ``path``, read READ_BLOCK non-blank lines at a time, each line parsed
+    once. Each block is :func:`by_columns` of ``columns`` of its values and of the row-by-row
+    read of that block alone: ``row`` of each value, but for the Nones, which must give the
+    fields ``columns`` gives. What decoding, parsing or ``row`` raises on line i becomes a
+    DomainError naming "<path> line <i>"."""
+    def rows(block):
+        for i, line in block:
+            with reading(f"{path} line {i}"):
+                value = row(_parsed(line))
+            if value is not None:
+                yield value
 
-
-def read_jsonl(path, row) -> list:
-    """``row`` of each parsed non-blank line of the UTF-8 JSON-lines file ``path``, but for
-    the Nones. What decoding, parsing or ``row`` raises on line i becomes a DomainError
-    naming "<path> line <i>". Overflow does not warn: the constructors reject an
-    overflowing norm themselves."""
-    rows = []
     with reading(str(path)):
         fh = open(path, encoding="utf-8", errors="surrogateescape")
-    with fh, np.errstate(over="ignore"):
-        for i, line in enumerate(fh, start=1):
-            try:
-                if not line.isascii():  # an undecodable byte came in as a lone surrogate
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                if line.strip() and (value := row(_parsed(line))) is not None:
-                    rows.append(value)
-            except _READ_ERRORS as exc:
-                with reading(f"{path} line {i}"):
-                    raise exc
-    return rows
+    blocks = [number_columns((), *shapes)]  # so that a file of no rows has its columns
+    with fh:
+        lines = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
+        for block in iter(lambda: list(islice(lines, READ_BLOCK)), []):
+            blocks.append(by_columns(lambda: columns(_parsed(line) for _, line in block),
+                                     lambda: number_columns(rows(block), *shapes)))
+    return [np.concatenate(part) if shape is not None else list(chain.from_iterable(part))
+            for part, shape in zip(zip(*blocks), shapes)]

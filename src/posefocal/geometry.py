@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DepthError, DomainError, reading, require
+from .errors import DegenerateInputError, DepthError, DomainError, require
 
 _DEGENERATE_TOL = 1e-12
 _PARALLEL_RTOL = 1e-9  # |w| against |v2 . e1|; see gram_schmidt_6d
@@ -191,29 +191,6 @@ class ModelPoints:
         """Load from a UTF-8 JSON array of [x, y, z] triples."""
         return cls(np.asarray(json.loads(Path(path).read_text("utf-8")), dtype=float))
 
-    @classmethod
-    def from_obj(cls, path: str | Path) -> "ModelPoints":
-        """Load the vertex (``v``) records of a UTF-8 OBJ file; all else is ignored. A line
-        that is not UTF-8 or a vertex that is not three numbers raises a DomainError naming
-        "<path> line <i>"."""
-        verts = []
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for i, line in enumerate(fh, start=1):
-                with reading(f"{path} line {i}"):
-                    parts = line.encode("utf-8", "surrogateescape").decode("utf-8").split()
-                    if len(parts) >= 4 and parts[0] == "v":
-                        verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        if not verts:
-            raise DomainError(f"no vertex records found in {path}")
-        return cls(np.asarray(verts))
-
-    def subsample(self, n: int, seed: int = 0) -> "ModelPoints":
-        """Deterministic subsample of at most ``n`` points."""
-        if len(self) <= n:
-            return self
-        idx = np.random.default_rng(seed).choice(len(self), size=n, replace=False)
-        return ModelPoints(self.points[np.sort(idx)])
-
 
 def project_points(intrinsics: CameraIntrinsics, rotation: Rotation,
                    translation: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -340,15 +317,6 @@ class PoseBatch:
                    np.array([s.translation for s in states]),
                    np.array([s.focal for s in states], dtype=float))
 
-    @classmethod
-    def from_columns(cls, quat, translation, focal) -> "PoseBatch":
-        """The poses ParamState.from_dict reads, from the float columns (N, 4), (N, 3) and (N,)
-        of its fields, its checks made column-wise: a ValueError where a quaternion's norm is
-        not in [1e-12, inf). Rows are normalized as Rotation normalizes them, bit for bit."""
-        norm = np.sqrt(row_dot(quat, quat))
-        require((_DEGENERATE_TOL <= norm) & (norm < np.inf))
-        return cls(quat / norm[:, None], translation, focal)
-
     def __len__(self) -> int:
         return len(self.focal)
 
@@ -357,6 +325,16 @@ class PoseBatch:
 
     def state(self, i: int) -> ParamState:
         return ParamState(Rotation(self.quat[i]), self.translation[i], float(self.focal[i]))
+
+
+def pose_columns(quat, translation, focal) -> tuple:
+    """The poses ParamState.from_dict reads, as PoseBatch columns, from the float columns
+    (N, 4), (N, 3) and (N,) of its fields: a ValueError where a row is not a PoseBatch's or
+    a quaternion's norm is not in [1e-12, inf), rows normalized as Rotation does, bit for bit."""
+    norm = np.sqrt(row_dot(quat, quat))
+    require((_DEGENERATE_TOL <= norm) & (norm < np.inf))
+    poses = PoseBatch(quat / norm[:, None], translation, focal)
+    return poses.quat, poses.translation, poses.focal
 
 
 def quat_unit(q: np.ndarray) -> np.ndarray:

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, number_columns, read_columns, require
 from .geometry import (BBox, ParamState, PoseBatch, Rotation, check_boxes, geodesic_angles,
-                       quat_multiply, quat_unit, quats_from_axis_angle)
+                       pose_columns, quat_multiply, quat_unit, quats_from_axis_angle)
 
 Z_CLAMP = -900.0  # concentration floor; keeps the normalization constant finite
 _MAX_RETRIES = 100
+ANNOTATION_SHAPES = ((4,), (3,), (), (2,), (4,))  # of quat_wxyz, t_m, f_px, img_wh and bbox
 
 
 def _require_finite(**arrays):
@@ -279,33 +280,28 @@ class Gaussian2DParams:
         return cls(np.asarray(d["mean"], dtype=float), np.asarray(d["cov"], dtype=float))
 
 
-def annotation_row(d: dict) -> list:
-    """One real-dataset annotation (pose, focal length, image size and bbox) as its
-    14 numbers, checked by Rotation, BBox and ParamState; depth is left to the
-    samplers."""
+def annotation_row(d: dict) -> tuple:
+    """One real-dataset annotation (pose, focal length, image size and bbox) as the fields
+    :func:`annotation_fields` gives, checked by Rotation, BBox and ParamState; depth is
+    left to the samplers."""
     rotation = Rotation(np.asarray(d["quat_wxyz"], dtype=float))
     t, f, img_wh = np.asarray(d["t_m"], dtype=float), float(d["f_px"]), d["img_wh"]
     if type(img_wh) is not list or len(img_wh) != 2 or {*map(type, img_wh)} - {int, float}:
         raise DomainError(f"img_wh must be two numbers, got {img_wh!r}")
     bbox = BBox(*[float(v) for v in d["bbox"]])
     state = ParamState(rotation, t, f)
-    return [*state.rotation.quat.tolist(), *state.translation.tolist(), state.focal,
-            *map(float, img_wh), *bbox.as_list()]
+    return (state.rotation.quat, state.translation, state.focal, [*map(float, img_wh)],
+            bbox.as_list())
 
 
-def annotation_columns(rows) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
-    """Annotation rows as poses, image sizes (N, 2) and bboxes (N, 4)."""
-    a = np.array(list(rows), dtype=float).reshape(-1, 14)
-    return PoseBatch(a[:, :4], a[:, 4:7], a[:, 7]), a[:, 8:10], a[:, 10:]
-
-
-def annotation_fields(docs) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
-    """:func:`annotation_columns` of annotation dicts' :func:`annotation_row`, built
+def annotation_fields(docs) -> tuple:
+    """The quaternions (N, 4), translations (N, 3), focal lengths (N,), image sizes (N, 2)
+    and bboxes (N, 4) of annotation dicts, the fields :func:`annotation_row` gives, built
     column-wise: an error where a record is not one that annotation_row takes."""
     quat, t, f, img_wh, bbox = number_columns(map(itemgetter(
-        "quat_wxyz", "t_m", "f_px", "img_wh", "bbox"), docs), (4,), (3,), (), (2,), (4,))
+        "quat_wxyz", "t_m", "f_px", "img_wh", "bbox"), docs), *ANNOTATION_SHAPES)
     require((img_wh != 0) & (img_wh != 1))  # a bool reads as 0 or 1: left to annotation_row
-    return PoseBatch.from_columns(quat, t, f), img_wh, check_boxes(bbox)
+    return (*pose_columns(quat, t, f), img_wh, check_boxes(bbox))
 
 
 def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> list[dict]:
@@ -316,9 +312,13 @@ def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> 
 
 
 def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
-    """Read a JSON-lines annotation file as :func:`annotation_columns`; errors
-    carry the line number."""
-    return read_columns(path, annotation_fields, annotation_row, annotation_columns)
+    """The poses, image sizes (N, 2) and bboxes (N, 4) of a JSON-lines annotation file:
+    read by :func:`annotation_fields` a block of lines at a time, and line by line by
+    :func:`annotation_row` in a block where a line breaks one of its checks (or holds an
+    image size of 0 or 1, which a bool would read as); errors carry the line number."""
+    quat, t, f, img_wh, bbox = read_columns(path, annotation_fields, annotation_row,
+                                            *ANNOTATION_SHAPES)
+    return PoseBatch(quat, t, f), img_wh, bbox
 
 
 def fit_translation_focal(poses: PoseBatch) -> tuple[Gaussian2DParams, Gaussian2DParams]:

@@ -310,31 +310,9 @@ class TestModelPoints:
         pts = ModelPoints.from_json(path)
         assert pts.points.shape == (2, 3)
 
-    def test_from_obj_parses_only_vertices(self, tmp_path):
-        path = tmp_path / "m.obj"
-        path.write_text("# comment\nv 1 2 3\nvn 0 0 1\nf 1 1 1\nv 4 5 6\n")
-        pts = ModelPoints.from_obj(path)
-        assert np.allclose(pts.points, [[1, 2, 3], [4, 5, 6]])
-
-    @pytest.mark.parametrize("last, message", [
-        (b"v 1 x 2\n", "could not convert string to float: 'x'"),
-        (b"# \xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")])
-    def test_from_obj_names_the_malformed_line(self, tmp_path, last, message):
-        path = tmp_path / "m.obj"
-        path.write_bytes("# modèle\nv 0 0 0\n".encode("utf-8") + last)
-        with pytest.raises(DomainError) as exc:
-            ModelPoints.from_obj(path)
-        assert str(exc.value) == f"{path} line 3: {message}"
-
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ModelPoints(np.zeros((0, 3)))
-
-    def test_subsample_deterministic(self):
-        pts = ModelPoints(np.random.default_rng(0).standard_normal((50, 3)))
-        a = pts.subsample(10, seed=4).points
-        b = pts.subsample(10, seed=4).points
-        assert np.array_equal(a, b)
 
 
 class TestParamState:

@@ -1,10 +1,11 @@
-"""The one JSON-lines reader (errors.read_jsonl) against the three per-file loops it
+"""The JSON-lines readers (errors.read_columns) against the three per-file loops they
 replaced: on seeded corpora of mutated lines, each reader gives bit-identical arrays or
-the same error message. The references below are the former readers, kept verbatim but
-for the annotation reader's messages, which now take the form the other two give.
-Then each reader's column-wise read against its row-by-row read (errors.read_jsonl
-with the row functions), on long files with one fault deep inside and on valid files
-of edge values, and a check that clean files do not fall back."""
+the same error message, read in blocks of the default size and of two lines. The
+references below are the former readers, kept verbatim but for the annotation reader's
+messages, which now take the form the other two give. Then each reader's column-wise read
+against its row-by-row read (errors.by_columns left to the row functions), on long files
+with one fault deep inside and on valid files of edge values, a check that clean files do
+not fall back, and one that a fault falls back for its own block alone."""
 
 import json
 import math
@@ -445,6 +446,18 @@ def test_sample_records_match_the_former_reader(tmp_path, monkeypatch):
     assert_both_outcomes(results)
 
 
+@pytest.mark.parametrize("test", [test_targets_match_the_former_reader,
+                                  test_pairs_match_the_former_reader,
+                                  test_annotations_match_the_former_reader],
+                         ids=["targets", "pairs", "annotations"])
+def test_two_line_blocks_match_the_former_reader(tmp_path, monkeypatch, test):
+    """The file readers' corpora read two lines a block, so that a read spans blocks: a
+    header in one block and its pairs in the next, a pair's index after a block read row
+    by row."""
+    monkeypatch.setattr(errors, "READ_BLOCK", 2)
+    test(tmp_path)
+
+
 BIG = "9" * 400  # no float holds it
 
 
@@ -693,3 +706,38 @@ def test_clean_files_take_the_column_path(both_reads, monkeypatch, reader):
         where = (f"{both_reads.path}" if reader == "sample-records"
                  else f"{both_reads.path} line {spot + 1}")
         assert new == row_by_row == ("error", f"{where}: {message}")
+
+
+def test_a_fault_falls_back_for_its_block_alone(both_reads, monkeypatch):
+    """A numeric-string focal length, which the row checks take, on line 250 of 300: the
+    row checks run on the 7 lines of its block alone, and the read gives the bits of the
+    row-by-row read."""
+    rng, calls = random.Random(9), []
+    from_dict, annotation_row = ParamState.from_dict, sampling.annotation_row
+    monkeypatch.setattr(ParamState, "from_dict", lambda d: calls.append(d) or from_dict(d))
+    monkeypatch.setattr(sampling, "annotation_row",
+                        lambda d: calls.append(d) or annotation_row(d))
+    for reader, key in (("targets", "focal_px"), ("annotations", "f_px")):
+        lines = [json.dumps(READERS[reader][0](rng)) for _ in range(300)]
+        lines[249] = json.dumps({**json.loads(lines[249]), key: "600"})
+        new, row_by_row = both_reads(reader, lines)
+        assert new[0] == "ok" and new == row_by_row
+        calls.clear()
+        assert outcome(lambda: READERS[reader][2](both_reads.path, lines)) == new
+        assert 0 < len(calls) <= 7, reader
+
+
+def test_a_block_read_again_starts_from_the_clouds_before_it(tmp_path, monkeypatch):
+    """A block that the column-wise read rejects after a header line renames a cloud is
+    read again row by row from the clouds named before it: its pair ahead of the header
+    takes the former cloud, as in the former reader."""
+    monkeypatch.setattr(errors, "READ_BLOCK", 3)
+    rng, path = random.Random(10), tmp_path / "pairs.jsonl"
+    first, again = ({"model_points": {"cube": [[rng.uniform(-0.1, 0.1) for _ in range(3)]]}}
+                    for _ in range(2))
+    ahead, odd = ({**pair_doc(rng), "points": "cube"} for _ in range(2))
+    odd["img_diag"] = "500"  # a number the row checks take and the columns do not
+    lines = [first, {"manifest": {}}, {"manifest": {}}, ahead, again, odd]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+    new = outcome(lambda: columns_bits(cli._load_pairs(path)))
+    assert new[0] == "ok" and new == old_outcome(lambda: pairs_bits(old_load_pairs(path)))
