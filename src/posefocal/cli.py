@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, by_columns, number_columns, read_columns, reading, require
+from .errors import DomainError, block_columns, number_columns, read_columns, reading, require
 from .geometry import (BBox, CameraIntrinsics, ModelPoints, ParamState, PoseBatch,
                        Rotation, check_boxes, pose_columns, row_dot)
 from .metrics import GT_NORM_ERROR, METRIC_FIELDS, RECORD_FIELDS, aggregate, evaluate_pair
@@ -222,9 +222,8 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
             sampling.Gaussian2DParams.from_dict(doc["xy"]),
             sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
-        records = doc["records"]
-        quat, t, f, _, _ = by_columns(lambda: sampling.annotation_fields(records), lambda: (
-            number_columns(map(sampling.annotation_row, records), *sampling.ANNOTATION_SHAPES)))
+        quat, t, f, _, _ = block_columns(doc["records"], sampling.annotation_fields,
+                                         sampling.annotation_row, *sampling.ANNOTATION_SHAPES)
         return sampling.sample_pose_nonparametric(
             PoseBatch(quat, t, f), sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
@@ -379,8 +378,8 @@ def _load_model_points(cfg: dict) -> ModelPoints:
 
 
 def _load_targets(cfg: dict, n: int, seed: int) -> PoseBatch:
-    """The campaign's n targets. Uniform targets are drawn from a stream
-    spawned from ``seed``, apart from the trials' ``seed + i`` noise streams."""
+    """The campaign's n targets. Uniform targets are drawn from child 0 of
+    ``SeedSequence(seed)``; the trials' noise comes from child 1."""
     if cfg["kind"] == "file":
         if "path" not in cfg:
             raise DomainError("config field targets/path: required for kind 'file'")

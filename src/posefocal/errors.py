@@ -99,27 +99,30 @@ def by_columns(columns, rows):
         return rows()
 
 
+def block_columns(items, columns, row, *shapes) -> list:
+    """The columns, one per shape as :func:`number_columns` gives them, of ``items`` taken
+    READ_BLOCK at a time. Each block is :func:`by_columns` of ``columns(block)`` and of the
+    row-by-row build from ``row`` of each item, but for the Nones, which must give the
+    fields ``columns`` gives: an item that only ``row`` takes sends its block alone row by row."""
+    items, blocks = iter(items), [number_columns((), *shapes)]  # the columns of no items
+    for block in iter(lambda: list(islice(items, READ_BLOCK)), []):
+        blocks.append(by_columns(lambda: columns(block), lambda: number_columns(
+            (value for value in map(row, block) if value is not None), *shapes)))
+    return [np.concatenate(part) if shape is not None else list(chain.from_iterable(part))
+            for part, shape in zip(zip(*blocks), shapes)]
+
+
 def read_columns(path, columns, row, *shapes) -> list:
-    """The columns, one per shape as :func:`number_columns` gives them, of the UTF-8
-    JSON-lines file ``path``, read READ_BLOCK non-blank lines at a time, each line parsed
-    once. Each block is :func:`by_columns` of ``columns`` of its values and of the row-by-row
-    read of that block alone: ``row`` of each value, but for the Nones, which must give the
-    fields ``columns`` gives. What decoding, parsing or ``row`` raises on line i becomes a
-    DomainError naming "<path> line <i>"."""
-    def rows(block):
-        for i, line in block:
-            with reading(f"{path} line {i}"):
-                value = row(_parsed(line))
-            if value is not None:
-                yield value
+    """:func:`block_columns` of the non-blank lines of the UTF-8 JSON-lines file ``path``,
+    each parsed once: ``columns`` of a block's values, ``row`` of a value. What decoding,
+    parsing or ``row`` raises on line i becomes a DomainError naming "<path> line <i>"."""
+    def line_row(numbered):
+        with reading(f"{path} line {numbered[0]}"):
+            return row(_parsed(numbered[1]))
 
     with reading(str(path)):
         fh = open(path, encoding="utf-8", errors="surrogateescape")
-    blocks = [number_columns((), *shapes)]  # so that a file of no rows has its columns
     with fh:
         lines = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
-        for block in iter(lambda: list(islice(lines, READ_BLOCK)), []):
-            blocks.append(by_columns(lambda: columns(_parsed(line) for _, line in block),
-                                     lambda: number_columns(rows(block), *shapes)))
-    return [np.concatenate(part) if shape is not None else list(chain.from_iterable(part))
-            for part, shape in zip(zip(*blocks), shapes)]
+        return block_columns(lines, lambda block: columns(_parsed(line) for _, line in block),
+                             line_row, *shapes)

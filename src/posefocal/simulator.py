@@ -160,15 +160,22 @@ def _converged(metrics: dict) -> np.ndarray:
             & (metrics["e_focal"] <= CONVERGED_TOL))
 
 
+def _trial_draws(seed: int, n: int, iterations: int) -> np.ndarray:
+    """The (iterations, n, 8) noise of trials 0..n-1 at ``seed``: trial i's block of one draw
+    from child 1 of SeedSequence(seed) (child 0 draws uniform targets), the same whatever n."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    return rng.standard_normal((n, iterations, 8)).transpose(1, 0, 2)
+
+
 def run_refinement(target: ParamState, bbox: BBox, points: ModelPoints,
                    intrinsics: CameraIntrinsics, img_diag: float, *,
                    predictor=OraclePredictor(), iterations: int = 15,
                    update_rule: str = "exact", seed: int = 0) -> TrialResult:
     """One trial of one update rule from the standard initialization: the
-    single-row case of the campaign loop, with noise drawn from
-    ``default_rng(seed)``."""
+    single-row case of the campaign loop, with the noise of trial 0 of a
+    campaign at ``seed`` (:func:`_trial_draws`)."""
     _check_settings((update_rule,), iterations)
-    draws = np.random.default_rng(seed).standard_normal((iterations, 1, 8))
+    draws = _trial_draws(seed, 1, iterations)
     trajectory, final = _refine(
         predictor, PoseBatch.from_states([target]), np.array([bbox.as_list()]),
         np.array([update_rule == "legacy"]), draws, points, intrinsics, img_diag,
@@ -186,7 +193,7 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
     """Paired campaign over the target poses, one trial per row.
 
     Each trial runs every update-rule variant with common random numbers
-    (trial i draws from ``default_rng(seed + i)`` in every arm), so the only
+    (trial i's block of :func:`_trial_draws` in every arm), so the only
     difference between the arms is the translation rule. All trials of all
     arms advance together, one row each.
     """
@@ -194,8 +201,7 @@ def run_experiment(targets: PoseBatch, points: ModelPoints,
         raise DomainError("campaign needs at least one target")
     _check_settings(variants, iterations)
     n = len(targets)
-    draws = np.stack([np.random.default_rng(seed + i).standard_normal(
-        (iterations, 8)) for i in range(n)], axis=1)
+    draws = _trial_draws(seed, n, iterations)
     bbox = image_boxes(camera_points(targets, points.points), intrinsics)
     if np.isnan(bbox).any():
         raise DepthError("a target puts a model point behind the camera")

@@ -24,6 +24,8 @@ from posefocal.geometry import PoseBatch, Rotation
 from posefocal.metrics import RECORD_FIELDS, aggregate, evaluate_pair, to_records
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 
+from test_simulator import campaign_draws
+
 
 @pytest.fixture
 def runner():
@@ -432,14 +434,36 @@ class TestSimulate:
         assert not (tmp_path / "x.json").exists()
 
     def test_uniform_targets_and_trial_noise_use_separate_streams(self):
-        """Trial i's noise comes from default_rng(seed + i); the uniform
-        targets must not be drawn from any of those streams."""
+        """The trials' noise comes from child 1 of SeedSequence(seed); the
+        uniform targets must not be drawn from that stream."""
         cfg = {"kind": "uniform"}
         targets = _load_targets(cfg, 6, seed=3)
         assert np.array_equal(targets.quat, _load_targets(cfg, 6, seed=3).quat)
-        for i in range(6):
-            trial_stream = sample_pose_uniform(UniformRanges(), 6, 3 + i)
-            assert not np.any(targets.quat == trial_stream.quat)
+        trial_stream = sample_pose_uniform(UniformRanges(), 6,
+                                           np.random.SeedSequence(3).spawn(2)[1])
+        assert not np.any(targets.quat == trial_stream.quat)
+
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    def test_uniform_targets_are_child_0_of_the_seed(self, seed):
+        """Child 0 of SeedSequence(seed), spawned alone or beside the trials' child 1."""
+        targets = _load_targets({"kind": "uniform"}, 9, seed)
+        for child in (np.random.SeedSequence(seed).spawn(1)[0],
+                      np.random.SeedSequence(seed).spawn(2)[0]):
+            want = sample_pose_uniform(UniformRanges(), 9, child)
+            for got, ref in zip((targets.quat, targets.translation, targets.focal),
+                                (want.quat, want.translation, want.focal)):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_generated_cloud_shares_no_stream_with_any_trial(self):
+        """A cloud without a path is drawn from default_rng(model_points.seed), 0 by
+        default; no trial at seeds 0 to 3 draws from that generator's stream."""
+        cloud = cli._load_model_points({})
+        assert np.array_equal(cloud.points,
+                              np.random.default_rng(0).uniform(-0.1, 0.1, (100, 3)))
+        trials = [campaign_draws(60, seed) for seed in (0, 1, 2, 3)]
+        for cloud_seed in (0, 1, 2, 3):
+            normals = np.random.default_rng(cloud_seed).standard_normal(60 * 4 * 8)
+            assert all(np.intersect1d(normals, draws).size == 0 for draws in trials)
 
     def test_short_target_file_names_itself(self, runner, tmp_path):
         targets = tmp_path / "targets.jsonl"

@@ -536,7 +536,6 @@ def both_reads(monkeypatch, tmp_path):
         new = outcome(lambda: READERS[reader][2](path, lines))
         with monkeypatch.context() as m:
             m.setattr(errors, "by_columns", rows_only)
-            m.setattr(cli, "by_columns", rows_only)
             return new, outcome(lambda: READERS[reader][2](path, lines))
 
     read.path = path
@@ -725,6 +724,32 @@ def test_a_fault_falls_back_for_its_block_alone(both_reads, monkeypatch):
         calls.clear()
         assert outcome(lambda: READERS[reader][2](both_reads.path, lines)) == new
         assert 0 < len(calls) <= 7, reader
+
+
+def test_sample_records_fall_back_for_their_block_alone(monkeypatch):
+    """sample's nonparametric records, 2 x 10^4 of them, the last with a numeric-string
+    focal length: the row checks run on at most READ_BLOCK records, and every column equals
+    the row-by-row build of all the records."""
+    rng, calls = random.Random(12), []
+    records = [annotation_doc(rng) for _ in range(20_000)]
+    records[-1] = {**records[-1], "f_px": "600"}
+    rows_only = errors.number_columns(map(sampling.annotation_row, records),
+                                      *sampling.ANNOTATION_SHAPES)
+    annotation_row = sampling.annotation_row
+    monkeypatch.setattr(sampling, "annotation_row",
+                        lambda d: calls.append(d) or annotation_row(d))
+    monkeypatch.setattr(sampling, "sample_pose_nonparametric", lambda poses, *_: poses)
+    poses = cli._draw_poses({"kind": "nonparametric", "records": records, "deltas": DELTAS},
+                            0, 0)
+    assert 0 < len(calls) <= errors.READ_BLOCK
+    assert pose_bits(poses) == pose_bits(PoseBatch(*rows_only[:3]))
+    calls.clear()
+    columns = errors.block_columns(records, sampling.annotation_fields, sampling.annotation_row,
+                                   *sampling.ANNOTATION_SHAPES)
+    assert 0 < len(calls) <= errors.READ_BLOCK
+    for got, want in zip(columns, rows_only, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_block_read_again_starts_from_the_clouds_before_it(tmp_path, monkeypatch):

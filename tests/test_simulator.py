@@ -337,11 +337,46 @@ class TestRunExperiment:
                            POINTS, INTR, IMG_DIAG, iterations=iterations)
 
 
-def reference_trial(predictor, target, legacy, seed, iterations):
+def campaign_draws(n, seed, iterations=4):
+    """(n, iterations, 8): the draws a campaign of ``n`` trials at ``seed`` hands its
+    predictor for each trial, recorded call by call."""
+    seen, oracle = [], OraclePredictor()
+
+    def predictor(state, target, k, draws):
+        seen.append(draws.copy())
+        return oracle(state, target, k, draws)
+
+    ranges = UniformRanges(z_range=(0.9, 1.5), f_range=(400.0, 900.0), xy_box=0.3)
+    run_experiment(sample_pose_uniform(ranges, n, 0), POINTS, INTR, IMG_DIAG,
+                   predictor=predictor, iterations=iterations, variants=("exact",), seed=seed)
+    return np.stack(seen, axis=1)
+
+
+class TestNoiseStreams:
+    """Trial i of a campaign at seed s reads the i-th block of one draw from child 1 of
+    SeedSequence(s): no draw is shared between trials or between seeds."""
+
+    def test_no_two_trials_of_a_campaign_share_draws(self):
+        draws = campaign_draws(60, 0)
+        assert np.unique(draws).size == draws.size
+
+    @pytest.mark.parametrize("seed", [0, 1, 41])
+    def test_no_trial_shares_draws_with_the_next_seed(self, seed):
+        assert np.intersect1d(campaign_draws(60, seed), campaign_draws(60, seed + 1)).size == 0
+
+    def test_trial_draws_do_not_depend_on_the_trial_count(self):
+        draws = campaign_draws(60, 3)
+        for n in (1, 7):
+            assert np.array_equal(campaign_draws(n, 3), draws[:n])
+
+
+def reference_trial(predictor, target, legacy, seed, trial, iterations):
     """One trial, one arm, step by step through the scalar functions, with
-    the noise drawn call by call from ``default_rng(seed)``."""
+    the noise drawn call by call from child 1 of ``SeedSequence(seed)``, past
+    the ``iterations * 8`` normals of each trial before ``trial``."""
     bbox = projected_bbox(target, POINTS, INTR)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    rng.standard_normal(trial * iterations * 8)
 
     def measure(state):
         try:
@@ -411,7 +446,7 @@ def test_campaign_matches_scalar_reference(noise):
         got = report["variants"][rule]["trajectories"]
         for i in range(len(targets)):
             want = reference_trial(predictor, targets.state(i), rule == "legacy",
-                                   5 + i, 10)
+                                   5, i, 10)
             for rec_got, rec_want in zip(got[i], want, strict=True):
                 assert rec_got.keys() == rec_want.keys()
                 for key, value in rec_want.items():
