@@ -36,7 +36,6 @@ from .update_rules import UPDATE_RULES, DeltaTheta, oracle_delta
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 WRITE_BLOCK = 1024  # pose rows that write_jsonl formats and writes at a time
 _POSE_FIELDS = itemgetter("quat_wxyz", "t_m", "focal_px")  # of ParamState.to_dict()
-_RECORD_KEYS = sorted(RECORD_FIELDS)  # as json.dumps(..., sort_keys=True) orders them
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +83,49 @@ def _flat_encoder(depth: int):
     return lambda obj: "".join(encode(obj, 0))
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """json's text of each row of a 1-D or 2-D float64 array without its brackets:
+    repr(float(x)) of each element of a 1-D array, the reprs of a row joined by "," of a
+    2-D one. It is orjson's shortest round-trip text of the whole array, which is repr's
+    for ±0.0 and 1e-4 <= |x| < 1e16; a row holding another value (0 < |x| < 1e-4,
+    |x| >= 1e16, or NaN and ±inf, which orjson writes as null) is formatted by repr."""
+    import orjson
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []  # the split of orjson's "[]" would be [""]
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = text[2:-2].split("],[") if values.ndim == 2 else text[1:-1].split(",")
+    size = np.abs(values.reshape(len(values), -1))
+    in_band = (size < 1e16) & ((size >= 1e-4) | (size == 0))
+    for i in np.flatnonzero(~in_band.all(axis=1)).tolist():
+        texts[i] = ",".join(map(repr, np.atleast_1d(values[i]).tolist()))
+    return texts
+
+
 class RecordColumns:
-    """Metric columns that write_json lays out as metrics.to_records' records, building none."""
+    """Float columns, each (N,) or (N, k), that write_json lays out as the list of their N
+    records, {key: value or list of k values}, building none: what metrics.to_records gives
+    of metric columns, or the annotation records of fit-dist's nonparametric distribution."""
 
     def __init__(self, columns: dict):
         self.columns = columns
 
     def indented(self, depth: int) -> str:
-        """_indented(to_records(self.columns), depth) by one %s template per record."""
-        table = np.column_stack([self.columns[k] for k in _RECORD_KEYS]).ravel()
-        values, inner = table.tolist(), "  " * (depth + 1)
-        for i in np.flatnonzero(~np.isfinite(table)).tolist():  # json's text, a NaN IoU null
-            nan_iou = _RECORD_KEYS[i % len(_RECORD_KEYS)] == "iou" and math.isnan(values[i])
-            values[i] = _flat_encoder(0)(None if nan_iou else values[i])
-        row = f",\n{inner}{{" + ",".join(
-            f"\n{inner}  {encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS) + f"\n{inner}}}"
-        text = row * (len(values) // len(_RECORD_KEYS)) % tuple(values)
+        """_indented of the records by one %s template per record; a non-finite value is
+        json's text, a NaN IoU null."""
+        keys = sorted(self.columns)  # as json.dumps(..., sort_keys=True) orders them
+        table = np.column_stack([self.columns[k] for k in keys]).ravel()
+        values, inner = _float_texts(table), "  " * (depth + 1)
+        shapes = [self.columns[k].shape[1:] for k in keys]  # () or (k,)
+        key_at = [k for k, shape in zip(keys, shapes) for _ in range(math.prod(shape))]
+        for i in np.flatnonzero(~np.isfinite(table)).tolist():
+            nan_iou = key_at[i % len(key_at)] == "iou" and math.isnan(table[i])
+            values[i] = _flat_encoder(0)(None if nan_iou else table[i].item())
+        fields = [f"\n{inner}  {encode_basestring_ascii(k)}: " + (
+            f"[\n{inner}    " + f",\n{inner}    ".join(["%s"] * shape[0]) + f"\n{inner}  ]"
+            if shape else "%s") for k, shape in zip(keys, shapes)]
+        row = f",\n{inner}{{" + ",".join(fields) + f"\n{inner}}}"
+        text = row * (len(values) // len(key_at)) % tuple(values)
         return f"[{text[1:]}\n{'  ' * depth}]" if values else "[]"
 
 
@@ -137,16 +163,17 @@ def write_json(path, manifest: dict, payload: dict):
 
 
 def write_jsonl(path, manifest: dict, poses: PoseBatch):
-    """The manifest, then each pose's ParamState.to_dict() as _dump writes it: %r is
-    json's float repr, and a PoseBatch holds only finite floats. Rows are formatted
-    and written WRITE_BLOCK at a time, so memory does not grow with their number."""
-    line = '\n{"focal_px":%r,"quat_wxyz":[%r,%r,%r,%r],"t_m":[%r,%r,%r]}'
+    """The manifest, then each pose's ParamState.to_dict() as _dump writes it: the %s
+    are the _float_texts of its focal length, quaternion and translation, as json writes
+    them, and a PoseBatch holds only finite floats. Rows are formatted and written
+    WRITE_BLOCK at a time, so memory does not grow with their number."""
+    line = '\n{"focal_px":%s,"quat_wxyz":[%s],"t_m":[%s]}'
     with _writing(path) as fh:
         fh.write(_dump({"manifest": manifest}))
         for i in range(0, len(poses), WRITE_BLOCK):
-            rows = np.column_stack([a[i:i + WRITE_BLOCK] for a in (
-                poses.focal, poses.quat, poses.translation)]).ravel().tolist()
-            fh.write(line * (len(rows) // 8) % tuple(rows))
+            block = [_float_texts(a[i:i + WRITE_BLOCK])
+                     for a in (poses.focal, poses.quat, poses.translation)]
+            fh.write(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
         fh.write("\n")
 
 
@@ -189,7 +216,9 @@ def fit_dist(annotations, kind, out):
                    "zf": zf.to_dict()}
         else:
             doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(poses).to_dict(),
-                   "records": sampling.annotation_dicts(poses, img_wh, bbox)}
+                   "records": RecordColumns({"quat_wxyz": poses.quat, "t_m": poses.translation,
+                                             "f_px": poses.focal, "img_wh": img_wh,
+                                             "bbox": bbox})}
     except DomainError as exc:
         raise click.ClickException(str(exc)) from exc
     write_json(out, _manifest("fit-dist", {"kind": kind}, seed=None,
@@ -553,9 +582,9 @@ def evaluate(pairs_file, out, fmt):
     if fmt == "json":
         write_json(out, manifest, {"summary": summary, "records": RecordColumns(columns)})
     else:
-        ious = ["" if math.isnan(v) else repr(v) for v in columns["iou"].tolist()]
+        ious = [t if t != "nan" else "" for t in _float_texts(columns["iou"])]
         write_csv(out, manifest, RECORD_FIELDS, zip(
-            *[map(repr, columns[f].tolist()) for f in METRIC_FIELDS], ious))
+            *[_float_texts(columns[f]) for f in METRIC_FIELDS], ious))
     med = summary["medians"]
     click.echo("medians: " + " ".join(f"{f}={med[f]:.6g}" for f in METRIC_FIELDS))
 

@@ -304,13 +304,6 @@ def annotation_fields(docs) -> tuple:
     return (*pose_columns(quat, t, f), img_wh, check_boxes(bbox))
 
 
-def annotation_dicts(poses: PoseBatch, img_wh: np.ndarray, bbox: np.ndarray) -> list[dict]:
-    """The annotations in these columns as the dicts :func:`annotation_row` reads."""
-    columns = (poses.quat, poses.translation, poses.focal, img_wh, bbox)
-    return [dict(zip(("quat_wxyz", "t_m", "f_px", "img_wh", "bbox"), row))
-            for row in zip(*(c.tolist() for c in columns))]
-
-
 def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarray]:
     """The poses, image sizes (N, 2) and bboxes (N, 4) of a JSON-lines annotation file:
     read by :func:`annotation_fields` a block of lines at a time, and line by line by

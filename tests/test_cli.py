@@ -14,11 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import posefocal
 from posefocal import cli
-from posefocal.cli import (WRITE_BLOCK, RecordColumns, _draw_poses, _indented, _load_pairs,
-                           _load_targets, main, write_json, write_jsonl)
+from posefocal.cli import (WRITE_BLOCK, RecordColumns, _draw_poses, _float_texts, _indented,
+                           _load_pairs, _load_targets, main, write_json, write_jsonl)
 from posefocal.errors import DomainError
 from posefocal.geometry import PoseBatch, Rotation
 from posefocal.metrics import RECORD_FIELDS, aggregate, evaluate_pair, to_records
@@ -171,7 +174,34 @@ def pose_rows(poses):
             zip(poses.quat.tolist(), poses.translation.tolist(), poses.focal.tolist())]
 
 
-EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 600.0, 1e16, 1e22, 1.7976931348623157e308]
+# The ends of the band where orjson's text is repr's (1e-4 <= |x| < 1e16), the
+# neighbours below them, and integer-valued floats in the band.
+BAND_EDGES = [float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e16, 0)),
+              9999999999999998.0, 2.0**53, 1280.0]
+EDGE_FLOATS = [-0.0, 5e-324, 1e-7, 600.0, 1e16, 1e22, 1.7976931348623157e308, *BAND_EDGES]
+
+
+class TestFloatTexts:
+    """_float_texts is repr of each float of a 1-D array, and the reprs of each row of
+    a 2-D one joined by ","."""
+
+    @staticmethod
+    def reprs(values):
+        return [",".join(map(repr, row)) if values.ndim == 2 else repr(row)
+                for row in values.tolist()]
+
+    @pytest.mark.parametrize("shape", [0, 1, WRITE_BLOCK + 1, (0, 4), (1, 4), (WRITE_BLOCK + 1, 3)])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_is_repr_of_any_float(self, shape, data):
+        values = data.draw(arrays(np.float64, shape, elements=st.floats()))
+        assert _float_texts(values) == self.reprs(values)
+
+    def test_edges_and_non_finite_values(self):
+        values = np.array([*EDGE_FLOATS, math.nan, math.inf, -math.inf, 1e-5, -1e16, 0.5])
+        values = np.concatenate([values, -values])
+        for rows in (values, values.reshape(-1, 2), values[::2]):
+            assert _float_texts(rows) == self.reprs(rows)
 
 
 class TestWriteJsonl:
@@ -183,7 +213,7 @@ class TestWriteJsonl:
     @staticmethod
     def batch(n):
         """Values over 20 decades of both signs, a tenth of them EDGE_FLOATS;
-        row 0 holds each edge value."""
+        the quaternions and translations of the first rows hold each edge value."""
         rng = np.random.default_rng(n)
         quat = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-10, 10, (n, 4))
         trans = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-10, 10, (n, 3))
@@ -194,7 +224,8 @@ class TestWriteJsonl:
             flat[pick] = rng.choice(EDGE_FLOATS[1:], pick.sum()) \
                 * rng.choice(signs, pick.sum())
         if n:
-            quat[0], trans[0], focal[0] = EDGE_FLOATS[:4], EDGE_FLOATS[4:], 1e-7
+            edges = np.resize(EDGE_FLOATS, (-(-len(EDGE_FLOATS) // 7), 7))[:n]
+            quat[:len(edges)], trans[:len(edges)], focal[0] = edges[:, :4], edges[:, 4:], 1e-7
         return PoseBatch(quat, trans, focal)
 
     @pytest.mark.parametrize("n", [0, 1, 1000, WRITE_BLOCK - 1, WRITE_BLOCK,
@@ -334,7 +365,7 @@ class TestWriteJson:
         at any depth: non-finite values as json writes them, a NaN IoU as null."""
         rng = np.random.default_rng(n)
         columns = {f: rng.uniform(0.0, 2.0, n) for f in RECORD_FIELDS}
-        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1.5e-7]
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1.5e-7, *BAND_EDGES]
         for f in RECORD_FIELDS:
             rows = rng.random(n) < 0.3
             columns[f][rows] = rng.choice(special, rows.sum())
@@ -344,6 +375,22 @@ class TestWriteJson:
                      lambda r: [{"x": [r]}, {"summary": {"b": [1]}, "y": r}]):
             assert _indented(wrap(RecordColumns(columns))) == json.dumps(
                 wrap(to_records(columns)), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 500])
+    def test_vector_columns_are_their_records(self, n):
+        """Columns of shape (N,) and (N, k) are laid out as json.dumps lays out their
+        records, {key: value or list}, keys sorted, non-finite values as json writes them."""
+        rng = np.random.default_rng(n)
+        columns = {"t_m": rng.normal(size=(n, 3)), "f_px": rng.uniform(100, 2000, n),
+                   "bbox": rng.uniform(0, 1e3, (n, 4)), "img_wh": np.full((n, 2), 640.0)}
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, *BAND_EDGES]
+        for c in columns.values():
+            pick = rng.random(c.shape) < 0.2
+            c[pick] = rng.choice(special, pick.sum())
+        records = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+        for wrap in (lambda r: r, lambda r: {"kind": "x", "records": r}):
+            assert _indented(wrap(RecordColumns(columns))) == json.dumps(
+                wrap(records), sort_keys=True, indent=2)
 
     def test_cli_outputs_re_dump_to_the_same_bytes(self, runner, annotations, tmp_path):
         """Each JSON output of a CLI run is what json.dumps(indent=2) makes of it."""
@@ -1069,7 +1116,7 @@ import json, sys
 import posefocal.cli
 if sys.argv[1:]:
     posefocal.cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("posefocal."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("posefocal.") or m == "orjson")))
 """
 
 
@@ -1077,7 +1124,8 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
     """In a fresh process, import posefocal.cli loads only the modules every command
     shares; simulate (file targets) loads neither sampling nor losses, evaluate and
     gradcheck neither sampling nor the simulator, fit-dist and sample neither the
-    simulator nor losses."""
+    simulator nor losses. The float formatter orjson is loaded only by the commands
+    that format float columns: sample, evaluate and the nonparametric fit-dist."""
     evaluate = TestEvaluate()
     pairs = evaluate.write_pairs(tmp_path, [evaluate.header(), evaluate.pair()])
     (tmp_path / "targets.jsonl").write_text(
@@ -1086,18 +1134,19 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
         {"n_trials": 1, "iterations": 2, "model_points": {"count": 8},
          "targets": {"kind": "file", "path": str(tmp_path / "targets.jsonl")}}))
     shared = {"cli", "errors", "geometry", "metrics", "update_rules"}
-    cases = [([], shared, {"sampling", "simulator", "losses"}),
+    cases = [([], shared, {"sampling", "simulator", "losses", "orjson"}),
              (["simulate", "--config", str(tmp_path / "sim.json"), "--out",
-               str(tmp_path / "report.json")], {"simulator"}, {"sampling", "losses"}),
-             (["evaluate", str(pairs), "--out", str(tmp_path / "eval.json")], set(),
+               str(tmp_path / "report.json")], {"simulator"}, {"sampling", "losses", "orjson"}),
+             (["evaluate", str(pairs), "--out", str(tmp_path / "eval.json")], {"orjson"},
               {"sampling", "simulator"}),
-             (["gradcheck", "-n", "2"], {"losses"}, {"sampling", "simulator"})]
+             (["gradcheck", "-n", "2"], {"losses"}, {"sampling", "simulator", "orjson"})]
     for kind in ("parametric", "nonparametric"):
         dist = str(tmp_path / f"{kind}.json")
+        fit_formats = {"orjson"} if kind == "nonparametric" else set()
         cases += [(["fit-dist", str(annotations), "--kind", kind, "--out", dist],
-                   {"sampling"}, {"simulator", "losses"}),
+                   {"sampling"} | fit_formats, {"simulator", "losses", "orjson"} - fit_formats),
                   (["sample", dist, "-n", "3", "--out", str(tmp_path / f"{kind}.jsonl")],
-                   {"sampling"}, {"simulator", "losses"})]
+                   {"sampling", "orjson"}, {"simulator", "losses"})]
     for argv, needed, unneeded in cases:
         done = subprocess.run([sys.executable, "-c", COMMAND_MODULES_SCRIPT, *argv],
                               env=fresh_process_env(), capture_output=True, text=True,
