@@ -134,8 +134,7 @@ _CONTAINERS = (dict, list, tuple, RecordColumns)  # what write_json lays out its
 
 def _indented(obj, depth: int = 0) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) of a value ``depth`` levels deep, string keys:
-    one C encoder call per container of scalars, and per list of non-empty flat dicts, whose
-    record boundaries a replace re-pads (no encoded scalar holds a raw newline or ends in "}")."""
+    one C encoder call per container of scalars, RecordColumns.indented per column table."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _flat_encoder(0)(obj)
     if isinstance(obj, RecordColumns):
@@ -144,11 +143,6 @@ def _indented(obj, depth: int = 0) -> str:
     if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
         text = _flat_encoder(depth + 1)(obj)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    if not is_dict and all(map(isinstance, obj, repeat(dict))) and all(obj) and not any(
-            map(isinstance, chain.from_iterable(map(dict.values, obj)), repeat(_CONTAINERS))):
-        text = _flat_encoder(depth + 2)(obj)[2:-2].replace(
-            f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
-        return f"[\n{inner}{{\n{inner}  {text}\n{inner}}}\n{pad}]"
     parts = ([f"{encode_basestring_ascii(k)}: {_indented(obj[k], depth + 1)}" for k in sorted(obj)]
              if is_dict else [_indented(v, depth + 1) for v in obj])
     brackets = "{}" if is_dict else "[]"

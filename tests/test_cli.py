@@ -1125,18 +1125,22 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
     shares; simulate (file targets) loads neither sampling nor losses, evaluate and
     gradcheck neither sampling nor the simulator, fit-dist and sample neither the
     simulator nor losses. The float formatter orjson is loaded only by the commands
-    that format float columns: sample, evaluate and the nonparametric fit-dist."""
+    that format float columns: sample, evaluate and the nonparametric fit-dist, not
+    simulate, whose kept trajectories are dict records."""
     evaluate = TestEvaluate()
     pairs = evaluate.write_pairs(tmp_path, [evaluate.header(), evaluate.pair()])
     (tmp_path / "targets.jsonl").write_text(
         json.dumps({"quat_wxyz": [1, 0, 0, 0], "t_m": [0, 0, 1], "focal_px": 600.0}) + "\n")
-    (tmp_path / "sim.json").write_text(json.dumps(
-        {"n_trials": 1, "iterations": 2, "model_points": {"count": 8},
-         "targets": {"kind": "file", "path": str(tmp_path / "targets.jsonl")}}))
+    sim = {"n_trials": 1, "iterations": 2, "model_points": {"count": 8},
+           "targets": {"kind": "file", "path": str(tmp_path / "targets.jsonl")}}
+    (tmp_path / "sim.json").write_text(json.dumps(sim))
+    (tmp_path / "sim_kept.json").write_text(json.dumps({**sim, "keep_trajectories": True}))
     shared = {"cli", "errors", "geometry", "metrics", "update_rules"}
     cases = [([], shared, {"sampling", "simulator", "losses", "orjson"}),
              (["simulate", "--config", str(tmp_path / "sim.json"), "--out",
                str(tmp_path / "report.json")], {"simulator"}, {"sampling", "losses", "orjson"}),
+             (["simulate", "--config", str(tmp_path / "sim_kept.json"), "--out",
+               str(tmp_path / "kept.json")], {"simulator"}, {"sampling", "losses", "orjson"}),
              (["evaluate", str(pairs), "--out", str(tmp_path / "eval.json")], {"orjson"},
               {"sampling", "simulator"}),
              (["gradcheck", "-n", "2"], {"losses"}, {"sampling", "simulator", "orjson"})]
