@@ -552,8 +552,9 @@ def _load_pairs(path) -> dict:
         state[:] = trial
         return points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred
 
+    import orjson
     points, pq, pt, pf, gq, gt_t, gf, bbox_gt, img_diag, bbox_pred = read_columns(
-        path, columns, pair, *shapes)
+        path, columns, pair, *shapes, loads=orjson.loads)
     if not points:
         raise DomainError(f"no evaluation pairs in {path}")
     return {"pred": PoseBatch(pq, pt, pf), "gt": PoseBatch(gq, gt_t, gf), "points": tuple(points),

@@ -11,7 +11,7 @@ import numpy as np
 _READ_ERRORS = (OSError, LookupError, TypeError, ValueError, AttributeError, OverflowError,
                RecursionError)  # what malformed input makes parsing and the constructors raise
 READ_BLOCK = 1024  # non-blank lines that a read holds at once and builds into one block of columns
-_SCAN = json.JSONDecoder().scan_once  # the C scanner inside json.loads
+_DEEP = 500  # brackets from which a line might nest as deep as json's recursion limit
 
 
 class DomainError(ValueError):
@@ -47,19 +47,15 @@ def reading(where: str):
         raise DomainError(f"{where}: {exc}") from exc
 
 
-def _parsed(line: str):
-    """``json.loads(line)``, its value taken straight from the scanner where the value spans
-    the line up to one final newline; any other line, json.loads' own value or error. A
-    line that is not UTF-8 raises its UnicodeDecodeError."""
+def _parsed(line: str, loads=json.loads):
+    """``loads(line)``, but json's value or error for a line with _DEEP brackets or more,
+    which might nest past json's recursion limit (orjson 3.8 has no limit and may crash).
+    A line that is not UTF-8 raises its UnicodeDecodeError."""
     if not line.isascii():  # an undecodable byte came in as a lone surrogate
         line.encode("utf-8", "surrogateescape").decode("utf-8")
-    try:
-        value, end = _SCAN(line, 0)
-        if end == len(line) or end == len(line) - 1 and line[end] == "\n":
-            return value
-    except (StopIteration, *_READ_ERRORS):
-        pass
-    return json.loads(line)
+    if len(line) >= 2 * _DEEP and line.count("[") + line.count("{") >= _DEEP:
+        return json.loads(line)
+    return loads(line)
 
 
 def number_columns(rows, *shapes) -> list:
@@ -112,10 +108,12 @@ def block_columns(items, columns, row, *shapes) -> list:
             for part, shape in zip(zip(*blocks), shapes)]
 
 
-def read_columns(path, columns, row, *shapes) -> list:
+def read_columns(path, columns, row, *shapes, loads=json.loads) -> list:
     """:func:`block_columns` of the non-blank lines of the UTF-8 JSON-lines file ``path``,
-    each parsed once: ``columns`` of a block's values, ``row`` of a value. What decoding,
-    parsing or ``row`` raises on line i becomes a DomainError naming "<path> line <i>"."""
+    each parsed once: ``columns`` of a block's values as :func:`_parsed` with ``loads`` gives
+    them, ``row`` of a value as json gives it. ``loads`` may reject more than json or read an
+    integer as its float, but must otherwise give json's value. What decoding, parsing or
+    ``row`` raises on line i becomes a DomainError naming "<path> line <i>"."""
     def line_row(numbered):
         with reading(f"{path} line {numbered[0]}"):
             return row(_parsed(numbered[1]))
@@ -124,5 +122,5 @@ def read_columns(path, columns, row, *shapes) -> list:
         fh = open(path, encoding="utf-8", errors="surrogateescape")
     with fh:
         lines = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
-        return block_columns(lines, lambda block: columns(_parsed(line) for _, line in block),
-                             line_row, *shapes)
+        return block_columns(lines, lambda block: columns(
+            _parsed(line, loads) for _, line in block), line_row, *shapes)

@@ -309,8 +309,9 @@ def load_annotations(path: str | Path) -> tuple[PoseBatch, np.ndarray, np.ndarra
     read by :func:`annotation_fields` a block of lines at a time, and line by line by
     :func:`annotation_row` in a block where a line breaks one of its checks (or holds an
     image size of 0 or 1, which a bool would read as); errors carry the line number."""
+    import orjson
     quat, t, f, img_wh, bbox = read_columns(path, annotation_fields, annotation_row,
-                                            *ANNOTATION_SHAPES)
+                                            *ANNOTATION_SHAPES, loads=orjson.loads)
     return PoseBatch(quat, t, f), img_wh, bbox
 
 

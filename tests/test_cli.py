@@ -1124,9 +1124,10 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
     """In a fresh process, import posefocal.cli loads only the modules every command
     shares; simulate (file targets) loads neither sampling nor losses, evaluate and
     gradcheck neither sampling nor the simulator, fit-dist and sample neither the
-    simulator nor losses. The float formatter orjson is loaded only by the commands
-    that format float columns: sample, evaluate and the nonparametric fit-dist, not
-    simulate, whose kept trajectories are dict records."""
+    simulator nor losses. orjson, which formats float columns and parses pair and
+    annotation files column-wise, is loaded by sample, evaluate and fit-dist, not by
+    gradcheck or simulate, whose targets json parses and whose kept trajectories are
+    dict records."""
     evaluate = TestEvaluate()
     pairs = evaluate.write_pairs(tmp_path, [evaluate.header(), evaluate.pair()])
     (tmp_path / "targets.jsonl").write_text(
@@ -1146,9 +1147,8 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
              (["gradcheck", "-n", "2"], {"losses"}, {"sampling", "simulator", "orjson"})]
     for kind in ("parametric", "nonparametric"):
         dist = str(tmp_path / f"{kind}.json")
-        fit_formats = {"orjson"} if kind == "nonparametric" else set()
         cases += [(["fit-dist", str(annotations), "--kind", kind, "--out", dist],
-                   {"sampling"} | fit_formats, {"simulator", "losses", "orjson"} - fit_formats),
+                   {"sampling", "orjson"}, {"simulator", "losses"}),
                   (["sample", dist, "-n", "3", "--out", str(tmp_path / f"{kind}.jsonl")],
                    {"sampling", "orjson"}, {"simulator", "losses"})]
     for argv, needed, unneeded in cases:

@@ -5,16 +5,22 @@ references below are the former readers, kept verbatim but for the annotation re
 messages, which now take the form the other two give. Then each reader's column-wise read
 against its row-by-row read (errors.by_columns left to the row functions), on long files
 with one fault deep inside and on valid files of edge values, a check that clean files do
-not fall back, and one that a fault falls back for its own block alone."""
+not fall back, and one that a fault falls back for its own block alone. Last, the pair and
+annotation reads, whose column-wise path parses with orjson, against the same reads parsed
+by json alone: on floats, big ints, what orjson rejects and lines nested deep."""
 
 import json
 import math
 import random
+import re
+import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
+import orjson
 import pytest
 
 from posefocal import cli, errors, sampling
@@ -163,13 +169,14 @@ ODD_LINES = ["", "   ", "\t", "5", "null", "true", '"manifest"', '"text"', "[1, 
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc).replace(f'"{HUGE}"', "1e400")
+    """json.dumps of ``doc``, each string "<text>" in it (HUGE, say) written as the bare text."""
+    return re.sub(r'"<([^"<>]*)>"', r"\1", json.dumps(doc))
 
 
 def file_text(lines, rng) -> str:
-    """``lines`` as a file, in 40 % of files in a form whose lines the JSON scanner leaves
-    to json.loads: CRLF endings, spaces or tabs after a line, a space before one, a BOM
-    on line 1, two values on one line, or no newline after the last line."""
+    """``lines`` as a file, in 40 % of files in a form at a parser's edges: CRLF endings,
+    spaces or tabs after a line, a space before one, a BOM on line 1, two values on one
+    line, or no newline after the last line."""
     form = rng.randrange(1, 7) if rng.random() < 0.4 else 0
     i = rng.randrange(len(lines))
     if form == 1:
@@ -766,3 +773,166 @@ def test_a_block_read_again_starts_from_the_clouds_before_it(tmp_path, monkeypat
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
     new = outcome(lambda: columns_bits(cli._load_pairs(path)))
     assert new[0] == "ok" and new == old_outcome(lambda: pairs_bits(old_load_pairs(path)))
+
+
+# ---------------------------------------------------------------------------
+# The pair and annotation reads, parsed by orjson, against the same reads parsed by json
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def both_parsers(monkeypatch, tmp_path):
+    """read(reader, lines) -> ((outcome, blocks read row by row) of the reader on a file of
+    ``lines``, the same with its column-wise path parsed by json, as the row-by-row path
+    is). Blocks of 7 rows."""
+    monkeypatch.setattr(errors, "READ_BLOCK", 7)
+    path, by_columns, fallbacks = tmp_path / "in.jsonl", errors.by_columns, []
+    monkeypatch.setattr(errors, "by_columns", lambda columns, rows: by_columns(
+        columns, lambda: fallbacks.append(rows) or rows()))
+
+    def read_once(reader, lines):
+        fallbacks.clear()
+        return outcome(lambda: READERS[reader][2](path, lines)), len(fallbacks)
+
+    def read(reader, lines):
+        path.write_text("\n".join(lines) + "\n")
+        with_orjson = read_once(reader, lines)
+        with monkeypatch.context() as m:
+            m.setattr(orjson, "loads", json.loads)
+            return with_orjson, read_once(reader, lines)
+
+    return read
+
+
+ORJSON_READERS = ("pairs", "annotations")
+
+
+def float_text(x: float, rng) -> str:
+    """``x`` as a JSON number in one of five forms: repr, %.17g, %.25e, the exact decimal
+    halfway between x and the next double up, or x's 17 significant digits and 1 to 40
+    random ones after them."""
+    form = rng.randrange(5)
+    if form == 3 and math.isfinite(up := math.nextafter(x, math.inf)):
+        with localcontext(prec=1200):
+            return str((Decimal(x) + Decimal(up)) / 2)
+    if form == 4:
+        digits, exponent = f"{x:.16e}".split("e")
+        return f"{digits}{''.join(rng.choices('0123456789', k=rng.randint(1, 40)))}e{exponent}"
+    return ("%r", "%.17g", "%.25e")[form % 3] % x
+
+
+def any_double(rng) -> float:
+    """A finite double of random bits: any sign, exponent and mantissa."""
+    while not math.isfinite(x := struct.unpack("<d", rng.randbytes(8))[0]):
+        pass
+    return x
+
+
+def with_numbers(lines, text) -> list:
+    """``lines`` with every number in them written as ``text(number)``."""
+    docs = [json.loads(line) for line in lines]
+    for doc in docs:
+        for path in numeric_paths(doc):
+            set_at(doc, path, f"<{text(get_at(doc, path))}>")
+    return [dumps(doc) for doc in docs]
+
+
+def data_lines(docs) -> list:
+    return [i for i, doc in enumerate(docs) if "manifest" not in doc and "model_points" not in doc]
+
+
+@pytest.mark.parametrize("reader", ORJSON_READERS)
+def test_float_corpus_reads_as_json(both_parsers, reader):
+    """Long valid files, as written and with every number moved by up to 1e-9 of itself and
+    written in one of float_text's forms (halfway points among them): both parsers give
+    the same bits and neither falls back. Then up to three numbers of a file made any finite
+    double, in the same forms: the same bits or message."""
+    rng, results = random.Random(13), []
+    for _ in range(25):
+        lines = long_file(reader, rng)
+        moved = with_numbers(lines, lambda x: float_text(x * (1 + rng.uniform(-1e-9, 1e-9)),
+                                                         rng))
+        for clean in (lines, moved):
+            with_orjson, with_json = both_parsers(reader, clean)
+            assert with_orjson == with_json and with_orjson[1] == 0, clean
+            assert with_orjson[0][0] == "ok", with_orjson[0]
+        docs = [json.loads(line) for line in moved]
+        for _ in range(rng.randint(1, 3)):
+            doc = docs[rng.choice(data_lines(docs))]
+            set_at(doc, rng.choice(numeric_paths(doc)), f"<{float_text(any_double(rng), rng)}>")
+        with_orjson, with_json = both_parsers(reader, [dumps(doc) for doc in docs])
+        assert with_orjson[0] == with_json[0]
+        results.append(with_orjson[0][0])
+    assert {"ok", "error"} <= set(results)
+
+
+# ints at the edges of int64 and uint64 and past them, the last too large for a float
+EDGE_INTS = [2**63 - 1, -(2**63 - 1), -(2**63) - 1, 2**64, 2**70, 10**25, int(BIG)]
+
+
+@pytest.mark.parametrize("reader", ORJSON_READERS)
+def test_integers_read_as_json(both_parsers, reader):
+    """EDGE_INTS at a number of one line, or of every line: the same bits or message.
+    orjson reads an int past int64 and uint64 as its float, where json's int makes an object
+    column; so on some files json's column-wise read falls back and orjson's does not."""
+    rng, results, taken_as_floats = random.Random(14), [], 0
+    for value in EDGE_INTS:
+        for _ in range(10):
+            docs = [json.loads(line) for line in long_file(reader, rng)]
+            rows = [docs[i] for i in data_lines(docs)]
+            path = rng.choice(numeric_paths(rows[-1]))
+            for doc in rows if rng.random() < 0.5 else [rng.choice(rows)]:
+                if path in numeric_paths(doc):
+                    set_at(doc, path, value)
+            (new, blocks), (old, json_blocks) = both_parsers(reader, list(map(json.dumps, docs)))
+            assert new == old, (value, path)
+            results.append(new[0])
+            taken_as_floats += new[0] == "ok" and blocks < json_blocks
+    assert {"ok", "error"} <= set(results) and taken_as_floats > 0
+
+
+# what json takes and orjson rejects: NaN, infinities, 1e400 and lone-surrogate escapes
+ORJSON_REJECTS = ["<NaN>", "<Infinity>", "<-Infinity>", HUGE, "\ud800", "a\udc00"]
+
+
+@pytest.mark.parametrize("reader", ORJSON_READERS)
+def test_what_orjson_rejects_reads_as_json(both_parsers, reader):
+    """One of ORJSON_REJECTS at a number or in a field of its own on one line, or a BOM
+    before one line, which both reject: the same bits or message. A field of its own, which
+    json's column-wise read takes, sends the block alone row by row."""
+    rng, results = random.Random(15), []
+    for _ in range(45):
+        lines = long_file(reader, rng)
+        spot, token, place = rng.randrange(len(lines)), rng.choice(ORJSON_REJECTS), rng.random()
+        doc = json.loads(lines[spot])
+        if place < 0.25:
+            lines[spot] = "\ufeff" + lines[spot]
+        elif place < 0.6:
+            set_at(doc, rng.choice(numeric_paths(doc)), token)
+            lines[spot] = dumps(doc)
+        else:
+            lines[spot] = dumps({**doc, "note": token})
+        with_orjson, with_json = both_parsers(reader, lines)
+        assert with_orjson[0] == with_json[0], lines[spot]
+        if place >= 0.6:
+            assert (with_orjson[1], with_json[1]) == (1, 0)
+        results.append(with_orjson[0][0])
+    assert {"ok", "error"} <= set(results)
+
+
+@pytest.mark.parametrize("reader", ORJSON_READERS)
+@pytest.mark.parametrize("depth", [990, 1000, 1030, 100_000])
+def test_deep_lines_read_as_json(both_parsers, reader, depth):
+    """A value of nested lists or of nested objects that makes a line ``depth`` deep, around
+    json's recursion limit (orjson 3.8 has none, and 10^5 objects crash it): at a number,
+    in a field of its own, as a manifest and as a line of its own. The same bits or message."""
+    rng, deep = random.Random(depth), depth - 1
+    for value in ("[" * deep + "0" + "]" * deep, '{"a": ' * deep + "0" + "}" * deep):
+        lines = long_file(reader, rng)
+        spot = rng.choice(data_lines([json.loads(line) for line in lines]))
+        doc = json.loads(lines[spot])
+        set_at(doc, rng.choice(numeric_paths(doc)), "<deep>")
+        for line in (json.dumps(doc), json.dumps({**json.loads(lines[spot]), "note": "<deep>"}),
+                     json.dumps({"manifest": "<deep>"}), '"<deep>"'):
+            deep_lines = [*lines[:spot], line.replace('"<deep>"', value), *lines[spot + 1:]]
+            with_orjson, with_json = both_parsers(reader, deep_lines)
+            assert with_orjson[0] == with_json[0], line
