@@ -9,7 +9,6 @@ left unset to keep outputs reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -172,6 +171,7 @@ def write_jsonl(path, manifest: dict, poses: PoseBatch):
 
 
 def write_csv(path, manifest: dict, header, rows):
+    import csv
     with _writing(path) as fh:
         fh.write(f"# manifest: {_dump(manifest)}\n")
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])

@@ -120,7 +120,7 @@ def evaluate_pair(pairs: dict) -> dict:
     cloud where every row of the block holds the same array (a named cloud)."""
     sizes = np.array([len(p) for p in pairs["points"]])
     out = {f: np.empty(len(sizes)) for f in RECORD_FIELDS}
-    for p in np.unique(sizes):
+    for p in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == p)
         for rows in np.split(group, range(SCORE_BLOCK, len(group), SCORE_BLOCK)):
             clouds = [pairs["points"][i] for i in rows]

@@ -14,7 +14,6 @@ Everything here, the Bingham fit and sampler included, is plain NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter
 from pathlib import Path
 
@@ -76,11 +75,18 @@ class BinghamParams:
         return cls(np.asarray(d["m"], dtype=float), np.asarray(d["z"], dtype=float))
 
 
-@cache
 def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
-    # Built on first use: its eigensolver costs ~1 MiB of resident memory,
-    # which commands that never fit a Bingham should not pay.
-    return np.polynomial.legendre.leggauss(24)
+    """The 24-node Gauss-Legendre rule on [-1, 1], ascending, as constants: leggauss(24)'s
+    positive nodes and their weights, mirrored about 0, without numpy.polynomial."""
+    x = np.array((0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+                  0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+                  0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+                  0.9382745520027328, 0.9747285559713095, 0.9951872199970213))
+    w = np.array((0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+                  0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+                  0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+                  0.04427743881741941, 0.02853138862893356, 0.01234122979998869))
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def _hopf_rule(z_min: float):
@@ -454,17 +460,27 @@ def _nearest_other(points: np.ndarray, period: int) -> tuple[np.ndarray, np.ndar
     return np.sqrt(best[back]), row[arg[back]]
 
 
+def _p95(d: np.ndarray) -> float:
+    """``np.percentile(d, 95.0)`` of non-negative d, bit for bit, without numpy.ma: the
+    linear method's lerp, t >= 0.5 branch included, at virtual index (n - 1) 0.95."""
+    v = (len(d) - 1) * 0.95
+    i = min(int(v), len(d) - 2)  # one value: numpy's index -1 twice, and t = 1
+    (lo, hi), t = np.partition(d, [i, i + 1])[[i, i + 1]], v - i
+    return float(hi - (hi - lo) * (1.0 - t) if t >= 0.5 else lo + (hi - lo) * t)
+
+
 def select_deltas_95pct(poses: PoseBatch) -> NonparamDeltas:
-    """95th percentile of nearest-neighbor distances, per coordinate pair.
+    """95th percentile (:func:`_p95`) of nearest-neighbor distances, per coordinate pair.
 
     The (x, y) and (z, f) planes each yield one Euclidean radius (a duplicate
     is at 0), shared by the pair's two axes; rotation uses the geodesic angle.
+    The (z, f) radius mixes metres and pixels: the focal spacing sets the depth's.
     """
     n, t, f = len(poses), poses.translation, poses.focal
     if n < 2:
         raise DegenerateFitError("need at least 2 records")
-    d_xy = float(np.percentile(_nearest_other(t[:, :2], n)[0], 95.0))
-    d_zf = float(np.percentile(_nearest_other(np.column_stack([t[:, 2], f]), n)[0], 95.0))
+    d_xy = _p95(_nearest_other(t[:, :2], n)[0])
+    d_zf = _p95(_nearest_other(np.column_stack([t[:, 2], f]), n)[0])
 
     # The chordal distance to the nearer of q' and -q' grows with the geodesic
     # angle; a duplicate ties with the point itself, so rows skip i by index.
@@ -472,7 +488,7 @@ def select_deltas_95pct(poses: PoseBatch) -> NonparamDeltas:
     q = poses.quat
     c = np.where(q[:, [np.argmax(np.abs(q).max(axis=0))]] < 0.0, -q, q)
     nearest = _nearest_other(np.concatenate([c, -c]), n)[1]
-    d_r = float(np.percentile(geodesic_angles(q, q[nearest]), 95.0))
+    d_r = _p95(geodesic_angles(q, q[nearest]))
     return NonparamDeltas(d_r, d_xy, d_xy, d_zf, d_zf)
 
 

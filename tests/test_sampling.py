@@ -14,7 +14,8 @@ from posefocal.geometry import PoseBatch, Rotation, geodesic_distance
 from posefocal.sampling import (Z_CLAMP, BinghamParams,
                                 Gaussian2DParams, NonparamDeltas,
                                 RefinerNoise, UniformRanges, _bingham_moments,
-                                _envelope_root, _ive012, _nearest_other,
+                                _envelope_root, _gauss_legendre_24, _ive012,
+                                _nearest_other, _p95,
                                 fit_bingham,
                                 fit_translation_focal, load_annotations,
                                 sample_bingham, sample_pose_nonparametric,
@@ -229,6 +230,21 @@ class TestBingham:
         want = special.ive(np.arange(3)[:, None], x)
         assert (np.abs(_ive012(x) - want) / want[0]).max() <= 5e-15
 
+    def test_gauss_legendre_constants_match_leggauss(self):
+        x, w = _gauss_legendre_24()
+        want_x, want_w = np.polynomial.legendre.leggauss(24)
+        assert np.all(np.abs(x - want_x) <= np.spacing(np.abs(want_x)))
+        assert np.all(np.abs(w - want_w) <= np.spacing(want_w))
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_gauss_legendre_integrates_degree_47(self):
+        """Exact for x^k, k <= 47, up to the rounding of leggauss's weights, whose
+        even moments are about 2.3e-15 high even when summed exactly."""
+        x, w = _gauss_legendre_24()
+        for k in range(48):
+            assert w @ x ** k == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0,
+                                               rel=0, abs=3e-15), k
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             BinghamParams(np.eye(4), np.array([-1.0, -2.0, -3.0, 0.0]))
@@ -426,6 +442,24 @@ class TestNonparametric:
         assert deltas.delta_r == np.percentile(ang.min(axis=1), 95.0)
         assert deltas.delta_x == deltas.delta_y == nn95(t[:, :2])
         assert deltas.delta_z == deltas.delta_f == nn95(zf)
+
+    def test_p95_matches_numpy_percentile(self):
+        """Bit for bit, on non-negative draws with ties, zeros and +inf (inf - inf is
+        NaN in both lerps)."""
+        rng = np.random.default_rng(17)
+        for n in [*range(1, 301), 10_000]:
+            for kind in ("plain", "ties", "zeros", "inf"):
+                d = rng.exponential(size=n)
+                if kind != "plain":
+                    d = np.round(d, 1)
+                if kind in ("zeros", "inf"):
+                    d[rng.random(n) < 0.3] = 0.0
+                if kind == "inf":
+                    d[rng.random(n) < 0.1] = np.inf
+                with np.errstate(invalid="ignore"):
+                    want = np.percentile(d, 95.0)
+                    got = _p95(d)
+                assert np.float64(got).tobytes() == want.tobytes(), (n, kind, got, want)
 
     @pytest.mark.parametrize("case", ["duplicates", "antipodal", "antipodal-unsigned",
                                       "twins", "ties", "shared-sweep-coordinate",
