@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -181,7 +182,17 @@ def write_csv(path, manifest: dict, header, rows):
 # CLI group
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a DomainError from any command is a ClickException, no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Joint object-pose and focal-length estimation toolbox."""
@@ -199,22 +210,19 @@ def main():
 def fit_dist(annotations, kind, out):
     """Fit a pose/focal sampling distribution to a JSON-lines annotation file."""
     from . import sampling
-    try:
-        poses, img_wh, bbox = sampling.load_annotations(annotations)
-        if not len(poses):
-            raise DomainError(f"no annotation records in {annotations}")
-        if kind == "parametric":
-            xy, zf = sampling.fit_translation_focal(poses)
-            bingham = sampling.fit_bingham(poses.quat)
-            doc = {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
-                   "zf": zf.to_dict()}
-        else:
-            doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(poses).to_dict(),
-                   "records": RecordColumns({"quat_wxyz": poses.quat, "t_m": poses.translation,
-                                             "f_px": poses.focal, "img_wh": img_wh,
-                                             "bbox": bbox})}
-    except DomainError as exc:
-        raise click.ClickException(str(exc)) from exc
+    poses, img_wh, bbox = sampling.load_annotations(annotations)
+    if not len(poses):
+        raise DomainError(f"no annotation records in {annotations}")
+    if kind == "parametric":
+        xy, zf = sampling.fit_translation_focal(poses)
+        bingham = sampling.fit_bingham(poses.quat)
+        doc = {"kind": kind, "bingham": bingham.to_dict(), "xy": xy.to_dict(),
+               "zf": zf.to_dict()}
+    else:
+        doc = {"kind": kind, "deltas": sampling.select_deltas_95pct(poses).to_dict(),
+               "records": RecordColumns({"quat_wxyz": poses.quat, "t_m": poses.translation,
+                                         "f_px": poses.focal, "img_wh": img_wh,
+                                         "bbox": bbox})}
     write_json(out, _manifest("fit-dist", {"kind": kind}, seed=None,
                               input_paths=[annotations]), doc)
     click.echo(f"fitted {kind} distribution from {len(poses)} records -> {out}")
@@ -245,8 +253,12 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
             sampling.Gaussian2DParams.from_dict(doc["xy"]),
             sampling.Gaussian2DParams.from_dict(doc["zf"]), n, seed)
     if kind == "nonparametric":
-        quat, t, f, _, _ = block_columns(doc["records"], sampling.annotation_fields,
-                                         sampling.annotation_row, *sampling.ANNOTATION_SHAPES)
+        def record_row(item):  # the row-by-row read names the record
+            with reading(f"records/{item[0]}"):
+                return sampling.annotation_row(item[1])
+        quat, t, f, _, _ = block_columns(
+            enumerate(doc["records"]), lambda block: sampling.annotation_fields(
+                map(itemgetter(1), block)), record_row, *sampling.ANNOTATION_SHAPES)
         return sampling.sample_pose_nonparametric(
             PoseBatch(quat, t, f), sampling.NonparamDeltas.from_dict(doc["deltas"]), n, seed)
     if kind == "uniform":
@@ -261,11 +273,8 @@ def _draw_poses(doc: dict, n: int, seed: int) -> PoseBatch:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def sample(distribution, num, seed, out):
     """Draw pose/focal samples from a fitted distribution file."""
-    try:
-        with reading(distribution):
-            poses = _draw_poses(json.loads(Path(distribution).read_text("utf-8")), num, seed)
-    except DomainError as exc:
-        raise click.ClickException(str(exc)) from exc
+    with reading(distribution):
+        poses = _draw_poses(json.loads(Path(distribution).read_text("utf-8")), num, seed)
     write_jsonl(out, _manifest("sample", {"n": num}, seed=seed,
                                input_paths=[distribution]), poses)
     click.echo(f"wrote {num} samples -> {out}")
@@ -350,8 +359,9 @@ def _is(value, name: str) -> bool:
 def _first_error(value, schema: dict, path: tuple = ()):
     """(field path, message) of the first rule of ``schema``, a JSON Schema (draft 2020-12)
     of SCHEMA_KEYWORDS only, that ``value`` breaks, in jsonschema's path order, or None.
-    Numbers must also be finite; that message names an array's element by its array."""
-    if isinstance(value, float) and not np.isfinite(value):  # json reads NaN, Infinity, 1e309
+    Numbers must also be finite floats (not NaN, Infinity, 1e309 or 10**400); that message
+    names an array's element by its array."""
+    if _is(value, "number") and not abs(value) <= sys.float_info.max:
         return tuple(p for p in path if isinstance(p, str)), \
             f"invalid value {value}, numbers must be finite"
     kind = next((t for t in _JSON_TYPES if _is(value, t)), None)  # an int is a "number"
@@ -388,6 +398,21 @@ def validate_config(config: dict, schema: dict):
     """Check parsed JSON against ``schema``; the raised message names the field path."""
     if error := _first_error(config, schema):
         raise DomainError(f"config field {'/'.join(map(str, error[0])) or '(root)'}: {error[1]}")
+
+
+def _check_sizes(config: dict):
+    """A DomainError naming the larger size, should the campaign's largest arrays, its
+    (iterations, n_trials x rules, 8) noise draws and (3, n_trials x rules, count) camera-frame
+    points, exceed the np.iinfo(np.intp).max bytes that NumPy checks before allocating."""
+    points = config.get("model_points", {})
+    sizes = {"n_trials": config["n_trials"], "iterations": config.get("iterations", 15),
+             "model_points/count": 1 if "path" in points else points.get("count", 100)}
+    row_bytes = 8 * len(config.get("update_rules", UPDATE_RULES))  # a float64 per rule
+    for a, b, k in (("n_trials", "iterations", 8), ("n_trials", "model_points/count", 3)):
+        if sizes[a] * sizes[b] * k * row_bytes > np.iinfo(np.intp).max:
+            field = max((a, b), key=sizes.get)
+            raise DomainError(f"config field {field}: {sizes[field]} is too large, the "
+                              "campaign's arrays would exceed NumPy's size limit")
 
 
 def _load_model_points(cfg: dict) -> ModelPoints:
@@ -428,6 +453,7 @@ def run_simulation(config: dict) -> dict:
     """Validated config in, campaign report out."""
     from .simulator import ClampBounds, NoiseScales, OraclePredictor, run_experiment
     validate_config(config, SIMULATE_SCHEMA)
+    _check_sizes(config)
     seed = config.get("seed", 0)
     pred_cfg = config.get("predictor", {})
     noise = pred_cfg.get("noise")
@@ -461,12 +487,9 @@ def _report_csv_rows(report: dict):
               default="json", show_default=True)
 def simulate(config_path, out, fmt):
     """Run a paired refinement campaign described by a JSON config."""
-    try:
-        with reading(config_path):
-            config = json.loads(Path(config_path).read_text("utf-8"))
-        report = run_simulation(config)
-    except DomainError as exc:
-        raise click.ClickException(str(exc)) from exc
+    with reading(config_path):
+        config = json.loads(Path(config_path).read_text("utf-8"))
+    report = run_simulation(config)
     manifest = _manifest("simulate", config, seed=config.get("seed", 0),
                          input_paths=[config_path])
     if fmt == "json":
@@ -568,10 +591,7 @@ def _load_pairs(path) -> dict:
               default="json", show_default=True)
 def evaluate(pairs_file, out, fmt):
     """Score prediction/ground-truth pairs and aggregate the metrics."""
-    try:
-        columns = evaluate_pair(_load_pairs(pairs_file))
-    except DomainError as exc:
-        raise click.ClickException(str(exc)) from exc
+    columns = evaluate_pair(_load_pairs(pairs_file))
     summary = aggregate(columns)
     manifest = _manifest("evaluate", {}, seed=None, input_paths=[pairs_file])
     if fmt == "json":

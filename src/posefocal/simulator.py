@@ -80,7 +80,7 @@ class OraclePredictor:
                  draws: np.ndarray) -> DeltaBatch:
         vx, vy, vz, quat, vf = oracle_terms(state, target)
         if (ns := self.noise) is not None:
-            angle = np.deg2rad(ns.sigma_rot_deg) * draws[:, 3]
+            angle = math.radians(ns.sigma_rot_deg) * draws[:, 3]
             quat = quat_multiply(quats_from_axis_angle(draws[:, :3], angle), quat)
             vx = vx + ns.sigma_x_px * draws[:, 4]
             vy = vy + ns.sigma_y_px * draws[:, 5]
@@ -88,7 +88,7 @@ class OraclePredictor:
             vf = vf + ns.sigma_f_log * draws[:, 7]
         if (cl := self.clamp) is not None:
             axis, angle = quat_axis_angle(quat)
-            quat = quats_from_axis_angle(axis, np.minimum(angle, np.deg2rad(cl.max_angle_deg)))
+            quat = quats_from_axis_angle(axis, np.minimum(angle, math.radians(cl.max_angle_deg)))
             vx, vy = np.clip(vx, -cl.max_px, cl.max_px), np.clip(vy, -cl.max_px, cl.max_px)
             vz = np.exp(np.clip(np.log(vz), -cl.max_log_depth, cl.max_log_depth))
             vf = np.clip(vf, -cl.max_log_focal, cl.max_log_focal)

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -554,9 +555,12 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value", [
         ("model_points/extent", math.nan), ("predictor/noise/sigma_x_px", math.nan),
         ("focal_init", math.nan), ("focal_init", math.inf), ("img_diag", math.nan),
-        ("img_diag", math.inf), ("targets/z_range", -math.inf)])
+        ("img_diag", math.inf), ("targets/z_range", -math.inf),
+        pytest.param("img_diag", 10**400, id="img_diag-10**400"),
+        pytest.param("predictor/noise/sigma_x_px", -10**400, id="sigma_x_px-minus-10**400")])
     def test_non_finite_number_names_field(self, runner, tmp_path, field, value):
-        """json reads NaN and Infinity, which the schema's bounds let through."""
+        """json reads NaN and Infinity, which the schema's bounds let through, and an
+        integer no float holds, which float() of it raised an OverflowError on."""
         *parents, name = field.split("/")
         cfg = json.loads(self.write_config(tmp_path).read_text())
         node = cfg
@@ -595,6 +599,36 @@ class TestSimulate:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
         assert f"config field {field}: 2.0 is not of type 'integer'" in res.output
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_trials": 10**21, "targets": {"kind": "uniform"}}, "n_trials"),
+        ({"iterations": 10**21}, "iterations"),
+        ({"n_trials": 2**62}, "n_trials"),
+        ({"iterations": 2**60}, "iterations"),
+        ({"model_points": {"count": 10**21}}, "model_points/count"),
+        ({"model_points": {"count": 2**62}}, "model_points/count"),
+    ], ids=["trials-1e21", "iterations-1e21", "trials-2^62", "iterations-2^60",
+            "count-1e21", "count-2^62"])
+    def test_size_numpy_cannot_shape_names_field(self, runner, tmp_path, overrides, field):
+        """A size whose arrays exceed NumPy's limit, which NumPy checks before allocating,
+        is an error naming the field, where NumPy raised a ValueError."""
+        cfg = self.write_config(tmp_path, **overrides)
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith(f"Error: config field {field}: "), res.output
+        assert not (tmp_path / "x.json").exists()
+
+    def test_huge_degree_scales_and_a_file_cloud_run(self, runner, tmp_path):
+        """10**21 degrees is a valid noise scale and clamp, where NumPy's deg2rad raised a
+        TypeError on an int that size, and count does not size a cloud read from a file."""
+        (tmp_path / "points.json").write_text("[[0, 0, 0], [0.1, 0, 0]]")
+        cfg = self.write_config(tmp_path, n_trials=2, iterations=2, predictor={
+            "noise": {"sigma_rot_deg": 10**21}, "clamp": {"max_angle_deg": 10**21}},
+            model_points={"path": str(tmp_path / "points.json"), "count": 2**62})
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 0, (res.output, res.exception)
 
 
 class TestEvaluate:
@@ -980,6 +1014,21 @@ class TestMalformedJson:
         self.check_clean(res, f"dist.json: {field}")
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("record, message", [
+        ({"quat_wxyz": [0, 0, 0, 0]}, "quaternion norm is zero or non-finite"),
+        (5, "'int' object is not subscriptable"),
+    ], ids=["zero-quaternion", "record-a-number"])
+    def test_nonparametric_record_fault_names_the_record(self, runner, tmp_path, record,
+                                                         message):
+        """A faulty record of a nonparametric distribution is named by its index."""
+        good = self.NONPARAMETRIC["records"][0]
+        records = [good] * 7 + [{**good, **record} if isinstance(record, dict) else record]
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({**self.NONPARAMETRIC, "records": records + [good]}))
+        res = runner.invoke(main, ["sample", str(dist), "-n", "3", "--out",
+                                   str(tmp_path / "x.jsonl")])
+        self.check_clean(res, f"dist.json: records/7: {message}")
+
     PAIR = {"pred": TestEvaluate.GT, "gt": TestEvaluate.GT, "points": [[0, 0, 0]],
             "bbox_gt": [0, 0, 60, 80], "img_diag": 800.0}
 
@@ -1167,3 +1216,153 @@ def test_each_command_loads_only_its_modules(annotations, tmp_path):
                 and {m for m in loaded if m.startswith("numpy.")} == drawn):
             wrong.append(([a for a in argv if not a.startswith("/")], sorted(loaded - shared)))
     assert not wrong, wrong
+
+
+def test_main_reports_any_commands_domain_error(runner, monkeypatch):
+    """main turns a DomainError from any command, one added later too, into an error
+    message and exit code 1; called with standalone_mode=False, it raises a ClickException."""
+    @click.command("fails")
+    def fails():
+        raise DomainError("bad input")
+
+    monkeypatch.setitem(main.commands, "fails", fails)
+    res = runner.invoke(main, ["fails"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert res.output == "Error: bad input\n"
+    with pytest.raises(click.ClickException, match="^bad input$"):
+        main(["fails"], standalone_mode=False)
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs: exit 0 or an error, never a traceback
+# ---------------------------------------------------------------------------
+
+HUGE_SIZES = [2**60, 2**62, 10**21]  # sizes NumPy refuses to shape, before it allocates
+# no integer between 10 and 2**60, so that no mutated size allocates; no float holds 10**400
+MUTANT_VALUES = [*HUGE_SIZES, 10**400, -1, 0, 1, 10, -0.0, 0.5, 5e-324, 1e308, -1e308, math.nan,
+                 math.inf, -math.inf, True, False, None, "", "a", "1.5", [], {}, [0, 0],
+                 [1, 0, 0, 0], {"a": 1}]
+SIZE_FIELDS = ("n_trials", "iterations", "count")
+
+
+def mutant_inputs():
+    """Small valid inputs of the four commands that read files, by file name: (the parsed
+    JSON, a list of the lines' values for a JSON-lines file; the command line reading it)."""
+    rng = np.random.default_rng(0)
+    records = [{"quat_wxyz": Rotation(rng.standard_normal(4) + [2, 0, 0, 0]).quat.tolist(),
+                "t_m": [*rng.normal(0, 0.1, 2).tolist(), float(np.exp(rng.normal(0.3, 0.15)))],
+                "f_px": float(np.exp(rng.normal(6.3, 0.2))), "img_wh": [640, 480],
+                "bbox": [0, 0, 100, 100]} for _ in range(6)]
+    targets = [{k: r[k] for k in ("quat_wxyz", "t_m")} | {"focal_px": r["f_px"]}
+               for r in records]
+    sim = {"n_trials": 3, "iterations": 2, "seed": 1, "update_rules": ["exact", "legacy"],
+           "predictor": {"noise": {"sigma_x_px": 6.0, "sigma_rot_deg": 15.0},
+                         "clamp": {"max_px": 20.0, "max_angle_deg": 5.0}},
+           "focal_init": 600.0, "img_diag": 800.0}
+    sim_uniform = {**sim, "targets": {"kind": "uniform", "z_range": [0.9, 1.5],
+                                      "f_range": [400, 900], "xy_box": 0.3},
+                   "model_points": {"count": 8, "extent": 0.2, "seed": 1}}
+    sim_files = {**sim, "keep_trajectories": True, "model_points": {"path": "points.json"},
+                 "targets": {"kind": "file", "path": "targets.jsonl"}}
+    points = rng.uniform(-0.1, 0.1, (6, 3)).tolist()
+    pairs = [{"model_points": {"cube": points}},
+             {**TestEvaluate().pair(), "pred": targets[0]},
+             {**TestEvaluate().pair(points=points[:3]), "bbox_pred": None}]
+    simulate = ["simulate", "--config", "sim-files.json", "--out", "report.csv",
+                "--format", "csv"]
+    sample = ["-n", "5", "--out", "poses.jsonl"]
+    return {
+        "sim-uniform.json": (sim_uniform, ["simulate", "--config", "sim-uniform.json",
+                                           "--out", "report.json"]),
+        "sim-files.json": (sim_files, simulate),
+        "targets.jsonl": (targets, simulate),
+        "points.json": (points, simulate),
+        "ann.jsonl": (records, ["fit-dist", "ann.jsonl", "--out", "dist.json"]),
+        "parametric.json": (TestMalformedJson.PARAMETRIC, ["sample", "parametric.json", *sample]),
+        "nonparametric.json": ({**TestMalformedJson.NONPARAMETRIC, "records": records},
+                               ["sample", "nonparametric.json", *sample]),
+        "uniform.json": ({"kind": "uniform", "z_range": [0.8, 1.2], "f_range": [500, 700],
+                          "xy_box": 0.2}, ["sample", "uniform.json", *sample]),
+        "pairs.jsonl": (pairs, ["evaluate", "pairs.jsonl", "--out", "scores.json"]),
+    }
+
+
+def json_paths(node, path=()):
+    """The paths to every node of a parsed JSON value, its root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(value, (*path, key))
+
+
+def single_edit(doc, rng):
+    """(``doc`` with one edit at a random node, a leaf more often than not: its value
+    replaced by one of MUTANT_VALUES, removed, wrapped in a list, or a value added beside
+    it; the path and the value put there, None for a removal)."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(json_paths(doc))
+    leaves = [p for p in paths if not isinstance(get_at(doc, p), (dict, list))]
+    path, value = rng.choice(leaves if rng.random() < 0.7 else paths), rng.choice(MUTANT_VALUES)
+    if not path:
+        return value, path, value
+    parent, key, op = get_at(doc, path[:-1]), path[-1], rng.random()
+    if op < 0.6:
+        parent[key] = value
+    elif op < 0.75:
+        del parent[key]
+        value = None
+    elif op < 0.85:
+        parent[key] = value = [parent[key]]
+    elif isinstance(parent, list):
+        parent.insert(key, value)
+    else:
+        parent[rng.choice([*parent, "extra"])] = value
+    return doc, path, value
+
+
+def get_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def input_text(name, doc) -> str:
+    if name.endswith(".jsonl"):
+        return "".join(json.dumps(line) + "\n" for line in doc)
+    return json.dumps(doc)
+
+
+def test_mutated_inputs_never_give_a_traceback(runner, tmp_path, monkeypatch):
+    """300 single edits of small valid inputs (a simulate config with its targets and points
+    files, an annotation file, a distribution of each kind and a pair file), each run through
+    its command: exit 0, or exit 1 with an error message; SystemExit is the only exception.
+    Sizes of 2**60 and more, which NumPy rejects before allocating, are among the edits.
+    A RuntimeWarning is let through, as the CLI lets it through, not raised as the suite's
+    filter raises it: a value such as 1e308 overflows, which warns and is no traceback."""
+    monkeypatch.chdir(tmp_path)
+    inputs, rng, huge = mutant_inputs(), random.Random(35), 0
+    for name, (doc, _) in inputs.items():
+        (tmp_path / name).write_text(input_text(name, doc))
+    for case in range(300):
+        name = rng.choice(sorted(inputs))
+        doc, argv = inputs[name]
+        if name.endswith(".jsonl"):
+            line = rng.randrange(len(doc))
+            mutant, path, value = single_edit(doc[line], rng)
+            mutant = [*doc[:line], mutant, *doc[line + 1:]]
+        else:
+            mutant, path, value = single_edit(doc, rng)
+        (tmp_path / name).write_text(text := input_text(name, mutant))
+        if argv[0] == "fit-dist":
+            argv = [*argv, "--kind", rng.choice(["parametric", "nonparametric"])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = runner.invoke(main, argv)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            (case, name, text, res.exception)
+        assert res.exit_code == 0 or res.exit_code == 1 and res.output.startswith("Error:"), \
+            (case, name, text, res.output)
+        (tmp_path / name).write_text(input_text(name, doc))
+        huge += bool(path) and name.startswith("sim-") and path[-1] in SIZE_FIELDS \
+            and value in HUGE_SIZES
+    assert huge > 0

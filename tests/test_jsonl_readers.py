@@ -419,8 +419,9 @@ def test_annotations_match_the_former_reader(tmp_path):
 
 
 def test_sample_records_match_the_former_reader(tmp_path, monkeypatch):
-    """sample reads a nonparametric file's records with the same row function; here
-    the sampler hands back the poses it is given."""
+    """sample reads a nonparametric file's records with the same row function, and names
+    a faulty record by its index, records/<i>; here the sampler hands back the poses it is
+    given."""
     monkeypatch.setattr(sampling, "sample_pose_nonparametric", lambda poses, *_: poses)
     deltas = {"delta_r_rad": 0.1, "delta_x_m": 0.01, "delta_y_m": 0.01, "delta_z_m": 0.1,
               "delta_f_px": 50.0}
@@ -438,9 +439,13 @@ def test_sample_records_match_the_former_reader(tmp_path, monkeypatch):
                 return pose_bits(cli._draw_poses(
                     {"kind": "nonparametric", "records": records, "deltas": deltas}, 0, 0))
 
+        def old_record(i, record):
+            with old_reading(f"records/{i}"):
+                return OldAnnotationRecord.from_dict(record)
+
         def old_read():
             with old_reading(where):
-                return pose_bits(old_columns([OldAnnotationRecord.from_dict(r) for r in records])[0])
+                return pose_bits(old_columns([old_record(*item) for item in enumerate(records)])[0])
 
         new, old = outcome(new_read), old_outcome(old_read)
         if (new != old or old[0] == "ok") and any(
@@ -501,15 +506,21 @@ def read_targets(path, lines):
     return pose_bits(cli._load_targets({"kind": "file", "path": str(path)}, n, 0))
 
 
-def read_records(path, lines):
-    """sample's read of a nonparametric file's records, the file's parsable lines; the
-    sampler hands back the poses it is given (patched by the test)."""
+def parsable(lines) -> list:
+    """The values of the lines that parse: sample's records of a file's lines."""
     records = []
     for line in lines:
         try:
             records.append(json.loads(line))
         except ValueError:
             pass
+    return records
+
+
+def read_records(path, lines):
+    """sample's read of a nonparametric file's records, the file's parsable lines; the
+    sampler hands back the poses it is given (patched by the test)."""
+    records = parsable(lines)
     with reading(str(path)):
         return pose_bits(cli._draw_poses({"kind": "nonparametric", "records": records,
                                           "deltas": DELTAS}, 0, 0))
@@ -523,6 +534,14 @@ READERS = {
                     lambda path, _: annotation_bits(load_annotations(path))),
     "sample-records": (annotation_doc, None, read_records),
 }
+
+
+def fault_name(reader, path, lines, spot) -> str:
+    """How the reader names ``lines[spot]`` in an error: by its line of the file, or as one
+    of sample's records, by its index among the lines that parse."""
+    if reader == "sample-records":
+        return f"{path}: records/{len(parsable(lines[:spot]))}"
+    return f"{path} line {spot + 1}"
 
 
 @pytest.fixture
@@ -573,10 +592,10 @@ def test_deep_fault_is_named_at_its_line(both_reads, reader):
                        else json.dumps(mutate(READERS[reader][0](rng), rng)))
         new, row_by_row = both_reads(reader, lines)
         assert new == row_by_row, lines[spot]
-        if new[0] == "error" and reader != "sample-records":
-            assert new[1].startswith(f"{both_reads.path} line {spot + 1}: "), new
+        if new[0] == "error":
+            assert new[1].startswith(f"{fault_name(reader, both_reads.path, lines, spot)}: "), new
             named += 1
-    assert named > 10 or reader == "sample-records"
+    assert named > 10
 
 
 TINY = math.ulp(1e-12)
@@ -709,8 +728,7 @@ def test_clean_files_take_the_column_path(both_reads, monkeypatch, reader):
         doc = json.loads(bad[spot])
         bad[spot] = json.dumps({**doc, key: value})
         new, row_by_row = both_reads(reader, bad)
-        where = (f"{both_reads.path}" if reader == "sample-records"
-                 else f"{both_reads.path} line {spot + 1}")
+        where = fault_name(reader, both_reads.path, bad, spot)
         assert new == row_by_row == ("error", f"{where}: {message}")
 
 
