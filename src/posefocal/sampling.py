@@ -227,17 +227,22 @@ def _envelope_root(beta: np.ndarray) -> float:
 def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
     """Exact Bingham sampling by rejection from an angular central Gaussian.
 
-    Returns (n, 4) unit quaternions; deterministic for a fixed seed.
+    Returns (n, 4) unit quaternions; deterministic for a fixed seed. A z so
+    concentrated that the envelope overflows (near -1e308) is a DomainError.
     """
     rng = np.random.default_rng(seed)
     d = 4
     # B = -M Z M^T is PSD with smallest eigenvalue 0.
     beta = -params.z[::-1]  # descending z -> ascending beta, beta[0] = 0
-    b = _envelope_root(beta)
-    omega_diag = 1.0 + 2.0 * beta / b  # in the M-frame (reversed column order)
-    log_m_star = -(d - b) / 2.0 + (d / 2.0) * np.log(d / b)
+    with np.errstate(over="ignore"):  # a z near -1e308 overflows: refused below
+        b = _envelope_root(beta)
+        omega_diag = 1.0 + 2.0 * beta / b  # in the M-frame (reversed column order)
+        log_m_star = -(d - b) / 2.0 + (d / 2.0) * np.log(d / b)
+    if not np.isfinite([b, log_m_star, *omega_diag]).all():
+        raise DomainError(f"z {params.z.tolist()} is too concentrated to sample: "
+                          "the envelope overflows")
 
-    frame = params.m[:, ::-1]  # columns ordered by ascending beta
+    frame_t = np.ascontiguousarray(params.m[:, ::-1].T)  # columns by ascending beta, as rows
     out = np.empty((0, 4))
     while out.shape[0] < n:
         chunk = max(2 * (n - out.shape[0]), 256)
@@ -248,7 +253,7 @@ def sample_bingham(params: BinghamParams, n: int, seed) -> np.ndarray:
         x2 = g * g
         log_accept = -(x2 @ beta) + (d / 2.0) * np.log(x2 @ omega_diag) - log_m_star
         g = g[np.log(u) < log_accept]  # the accepted rows; frees the candidates
-        out = np.vstack([out, g @ frame.T])
+        out = np.vstack([out, g @ frame_t])
     return out[:n]
 
 
@@ -276,7 +281,8 @@ class Gaussian2DParams:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         chol = np.linalg.cholesky(self.cov)
-        return self.mean + rng.standard_normal((n, 2)) @ chol.T
+        # normals @ chol.T as (chol @ normals.T).T: the same bits, from BLAS at any n
+        return self.mean + (chol @ rng.standard_normal((n, 2)).T).T
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}

@@ -193,8 +193,17 @@ class TestRotationKernels:
 
 
 def component_major(cam):
-    """Whether each coordinate cam[..., c] of a cloud (N, P, 3) is one C-contiguous block."""
-    return all(cam[..., c].flags.c_contiguous for c in range(3))
+    """Whether each coordinate cam[..., c] of a cloud (N, P, k) is one C-contiguous block."""
+    return all(cam[..., c].flags.c_contiguous for c in range(cam.shape[-1]))
+
+
+def odd_layouts(cloud):
+    """The same values as ``cloud`` in three memory layouts that matmul reads by strides:
+    Fortran order, reversed (negative) strides and a view sliced out of a larger array."""
+    wide = np.zeros((*cloud.shape[:-1], 5))
+    wide[..., 1:4] = cloud
+    return {"fortran": np.asfortranarray(cloud), "reversed": cloud[..., ::-1].copy()[..., ::-1],
+            "sliced": wide[..., 1:4]}
 
 
 class TestCameraPoints:
@@ -217,6 +226,20 @@ class TestCameraPoints:
         got = camera_points(poses, clouds, buf)
         assert same(got, want) and np.shares_memory(got, buf) and component_major(got)
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (7, 100), (120, 100)])
+    def test_odd_layouts_keep_their_bits(self, n, p):
+        rng = np.random.default_rng(3 * n + p)
+        poses = random_poses(rng, n)
+        points, clouds = rng.uniform(-0.3, 0.3, (p, 3)), rng.uniform(-0.3, 0.3, (n, p, 3))
+        want_shared = ref_camera_points(poses, points)
+        want_rows = np.concatenate([ref_camera_points(poses.take([i]), c)
+                                    for i, c in enumerate(clouds)])
+        for cloud, want in ((points, want_shared), (clouds, want_rows)):
+            for layout, odd in odd_layouts(cloud).items():
+                assert same(odd, cloud) and (p == 1 or not odd.flags.c_contiguous), layout
+                got = camera_points(poses, odd)
+                assert same(got, want) and component_major(got), layout
+
 
 class TestGroundTruthScore:
     @pytest.mark.parametrize("n, p, behind", [(1, 5, 0), (1, 5, 1), (60, 100, 9),
@@ -225,8 +248,11 @@ class TestGroundTruthScore:
         rng = np.random.default_rng(7 * n + p)
         points = rng.uniform(-0.1, 0.1, (p, 3))
         gt = random_poses(rng, n)
-        box_gt = image_boxes(ref_camera_points(gt, points), INTR)
+        cam_hat = ref_camera_points(gt, points)
+        box_gt = image_boxes(cam_hat, INTR)
         truth = GroundTruth(gt, points, box_gt, 800.0)
+        assert truth.uv_hat.shape == (n, p, 2) and component_major(truth.uv_hat)
+        assert same(truth.uv_hat, gt.focal[:, None, None] * cam_hat[..., :2] / cam_hat[..., 2:3])
         for step in range(3):  # the buffers are reused across calls
             pred = random_poses(rng, n, behind=behind if step != 1 else 0)
             for iou in (True, False):

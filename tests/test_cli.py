@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -1013,6 +1014,30 @@ class TestMalformedJson:
                                    str(tmp_path / "x.jsonl")])
         self.check_clean(res, f"dist.json: {field}")
         assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("z1, fails", [(-1e308, True), (-1.7e308, True), (-1e200, False)])
+    def test_sample_bingham_z_near_the_float_limit(self, runner, tmp_path, z1, fails):
+        """A z whose sampling envelope overflows is an error naming z, not a sampler that
+        draws forever; -1e200 still samples. A hang fails through the alarm."""
+        def hang(*_):
+            raise TimeoutError("sample did not return")
+        dist, out = tmp_path / "dist.json", tmp_path / "x.jsonl"
+        dist.write_text(json.dumps({**self.PARAMETRIC, "bingham": {
+            **self.PARAMETRIC["bingham"], "z": [z1, -2.0, -1.0, 0.0]}}))
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            res = runner.invoke(main, ["sample", str(dist), "-n", "1000", "--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        if fails:
+            self.check_clean(res, f"Error: {dist}: z [{z1}, -2.0, -1.0, 0.0] is too "
+                                  "concentrated to sample")
+            assert not out.exists()
+        else:
+            assert res.exit_code == 0, res.output
+            assert len(out.read_text().splitlines()) == 1001
 
     @pytest.mark.parametrize("record, message", [
         ({"quat_wxyz": [0, 0, 0, 0]}, "quaternion norm is zero or non-finite"),

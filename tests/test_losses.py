@@ -448,6 +448,26 @@ def four_update_evaluate(state, delta, gt, points, weights):
             grad_reproj), (diff_a, f_new - f_hat, (diff1, diff2, diff3), r)
 
 
+@pytest.mark.parametrize("k, p", [(1, 1), (21, 1), (1, 20), (21, 20), (21, 333), (64, 7)])
+def test_rotated_points_match_the_strided_form(k, p):
+    """_rotated_points, the points and their derivatives, against the strided-view
+    formula bit for bit. Contiguous copies of the transposes would be faster for P > 1,
+    but at P = 1 NumPy takes a vector-matrix BLAS kernel that rounds differently."""
+    rng = np.random.default_rng(100 * k + p)
+    state = make_state(rot=Rotation(rng.standard_normal(4)))
+    points = ModelPoints(rng.uniform(-0.1, 0.1, (p, 3)))
+    delta = DeltaBatch(*rng.standard_normal((2, k)), rng.uniform(0.5, 2.0, k),
+                       rng.standard_normal((k, 3)), rng.standard_normal((k, 3)),
+                       rng.standard_normal(k))
+    rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
+    m = points.points @ state.rotation.as_matrix().T
+    former = (m @ rot_u.transpose(0, 2, 1), m @ drot.transpose(0, 3, 2, 1))
+    got = losses._rotated_points(state, delta, points)
+    assert [a.shape for a in got] == [(k, p, 3), (k, 6, p, 3)]
+    for new, old in zip(got, former):
+        assert new.tobytes() == old.tobytes()
+
+
 def test_one_update_per_pass_matches_the_four_update_form():
     """The 21-row pass that gradient_check makes, with its translation updates stacked
     into two calls, against the former four calls: every field and residual, bit for bit."""

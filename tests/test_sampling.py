@@ -58,8 +58,9 @@ TIGHT_Z = (-300.0, -200.0, -100.0, 0.0)  # accepts about 45 %
 
 def out_of_place_sample_bingham(params, n, seed):
     """sample_bingham with each candidate array allocated anew, as it was
-    before it built them in place; returns the samples and the number of
-    rejection rounds."""
+    before it built them in place, and rotated by the strided view frame.T, as
+    before the sampler took a contiguous copy; returns the samples and the
+    number of rejection rounds."""
     rng = np.random.default_rng(seed)
     d = 4
     beta = -params.z[::-1]
@@ -337,6 +338,19 @@ class TestGaussianFits:
         assert np.allclose(fit_zf.mean, mean_zf, atol=0.01 * np.abs(mean_zf))
         assert np.abs(fit_xy.cov - cov_xy).max() <= 0.05 * np.abs(cov_xy).max()
         assert np.abs(fit_zf.cov - cov_zf).max() <= 0.05 * np.abs(cov_zf).max()
+
+    @pytest.mark.parametrize("n", [1, 255, 10_000])
+    def test_sample_matches_the_row_formula(self, n):
+        """sample is mean + normals @ chol.T, as first written, bit for bit."""
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.standard_normal((2, 2))
+            params = Gaussian2DParams(rng.standard_normal(2), a @ a.T + 0.1 * np.eye(2))
+            seed = int(rng.integers(2**32))
+            got = params.sample(n, np.random.default_rng(seed))
+            normals = np.random.default_rng(seed).standard_normal((n, 2))
+            want = params.mean + normals @ np.linalg.cholesky(params.cov).T
+            assert got.shape == (n, 2) and got.tobytes() == want.tobytes()
 
     def test_identical_records_are_singular(self):
         rec = make_record(Rotation.identity(), [0.1, 0.2, 1.0], 600.0)
