@@ -9,7 +9,8 @@ Each pose term applies one predicted component and takes the ground truth
 for all others (the x-y term's depth too), so the x-y and depth terms are
 translation differences and the rotation term compares rotated model points.
 
-Evaluation is row-wise: one pass scores the K rows of a ``DeltaBatch``;
+Evaluation is row-wise: one pass scores K rows of the ten components, a
+(K, 10) array in ``GRAD_LABELS`` order, the 6D pair raw as it is differentiated;
 ``total_loss``, ``smoothness_margins`` and ``disentangled_pose_loss`` are
 one-row views, and ``gradient_check`` is one 21-row pass.
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DepthError, DomainError
 from .geometry import (CameraIntrinsics, ModelPoints, ParamState, gram_schmidt_6d,
                        project_points, row_dot)
-from .update_rules import DeltaBatch, DeltaTheta, translation_update_batch
+from .update_rules import DeltaTheta, translation_update_batch
 
 GRAD_LABELS = ("v_x", "v_y", "v_z",
                "v_r1_0", "v_r1_1", "v_r1_2",
@@ -69,11 +70,10 @@ class LossBreakdown:
                                 for k, v in vars(self).items()})
 
 
-def _rows(delta: DeltaTheta, steps: np.ndarray = np.zeros((1, 10))) -> DeltaBatch:
+def _rows(delta: DeltaTheta, steps: np.ndarray = np.zeros((1, 10))) -> np.ndarray:
     """``delta`` moved by each row of steps (K, 10), in GRAD_LABELS order."""
-    c = np.concatenate([[delta.vx, delta.vy, delta.vz], delta.v_r1, delta.v_r2,
-                        [delta.vf]]) + steps
-    return DeltaBatch(c[:, 0], c[:, 1], c[:, 2], c[:, 3:6], c[:, 6:9], c[:, 9])
+    return np.concatenate([[delta.vx, delta.vy, delta.vz], delta.v_r1, delta.v_r2,
+                           [delta.vf]]) + steps
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -150,28 +150,28 @@ def point_matching_distance(a: ParamState, b: ParamState, points: ModelPoints) -
 
 
 def _finite(name: str, value: float) -> float:
-    """An oracle update component, checked as :class:`DeltaBatch` checks its own."""
+    """An oracle update component, checked as a ``DeltaBatch`` checks its own."""
     if not np.isfinite(value):
         raise DomainError(f"{name} must be finite")
     return value
 
 
-def _rotated_points(state: ParamState, delta: DeltaBatch, points: ModelPoints):
+def _rotated_points(state: ParamState, rows: np.ndarray, points: ModelPoints):
     """Per row, the model points under the updated rotation, pts @ (R_u R)^T
     (K, P, 3), and their derivatives with respect to (v_r1, v_r2), (K, 6, P, 3)."""
-    rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
+    rot_u, drot = rotation_6d_jacobian(rows[:, 3:6], rows[:, 6:9])
     m = points.points @ state.rotation.as_matrix().T
     return m @ rot_u.transpose(0, 2, 1), m @ drot.transpose(0, 3, 2, 1)
 
 
-def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
+def _pose_terms(state: ParamState, rows: np.ndarray, gt: ParamState,
                 points: ModelPoints, rotated):
     """Per row, the three disentangled point-matching terms, their gradients
     and their residuals, given ``_rotated_points``; in the x-y and depth
     terms the ground-truth rotation cancels."""
     (x, y, z), (xh, yh, zh) = state.translation.tolist(), gt.translation.tolist()
     f, f_hat = state.focal, gt.focal
-    k = len(delta.vx)
+    k, dvx, dvy, dvz = len(rows), rows[:, 0], rows[:, 1], rows[:, 2]
     grad = np.zeros((k, 10))
 
     # the oracle's depth ratio and centre shift, checked before any term is formed
@@ -182,13 +182,13 @@ def _pose_terms(state: ParamState, delta: DeltaBatch, gt: ParamState,
     # x-y term (t1): only (vx, vy) predicted, the depth ratio the oracle's; depth term
     # (t2): only vz predicted, the centre shift the oracle's. Both in one update.
     t1, t2 = translation_update_batch(
-        state.translation[None], f, np.concatenate((delta.vx, np.full(k, vx))),
-        np.concatenate((delta.vy, np.full(k, vy))), np.concatenate((np.full(k, vz), delta.vz)),
+        state.translation[None], f, np.concatenate((dvx, np.full(k, vx))),
+        np.concatenate((dvy, np.full(k, vy))), np.concatenate((np.full(k, vz), dvz)),
         f_hat).reshape(2, k, 3)
     diff1 = t1 - gt.translation
     grad[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
     diff2 = t2 - gt.translation
-    grad[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
+    grad[:, 2] = row_dot(np.sign(diff2), t2 / dvz[:, None])
 
     # rotation term: only the 6D rotation predicted.
     diff3 = rotated[0] - points.points @ gt.rotation.as_matrix().T
@@ -206,9 +206,9 @@ def disentangled_pose_loss(state: ParamState, delta: DeltaTheta, gt: ParamState,
     return float(_pose_terms(state, rows, gt, points, _rotated_points(state, rows, points))[0][0])
 
 
-def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
+def _evaluate(state: ParamState, rows: np.ndarray, gt: ParamState,
               points: ModelPoints, weights: LossWeights):
-    """The loss breakdown of each of the K rows of ``delta``, and the
+    """The loss breakdown of each of the K rows of ``rows`` (K, 10), and the
     residuals at whose zeros the loss kinks, (diff_a, df, pose_diffs, r),
     each with a leading axis of K: the pixel residuals of the reprojection
     pose half, the updated minus the ground-truth focal (each residual of the
@@ -216,11 +216,11 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     residuals of the three point-matching terms, and the Huber residual."""
     pts = points.points
     f_hat = gt.focal
-    k = len(delta.vx)
-    rotated = _rotated_points(state, delta, points)
+    k, vx, vy, vz, vf = len(rows), rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 9]
+    rotated = _rotated_points(state, rows, points)
 
     # Huber on the log focal length.
-    r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
+    r = vf + float(np.log(state.focal) - np.log(f_hat))
     huber, dh = _huber(r, weights.huber_delta)
     grad_huber = np.zeros((k, 10))
     grad_huber[:, 9] = dh
@@ -229,15 +229,14 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
     # with the ground-truth focal. That update is linear in vz, so its
     # vz-derivative is the update at vz = 1; both in one update.
     t_pose, dt_dvz = translation_update_batch(
-        state.translation[None], state.focal, np.concatenate((delta.vx, delta.vx)),
-        np.concatenate((delta.vy, delta.vy)), np.concatenate((delta.vz, np.ones(k))),
-        f_hat).reshape(2, k, 3)
+        state.translation[None], state.focal, np.concatenate((vx, vx)),
+        np.concatenate((vy, vy)), np.concatenate((vz, np.ones(k))), f_hat).reshape(2, k, 3)
     cam = rotated[0] + t_pose[:, None, :]
     cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
     if np.any(cam[..., 2] <= 0) or np.any(cam_hat[:, 2] <= 0):
         raise DepthError("updated or ground-truth pose puts a model point behind the camera")
     # Disentangled pose loss, whose domain checks come before the projections can overflow.
-    pose, grad_pose, pose_diffs = _pose_terms(state, delta, gt, points, rotated)
+    pose, grad_pose, pose_diffs = _pose_terms(state, rows, gt, points, rotated)
     depth = cam[..., 2:]
     uv = f_hat * cam[..., :2] / depth
     uv_hat = f_hat * cam_hat[:, :2] / cam_hat[:, 2:3]
@@ -253,7 +252,7 @@ def _evaluate(state: ParamState, delta: DeltaBatch, gt: ParamState,
 
     # Reprojection, focal part: predicted focal (the multiplicative update)
     # at the ground-truth pose.
-    f_new = np.exp(delta.vf) * state.focal
+    f_new = np.exp(vf) * state.focal
     uv_f = f_new[:, None, None] * cam_hat[:, :2] / cam_hat[:, 2:3]
     diff_b = uv_f - uv_hat
     grad_reproj[:, 9] = (np.sign(diff_b) * uv_f).sum(axis=(1, 2))
@@ -309,7 +308,8 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
     """Central-difference check of the analytic total-loss gradient.
 
     One 21-row evaluation: row 0 is ``delta``, rows 2i+1 and 2i+2 move its
-    component i by +step and -step; a step either leaves unchanged is a DomainError.
+    component i by +step and -step. A step that takes a component to inf or the depth
+    ratio to 0 or below, or that either leaves unchanged, is a DomainError.
     A point too close to an L1 or Huber kink is flagged ``smooth: False``
     (diagnostic, not a failure); relative errors are still reported.
     """
@@ -317,12 +317,16 @@ def gradient_check(state: ParamState, delta: DeltaTheta, gt: ParamState,
         raise DomainError(f"finite-difference step must be finite and positive, got {step}")
     steps = np.zeros((21, 10))
     steps[1::2], steps[2::2] = step * np.eye(10), -step * np.eye(10)
-    rows = _rows(delta, steps)
-    c = np.column_stack([rows.vx, rows.vy, rows.vz, rows.v_r1, rows.v_r2, rows.vf])
+    c = _rows(delta, steps)
+    if (bad := np.flatnonzero(~np.isfinite(c).all(axis=0))).size:  # a step overflowed
+        name = ("vx", "vy", "vz", *["v_r1"] * 3, *["v_r2"] * 3, "vf")[bad[0]]
+        raise DomainError(f"{name} must be finite" + " (N, 3)" * ("_" in name))
+    if (c[:, 2] <= 0).any():
+        raise DomainError(f"depth ratio must be positive, got {c[:, 2].min()}")
     if (stuck := np.flatnonzero((c[1::2].diagonal() == c[0]) | (c[2::2].diagonal() == c[0]))).size:
         raise DomainError(f"finite-difference step {step} leaves {GRAD_LABELS[stuck[0]]} = "
                           f"{float(c[0, stuck[0]])!r} unchanged")
-    breakdown, residuals = _evaluate(state, rows, gt, points, weights)
+    breakdown, residuals = _evaluate(state, c, gt, points, weights)
     # A kink only invalidates central differences when a residual crosses
     # zero within +-step times its sensitivity; thresholds scale with the
     # step and leave an order of magnitude of safety.

@@ -375,6 +375,11 @@ class UniformRanges:
     xy_box: float = 0.15  # side length of the x-y sampling box, meters
 
     def __post_init__(self):
+        for name, what in (("z_range", "depth range"), ("f_range", "focal range"),
+                           ("xy_box", "x-y box")):
+            value = getattr(self, name)  # a bool would read as 0 or 1
+            if any(isinstance(v, (bool, np.bool_)) for v in np.ravel(np.array(value, object))):
+                raise DomainError(f"invalid {what}: got {value!r}, need numbers, not booleans")
         for name, what in (("z_range", "depth"), ("f_range", "focal")):
             r = np.asarray(getattr(self, name))
             if r.shape != (2,) or not 0 < r[0] < r[1] < np.inf:

@@ -2,11 +2,12 @@
 
 A predictor is any callable (state, target, iteration, draws) -> DeltaBatch
 over N rows: the current and target poses as a PoseBatch, the 1-based
-iteration, and that iteration's (N, 8) standard-normal draws. A network's 6D
-output enters as a ``DeltaBatch`` pair, decoded once by the update; the oracle
-predictor inverts the update rule exactly, its rotation a quaternion throughout,
-and its noisy and clamped variants emulate an imperfect network so the exact and
-legacy translation rules can be compared under identical randomness.
+iteration, and that iteration's (N, 8) standard-normal draws. The rotation of a
+``DeltaBatch`` is a unit quaternion, so a predictor standing in for a network decodes
+its 6D output once with ``geometry.quats_from_6d``; the oracle predictor inverts the
+update rule exactly, its rotation a quaternion throughout, and its noisy and clamped
+variants emulate an imperfect network so the exact and legacy translation rules can be
+compared under identical randomness.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class OraclePredictor:
             vx, vy = np.clip(vx, -cl.max_px, cl.max_px), np.clip(vy, -cl.max_px, cl.max_px)
             vz = np.exp(np.clip(np.log(vz), -cl.max_log_depth, cl.max_log_depth))
             vf = np.clip(vf, -cl.max_log_focal, cl.max_log_focal)
-        return DeltaBatch.from_quat(vx, vy, vz, quat, vf)
+        return DeltaBatch(vx, vy, vz, quat, vf)
 
 
 CONVERGED_TOL = 1e-6  # bound on e_rot, e_trans and e_focal of a converged trial

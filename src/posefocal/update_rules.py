@@ -5,7 +5,9 @@ the translation update feeds the *new* focal length back into the projection
 equations, and the rotation update is a Gram-Schmidt-orthogonalized left
 multiplication. One translation rule serves both arms of the comparison
 experiments: ``legacy=True`` holds the focal length constant within a step,
-in :func:`apply_translation_update` as in the batched rules.
+in :func:`apply_translation_update` as in the batched rules. The batched rules take
+a :class:`DeltaBatch`, whose rotation is a unit quaternion: a 6D prediction is decoded
+once, by whatever emits it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (BBox, CameraIntrinsics, ParamState, PoseBatch, Rotation,
-                       quat_conj, quat_multiply, quats_from_6d, quats_to_matrices,
-                       rotation_from_6d, row_dot)
+                       quat_conj, quat_multiply, rotation_from_6d, row_dot)
 
 UPDATE_RULES = ("exact", "legacy")  # the arms of an update-rule comparison
-_ROW_SHAPES = {"v_r1": (3,), "v_r2": (3,), "quat": (4,)}  # of DeltaBatch's 2-D fields
 
 
 @dataclass(frozen=True)
@@ -128,51 +128,36 @@ def init_state(bbox: BBox, intrinsics: CameraIntrinsics) -> ParamState:
 @dataclass(frozen=True)
 class DeltaBatch:
     """N predicted updates as arrays: vx, vy, vz, vf (N,) and each row's rotation as a
-    6D pair v_r1, v_r2 (N, 3) or, by :meth:`from_quat`, a unit quaternion ``quat``
-    (N, 4). The other form is derived when first read: ``quat`` by :func:`quats_from_6d`,
-    the pair as two matrix columns. Row i is one :class:`DeltaTheta`, checked once."""
+    unit quaternion ``quat`` (N, 4). Row i is one :class:`DeltaTheta`, checked once; a
+    predictor that emits a 6D pair decodes it with :func:`~.geometry.quats_from_6d`."""
 
     vx: np.ndarray
     vy: np.ndarray
     vz: np.ndarray
-    v_r1: np.ndarray
-    v_r2: np.ndarray
+    quat: np.ndarray
     vf: np.ndarray
 
     def __post_init__(self):
-        self._check(**vars(self))
-
-    @classmethod
-    def from_quat(cls, vx, vy, vz, quat, vf) -> "DeltaBatch":
-        return object.__new__(cls)._check(vx=vx, vy=vy, vz=vz, quat=quat, vf=vf)
-
-    def _check(self, **fields):
-        for name, value in fields.items():
-            v = vars(self)[name] = np.asarray(value, dtype=float)
-            cols = _ROW_SHAPES.get(name, v.shape[1:])
-            if v.shape[1:] != cols or not np.isfinite(v).all():
-                raise DomainError(f"{name} must be finite" + (f" (N, {cols[0]})" if cols else ""))
-        if "quat" in fields and (np.abs(row_dot(self.quat, self.quat) - 1) > 1e-6).any():
+        for name, value in vars(self).items():
+            v = np.asarray(value, dtype=float)
+            object.__setattr__(self, name, v)
+            if name == "quat" and v.shape[1:] != (4,) or not np.isfinite(v).all():
+                raise DomainError(f"{name} must be finite" + " (N, 4)" * (name == "quat"))
+            if v.ndim != 1 + (name == "quat") or len(v) != len(self.vx):
+                raise DomainError(f"{name} has shape {v.shape}, not one row per row of "
+                                  f"vx {self.vx.shape}")
+        if (np.abs(row_dot(self.quat, self.quat) - 1) > 1e-6).any():
             raise DomainError("quat: rows must be unit quaternions")
         if (self.vz <= 0).any():
             raise DomainError(f"depth ratio must be positive, got {self.vz.min()}")
-        return self
-
-    def __getattr__(self, name):  # the rotation form not given when built
-        given = vars(self)
-        if name == "quat" and "v_r1" in given:
-            given["quat"] = quats_from_6d(self.v_r1, self.v_r2)
-        elif name in ("v_r1", "v_r2") and "quat" in given:
-            given["v_r1"], given["v_r2"], _ = quats_to_matrices(self.quat).transpose(2, 0, 1)
-        else:
-            raise AttributeError(name)
-        return given[name]
 
 
 def apply_update_batch(state: PoseBatch, delta: DeltaBatch,
                        legacy: np.ndarray) -> PoseBatch:
     """Row-wise :func:`apply_update`; ``legacy[i]`` selects the approximate
     translation rule for row i. Both rules are computed for every row."""
+    if len(delta.vx) != len(state):
+        raise DomainError(f"update has {len(delta.vx)} rows, state has {len(state)}")
     f = state.focal
     if (f <= 0).any():
         raise DomainError(f"focal length must be positive, got {f.min()}")
@@ -203,7 +188,7 @@ def translation_update_batch(translation: np.ndarray, f, vx, vy, vz, f_new,
 
 
 def oracle_terms(state: PoseBatch, target: PoseBatch) -> tuple:
-    """Row-wise :func:`oracle_delta` as the unchecked arrays of :meth:`DeltaBatch.from_quat`."""
+    """Row-wise :func:`oracle_delta` as the unchecked fields of a :class:`DeltaBatch`."""
     x, y, z = state.translation.T
     xh, yh, zh = target.translation.T
     if (z <= 0).any() or (zh <= 0).any():

@@ -1003,9 +1003,13 @@ class TestMalformedJson:
         ('{"kind": "uniform", "z_range": [0.8, 1e309]}', "z_range"),
         ('{"kind": "uniform", "f_range": [NaN, 900]}', "f_range"),
         ('{"kind": "uniform", "z_range": [1]}', "z_range"),
+        ('{"kind": "uniform", "xy_box": true, "z_range": [true, 2]}', "z_range"),
+        ('{"kind": "uniform", "f_range": [100, false]}', "f_range"),
+        ('{"kind": "uniform", "xy_box": true}', "xy_box"),
     ], ids=["bingham-m-nan", "xy-mean-nan", "delta-r-nan", "xy-box-negative",
             "xy-box-nan", "xy-box-1e309", "xy-box-string", "xy-box-numeric-string",
-            "z-range-1e309", "f-range-nan", "z-range-one-element"])
+            "z-range-1e309", "f-range-nan", "z-range-one-element", "z-range-bool",
+            "f-range-bool", "xy-box-bool"])
     def test_sample_distribution_field_fault(self, runner, tmp_path, text, field):
         """A non-finite or out-of-range parameter is an error naming the field."""
         dist = tmp_path / "dist.json"

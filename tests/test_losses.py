@@ -16,8 +16,7 @@ from posefocal.losses import (GRAD_LABELS, LossWeights, _evaluate,
                               huber_log_focal, point_matching_distance,
                               reprojection_loss, rotation_6d_jacobian,
                               smoothness_margins, total_loss)
-from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_update, oracle_delta,
-                                    translation_update_batch)
+from posefocal.update_rules import DeltaTheta, apply_update, oracle_delta, translation_update_batch
 
 ORIGIN_POINT = ModelPoints(np.zeros((1, 3)))
 
@@ -347,6 +346,21 @@ class TestGradients:
             gradient_check(make_state(f=600.0), make_delta(vx=5.0, vf=vf),
                            make_state(f=660.0), ORIGIN_POINT, step=step)
 
+    @pytest.mark.parametrize("field, value, step, message", [
+        ("vz", 1.0, 10.0, "depth ratio must be positive, got -9.0"),
+        ("vz", 1.0, 1.0, "depth ratio must be positive, got 0.0"),
+        ("vx", 1.7e308, 1e308, "vx must be finite"),
+        ("vf", -1.7e308, 1e308, "vf must be finite"),
+        ("v_r2", (0, 1.7e308, 0), 1e308, "v_r2 must be finite (N, 3)"),
+    ])
+    def test_rejects_step_that_leaves_the_domain(self, field, value, step, message):
+        """A +-step row that overflows a component, or takes the depth ratio to 0 or
+        below, is rejected as the update itself would be (the overflow still warns)."""
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as exc:
+            gradient_check(make_state(), make_delta(**{field: value}), make_state(f=660.0),
+                           ORIGIN_POINT, step=step)
+        assert (type(exc.value), str(exc.value)) == (DomainError, message)
+
     def test_grad_labels_cover_ten_components(self):
         assert len(GRAD_LABELS) == 10
 
@@ -362,9 +376,7 @@ class TestRowWiseEvaluation:
         for _ in range(5):
             state, _, gt, pts = random_case(rng)
             deltas = [random_case(rng)[1] for _ in range(21)]
-            batch = DeltaBatch([d.vx for d in deltas], [d.vy for d in deltas],
-                               [d.vz for d in deltas], [d.v_r1 for d in deltas],
-                               [d.v_r2 for d in deltas], [d.vf for d in deltas])
+            batch = np.array([[d.vx, d.vy, d.vz, *d.v_r1, *d.v_r2, d.vf] for d in deltas])
             rows, _ = _evaluate(state, batch, gt, pts, LossWeights())
             for k, delta in enumerate(deltas):
                 one = total_loss(state, delta, gt, pts)
@@ -394,18 +406,19 @@ class TestRowWiseEvaluation:
                                        rtol=0, atol=1e-8)
 
 
-def four_update_evaluate(state, delta, gt, points, weights):
+def four_update_evaluate(state, rows, gt, points, weights):
     """The loss pass as it was with one translation update per term: the reprojection
     pose half's update and its vz-derivative, then the x-y and the depth term's."""
-    pts, f_hat, k = points.points, gt.focal, len(delta.vx)
-    rotated = losses._rotated_points(state, delta, points)
-    r = delta.vf + float(np.log(state.focal) - np.log(f_hat))
+    pts, f_hat, k = points.points, gt.focal, len(rows)
+    dvx, dvy, dvz, dvf = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 9]
+    rotated = losses._rotated_points(state, rows, points)
+    r = dvf + float(np.log(state.focal) - np.log(f_hat))
     huber, dh = losses._huber(r, weights.huber_delta)
     grad_huber = np.zeros((k, 10))
     grad_huber[:, 9] = dh
     t = state.translation[None]
-    t_pose = translation_update_batch(t, state.focal, delta.vx, delta.vy, delta.vz, f_hat)
-    dt_dvz = translation_update_batch(t, state.focal, delta.vx, delta.vy, np.ones(k), f_hat)
+    t_pose = translation_update_batch(t, state.focal, dvx, dvy, dvz, f_hat)
+    dt_dvz = translation_update_batch(t, state.focal, dvx, dvy, np.ones(k), f_hat)
     cam = rotated[0] + t_pose[:, None, :]
     cam_hat = pts @ gt.rotation.as_matrix().T + gt.translation
 
@@ -413,12 +426,12 @@ def four_update_evaluate(state, delta, gt, points, weights):
     f = state.focal
     grad_pose = np.zeros((k, 10))
     vz, vx, vy = zh / z, f_hat * xh / zh - f * x / z, f_hat * yh / zh - f * y / z
-    t1 = translation_update_batch(t, f, delta.vx, delta.vy, vz, f_hat)
+    t1 = translation_update_batch(t, f, dvx, dvy, vz, f_hat)
     diff1 = t1 - gt.translation
     grad_pose[:, :2] = np.sign(diff1[:, :2]) * t1[:, 2:] / f_hat
-    t2 = translation_update_batch(t, f, vx, vy, delta.vz, f_hat)
+    t2 = translation_update_batch(t, f, vx, vy, dvz, f_hat)
     diff2 = t2 - gt.translation
-    grad_pose[:, 2] = row_dot(np.sign(diff2), t2 / delta.vz[:, None])
+    grad_pose[:, 2] = row_dot(np.sign(diff2), t2 / dvz[:, None])
     diff3 = rotated[0] - pts @ gt.rotation.as_matrix().T
     grad_pose[:, 3:9] = np.einsum("kni,kjni->kj", np.sign(diff3), rotated[1]) / len(points)
     pose = np.abs(diff1).sum(axis=1) + np.abs(diff2).sum(axis=1) \
@@ -436,7 +449,7 @@ def four_update_evaluate(state, delta, gt, points, weights):
     grad_reproj[:, :2] = gq_sum[:, :2] * t_pose[:, 2:] / f_hat
     grad_reproj[:, 2] = row_dot(gq_sum, dt_dvz)
     grad_reproj[:, 3:9] = np.einsum("kni,kjni->kj", gq, rotated[1])
-    f_new = np.exp(delta.vf) * state.focal
+    f_new = np.exp(dvf) * state.focal
     uv_f = f_new[:, None, None] * cam_hat[:, :2] / cam_hat[:, 2:3]
     diff_b = uv_f - uv_hat
     grad_reproj[:, 9] = (np.sign(diff_b) * uv_f).sum(axis=(1, 2))
@@ -456,10 +469,10 @@ def test_rotated_points_match_the_strided_form(k, p):
     rng = np.random.default_rng(100 * k + p)
     state = make_state(rot=Rotation(rng.standard_normal(4)))
     points = ModelPoints(rng.uniform(-0.1, 0.1, (p, 3)))
-    delta = DeltaBatch(*rng.standard_normal((2, k)), rng.uniform(0.5, 2.0, k),
-                       rng.standard_normal((k, 3)), rng.standard_normal((k, 3)),
-                       rng.standard_normal(k))
-    rot_u, drot = rotation_6d_jacobian(delta.v_r1, delta.v_r2)
+    delta = np.column_stack([*rng.standard_normal((2, k)), rng.uniform(0.5, 2.0, k),
+                             rng.standard_normal((k, 3)), rng.standard_normal((k, 3)),
+                             rng.standard_normal(k)])
+    rot_u, drot = rotation_6d_jacobian(delta[:, 3:6], delta[:, 6:9])
     m = points.points @ state.rotation.as_matrix().T
     former = (m @ rot_u.transpose(0, 2, 1), m @ drot.transpose(0, 3, 2, 1))
     got = losses._rotated_points(state, delta, points)

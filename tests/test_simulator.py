@@ -13,7 +13,7 @@ from posefocal import geometry, simulator, update_rules
 from posefocal.errors import DomainError
 from posefocal.geometry import (CameraIntrinsics, ModelPoints, ParamState,
                                 PoseBatch, Rotation, geodesic_distance,
-                                project_point, rotation_from_6d)
+                                project_point, quats_to_matrices, rotation_from_6d)
 from posefocal.metrics import METRIC_FIELDS, lower_median
 from posefocal.sampling import UniformRanges, sample_pose_uniform
 from posefocal.simulator import (VZ_FLOOR, ClampBounds, NoiseScales,
@@ -48,8 +48,9 @@ def batch(state, n=1):
 
 
 def first_row(delta: DeltaBatch) -> DeltaTheta:
-    return DeltaTheta(delta.vx[0], delta.vy[0], delta.vz[0], delta.v_r1[0],
-                      delta.v_r2[0], delta.vf[0])
+    rot = quats_to_matrices(delta.quat[:1])[0]
+    return DeltaTheta(delta.vx[0], delta.vy[0], delta.vz[0], rot[:, 0], rot[:, 1],
+                      delta.vf[0])
 
 
 class TestOraclePredictor:
@@ -174,8 +175,7 @@ class TestRunRefinement:
         def hostile(state, target, k, draws):
             n = len(state)
             return DeltaBatch(np.zeros(n), np.zeros(n), np.ones(n),
-                              np.tile([1.0, 0, 0], (n, 1)),
-                              np.tile([0.0, 1, 0], (n, 1)), np.full(n, -30.0))
+                              np.tile([1.0, 0, 0, 0], (n, 1)), np.full(n, -30.0))
 
         rng = np.random.default_rng(9)
         target = make_target(rng)
@@ -185,13 +185,30 @@ class TestRunRefinement:
     def test_invalid_prediction_aborts_with_iteration_index(self):
         def broken(state, target, k, draws):
             if k == 2:
-                return DeltaBatch([np.nan], [0.0], [1.0], [[1.0, 0, 0]],
-                                  [[0.0, 1, 0]], [0.0])
+                return DeltaBatch([np.nan], [0.0], [1.0], [[1.0, 0, 0, 0]], [0.0])
             return OraclePredictor()(state, target, k, draws)
 
         rng = np.random.default_rng(10)
         with pytest.raises(DomainError, match="iteration 2"):
             run_one(make_target(rng), iterations=5, predictor=broken)
+
+    @pytest.mark.parametrize("short", ["update", "field"])
+    def test_prediction_with_too_few_rows_aborts_with_iteration_index(self, short):
+        """One row for N: too short as a whole, or in one field, at iteration 3."""
+        def one_row(state, target, k, draws):
+            delta = OraclePredictor()(state, target, k, draws)
+            if k < 3:
+                return delta
+            if short == "update":
+                return DeltaBatch(delta.vx[:1], delta.vy[:1], delta.vz[:1], delta.quat[:1],
+                                  delta.vf[:1])
+            return DeltaBatch(delta.vx, delta.vy, delta.vz, delta.quat, delta.vf[:1])
+
+        targets = sample_pose_uniform(UniformRanges(z_range=(0.9, 1.5)), 4, 0)
+        message = {"update": "update has 1 rows, state has 8",
+                   "field": r"vf has shape \(1,\), not one row per row of vx \(8,\)"}[short]
+        with pytest.raises(DomainError, match=f"^trial aborted at iteration 3: {message}$"):
+            run_experiment(targets, POINTS, INTR, IMG_DIAG, predictor=one_row, iterations=5)
 
     def test_projected_center_moves_by_prediction(self):
         rng = np.random.default_rng(11)
@@ -461,8 +478,8 @@ def six_d_predictor(vz):
     shift and no focal change, and depth ratio ``vz``, for every row."""
     def predict(state, target, k, draws):
         n = len(state)
-        return DeltaBatch(np.zeros(n), np.zeros(n), np.full(n, vz), np.tile([1.0, 0, 0], (n, 1)),
-                          np.tile([0.0, 1, 0], (n, 1)), np.zeros(n))
+        quat = geometry.quats_from_6d(np.tile([1.0, 0, 0], (n, 1)), np.tile([0.0, 1, 0], (n, 1)))
+        return DeltaBatch(np.zeros(n), np.zeros(n), np.full(n, vz), quat, np.zeros(n))
     return predict
 
 
@@ -482,7 +499,8 @@ class TestOneDecodeAndOneCheckPerIteration:
             for name in ("quats_from_6d", "matrices_to_quats"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(DeltaBatch, "_check", counting("check", DeltaBatch._check))
+        monkeypatch.setattr(DeltaBatch, "__post_init__",
+                            counting("check", DeltaBatch.__post_init__))
         targets = sample_pose_uniform(UniformRanges(z_range=(0.9, 1.5)), 8, 0)
         run_experiment(targets, POINTS, INTR, IMG_DIAG, predictor=predictor,
                        iterations=self.ITERATIONS, seed=1)

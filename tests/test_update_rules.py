@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posefocal.errors import DomainError
-from posefocal.geometry import (BBox, CameraIntrinsics, ParamState, Rotation, project_point,
-                                quat_unit, quats_from_6d, quats_to_matrices)
+from posefocal.geometry import BBox, CameraIntrinsics, ParamState, Rotation, project_point
 from posefocal.update_rules import (DeltaBatch, DeltaTheta, apply_focal_update,
-                                    apply_rotation_update,
+                                    apply_rotation_update, apply_update_batch,
                                     apply_translation_update, apply_update,
                                     init_state, init_state_batch, oracle_delta,
                                     translation_update_batch)
@@ -144,43 +143,34 @@ class TestDeltaChecks:
         with pytest.raises(DomainError, match="v_r2"):
             DeltaTheta(0, 0, 1, [1, 0, 0], [0, 1], 0)
 
-    def test_batch_non_finite_6d_vector_rejected(self):
-        v_r2 = np.array([[0.0, 1.0, 0.0], [0.0, np.inf, 0.0]])
-        with pytest.raises(DomainError, match="v_r2"):
-            DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), np.eye(3)[[0, 0]], v_r2,
-                       np.zeros(2))
-
-    def test_batch_6d_shape_checked(self):
-        with pytest.raises(DomainError, match="v_r1"):
-            DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), np.ones(6), np.eye(3)[:2],
-                       np.zeros(2))
-
     @pytest.mark.parametrize("quat", [[[1.0, 0, 0, 0], [np.nan, 0, 0, 1]], np.eye(3)[:2],
                                       [[1.0, 0, 0, 0], [0.0, 2.0, 0, 0]], np.zeros((2, 4))],
                              ids=["non-finite", "three-wide", "not-unit", "zero"])
     def test_batch_quaternion_checked(self, quat):
         with pytest.raises(DomainError, match="quat"):
-            DeltaBatch.from_quat(np.zeros(2), np.zeros(2), np.ones(2), quat, np.zeros(2))
+            DeltaBatch(np.zeros(2), np.zeros(2), np.ones(2), quat, np.zeros(2))
 
+    @pytest.mark.parametrize("rows, field", [((2, 3, 3, 3, 3), "vy"), ((3, 1, 3, 3, 3), "vy"),
+                                             ((3, 3, 3, 3, 1), "vf"), ((3, 3, 3, 1, 4), "quat")])
+    def test_batch_rows_must_agree(self, rows, field):
+        """The first field whose row count differs from vx's is named; a field of one row
+        is not spread over the others."""
+        nx, ny, nz, nq, nf = rows
+        with pytest.raises(DomainError, match=rf"^{field} has shape .* vx \({nx},\)$"):
+            DeltaBatch(np.zeros(nx), np.zeros(ny), np.ones(nz), np.tile([1.0, 0, 0, 0], (nq, 1)),
+                       np.zeros(nf))
 
-class TestDeltaBatchRotationForms:
-    def test_pair_read_from_quaternion_decodes_to_it(self):
-        quat = quat_unit(np.random.default_rng(0).standard_normal((50, 4)))
-        delta = DeltaBatch.from_quat(np.zeros(50), np.zeros(50), np.ones(50), quat,
-                                     np.zeros(50))
-        assert np.array_equal(delta.v_r1, quats_to_matrices(quat)[:, :, 0])
-        assert np.array_equal(delta.v_r2, quats_to_matrices(quat)[:, :, 1])
-        decoded = quats_from_6d(delta.v_r1, delta.v_r2)
-        sign = np.sign(np.sum(decoded * quat, axis=1))[:, None]
-        assert np.allclose(decoded * sign, quat, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("vx", [0.0, np.zeros((3, 1))], ids=["scalar", "column"])
+    def test_batch_fields_are_rows(self, vx):
+        with pytest.raises(DomainError, match="^vx has shape"):
+            DeltaBatch(vx, np.zeros(3), np.ones(3), np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros(3))
 
-    def test_quaternion_read_from_pair_is_its_decode(self):
-        rng = np.random.default_rng(1)
-        v_r1, v_r2 = rng.standard_normal((2, 50, 3))
-        delta = DeltaBatch(np.zeros(50), np.zeros(50), np.ones(50), v_r1, v_r2,
-                           np.zeros(50))
-        assert np.array_equal(delta.quat, quats_from_6d(v_r1, v_r2))
-        assert delta.quat is delta.quat
+    def test_batch_update_rows_must_match_the_state(self):
+        """A one-row update is not spread over a three-row state."""
+        state = init_state_batch(np.array([[0.0, 0, 64, 48]] * 3), CameraIntrinsics(600.0))
+        one = DeltaBatch([0.0], [0.0], [1.0], [[1.0, 0, 0, 0]], [0.0])
+        with pytest.raises(DomainError, match="^update has 1 rows, state has 3$"):
+            apply_update_batch(state, one, np.zeros(3, bool))
 
 
 # ---------------------------------------------------------------------------
